@@ -18,10 +18,8 @@ use ldp_attacks::AttackKind;
 use ldp_common::Json;
 use ldp_datasets::DatasetKind;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::stream::coordinator::{run_stream, CoordinatorConfig, WorkerLauncher};
 use ldp_sim::stream::{StreamEngine, StreamSpec, WindowMode};
 use std::hint::black_box;
-use std::path::PathBuf;
 
 /// Shard layouts of the comparison.
 const SHARDS: [usize; 3] = [1, 4, 16];
@@ -91,66 +89,5 @@ fn bench_checkpoint_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-/// Locates the `ldp` binary next to the bench executable
-/// (`target/<profile>/ldp`). The coordinator spawns it as the shard
-/// worker; benches live in `ldp-bench`, so `CARGO_BIN_EXE_ldp` is not
-/// available and the path is resolved at runtime instead.
-fn ldp_binary() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let profile_dir = exe.parent()?.parent()?;
-    let candidate = profile_dir.join(if cfg!(windows) { "ldp.exe" } else { "ldp" });
-    candidate.exists().then_some(candidate)
-}
-
-fn bench_multiprocess_coordination(c: &mut Criterion) {
-    // The distributed-mode overhead question: what does fanning the same
-    // 4-shard × 2-epoch run out to worker *processes* (spawn + frame
-    // I/O + JSON render/parse per unit) cost relative to the in-process
-    // engine, which shares memory and skips serialization entirely? The
-    // deltas are bit-identical either way, so the delta in time is pure
-    // coordination overhead.
-    let Some(binary) = ldp_binary() else {
-        eprintln!(
-            "stream_multiprocess: skipped — `ldp` binary not found next to the bench \
-             executable; build it first: cargo build --release -p ldp-sim --bin ldp"
-        );
-        return;
-    };
-    let users = 50_000;
-    let mk_spec = || {
-        let mut s = spec(ProtocolKind::Grr, 4, users);
-        s.epochs = 2;
-        s
-    };
-    let mut group = c.benchmark_group("stream_multiprocess");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(2500));
-    group.throughput(Throughput::Elements(2 * users as u64));
-    group.bench_function("in_process", |b| {
-        b.iter(|| {
-            let mut engine = StreamEngine::new(mk_spec()).unwrap();
-            engine.run_to_completion().unwrap();
-            black_box(engine)
-        });
-    });
-    let launcher = WorkerLauncher::for_binary(binary);
-    for workers in [2, 4] {
-        let config = CoordinatorConfig {
-            workers,
-            ..CoordinatorConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(run_stream(mk_spec(), &launcher, &config).unwrap()));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_epoch_ingestion,
-    bench_checkpoint_roundtrip,
-    bench_multiprocess_coordination
-);
+criterion_group!(benches, bench_epoch_ingestion, bench_checkpoint_roundtrip);
 criterion_main!(benches);

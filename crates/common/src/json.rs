@@ -452,6 +452,75 @@ mod tests {
         assert_eq!(roundtrip(&v), v);
     }
 
+    /// Characters a string generator draws from: plain ASCII, everything
+    /// the renderer must escape (`"`, `\`, `\n`, `\t`, `\r`, and other
+    /// controls below 0x20, which render as `\u00XX`), and 2-, 3- and
+    /// 4-byte UTF-8 scalars.
+    const STRING_ALPHABET: [char; 16] = [
+        'a', 'Z', '7', ' ', '/', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1f}', 'η', '×', '€',
+        '😀',
+    ];
+
+    fn random_string(rng: &mut impl rand::Rng) -> String {
+        (0..rng.gen_range(0..10))
+            .map(|_| STRING_ALPHABET[rng.gen_range(0..STRING_ALPHABET.len())])
+            .collect()
+    }
+
+    /// A random value nested at most `depth` containers deep. Numbers are
+    /// finite (non-finite ones render as `null` by design) and object keys
+    /// are unique, so every value has exactly one parse.
+    fn random_value(rng: &mut impl rand::Rng, depth: u32) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen()),
+            2 => Json::Num(rng.gen_range(-1.0e12..1.0e12)),
+            3 => Json::Str(random_string(rng)),
+            4 => Json::Arr(
+                (0..rng.gen_range(0..4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => {
+                let mut members: Vec<(String, Json)> = Vec::new();
+                for _ in 0..rng.gen_range(0..4) {
+                    let key = random_string(rng);
+                    let value = random_value(rng, depth - 1);
+                    if members.iter().all(|(k, _)| *k != key) {
+                        members.push((key, value));
+                    }
+                }
+                Json::Obj(members)
+            }
+        }
+    }
+
+    #[test]
+    fn random_nested_values_roundtrip() {
+        let mut rng = crate::rng::rng_from_seed(0x15_0B);
+        for case in 0..512 {
+            let value = random_value(&mut rng, 4);
+            let text = value.render();
+            assert_eq!(Json::parse(&text).unwrap(), value, "case {case}: {text}");
+        }
+    }
+
+    #[test]
+    fn control_characters_render_as_unicode_escapes() {
+        let value = Json::Str("\u{0}\u{1}\u{1f} \"\\\n\t😀".into());
+        assert_eq!(
+            value.render(),
+            "\"\\u0000\\u0001\\u001f \\\"\\\\\\n\\t😀\"\n"
+        );
+        assert_eq!(roundtrip(&value), value);
+        for c in STRING_ALPHABET {
+            let rendered = Json::Str(c.to_string()).render();
+            let body = rendered.trim_end_matches('\n');
+            assert!(body.chars().all(|r| r >= ' '), "{c:?} -> {rendered:?}");
+        }
+    }
+
     #[test]
     fn accessors() {
         let v = Json::Obj(vec![

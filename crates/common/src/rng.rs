@@ -15,15 +15,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 step: the de-facto standard seed expander (Steele et al.).
-///
-/// Used both to whiten user-supplied seeds and to derive independent
-/// sub-stream seeds. Passing the same `state` always yields the same output.
-#[inline]
-pub fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-}
-
 /// Finalizer of SplitMix64: maps a state to a well-mixed output.
 #[inline]
 pub fn splitmix64_mix(mut z: u64) -> u64 {

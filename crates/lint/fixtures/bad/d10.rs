@@ -1,7 +1,7 @@
 // Fixture: D10 — thread/process spawns outside the audited surface.
 // All parallelism must flow through map_trials* (deterministic join
-// order) or the stream coordinator; a stray spawn is unaudited
-// interleaving that no replay harness covers.
+// order); a stray spawn is unaudited interleaving that no replay
+// harness covers.
 use std::thread;
 
 pub fn fan_out(jobs: Vec<Job>) -> Vec<thread::JoinHandle<u64>> {

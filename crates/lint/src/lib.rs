@@ -10,9 +10,8 @@
 //! of hoping a test notices. It is a hand-rolled lexer ([`lexer`]) plus
 //! two analysis stages — token-local rules ([`rules`]) and a cross-file
 //! stage ([`tree`] → [`symbols`] → [`callgraph`] → [`passes`]) — plus
-//! waiver bookkeeping ([`waivers`]) and machine-readable output
-//! ([`sarif`]). No dependencies, no registry, no nightly; same vendored
-//! ethos as the workspace's hand-rolled JSON layer.
+//! waiver bookkeeping ([`waivers`]). No dependencies, no registry, no
+//! nightly; same vendored ethos as the workspace's hand-rolled JSON layer.
 //!
 //! # Rule catalog
 //!
@@ -21,11 +20,11 @@
 //! | D01 | no `HashMap`/`HashSet` **iteration** | hash iteration order is nondeterministic; one `for (k, _) in &map` feeding a draw loop desynchronizes every downstream RNG stream. Membership checks stay legal. | tests, examples, `crates/bench` |
 //! | D02 | no ambient entropy / wall-clock (`thread_rng`, `rand::random`, `OsRng`, `from_entropy`, `SystemTime::now`, `Instant::now`) | every random bit must flow from the master seed (`rng_from_seed` / `derive_seed2`) or replay breaks; time reads make output machine-dependent | `crates/bench`, binary targets (the CLI) |
 //! | D03 | no `==`/`!=` on float-typed operands | float equality is almost always a rounding-sensitive bug; *intentional* exact comparison (sentinels, golden bit-compares) must go through `ldp_common::float::{exact_eq, exactly_zero}`, which documents the intent | tests, examples, `crates/bench`, the `float` module itself |
-//! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic kills a whole shard worker mid-stream; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, `crates/bench`, binary targets |
+//! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic aborts a whole run — a stream mid-epoch, a repro mid-figure; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, `crates/bench`, binary targets |
 //! | D05 | seed literals (`rng_from_seed(<int>)`) only in tests/benches/examples | production paths must derive per-purpose streams via `derive_seed2(master, …)`; a literal silently reuses one stream everywhere | tests, examples, `crates/bench` |
 //! | D08 | no single RNG drawn from in **two argument positions of one call** | Rust evaluates arguments left-to-right, so `f(rng.draw(), rng.draw())` works — until a refactor reorders, splits, or lifts the arguments and silently reshuffles the consumed stream (and every downstream draw). Bind the draws to sequential `let`s, or derive independent streams via `derive_seed2`. | tests, examples, `crates/bench`, binary targets |
 //! | D09 | artifact writes go through `ldp_common::write_atomic` | a bare `fs::write`/`File::create`/`fs::copy` leaves a torn half-file on crash, which checkpoint-resume and the golden gates would read as corrupt or silently truncated. Applies to binaries and `crates/bench` too — that is where artifacts get written. | tests, examples, test regions, the `write_atomic` impl (`crates/common/src/json.rs`), the lint manifest writer (`crates/lint/src/goldens.rs`) |
-//! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order) and the stream coordinator; stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs`, `crates/sim/src/stream/coordinator.rs` |
+//! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order); stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs` |
 //! | H01 | every crate root carries `#![forbid(unsafe_code)]` | the workspace is pure safe Rust; `forbid` makes that a compile error, this rule makes *removing the forbid* a lint error | — |
 //! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI and bench binaries own the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, `crates/bench`, tests, examples |
 //! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see `[[pure_root]]`) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure, waivable per edge via `[[edge_waiver]]` | test regions; bins/benches/tests never enter the graph |
@@ -66,12 +65,10 @@
 //! golden cannot change — or appear, or vanish — without an explicit
 //! `--bless-goldens` whose manifest diff lands in review.
 //!
-//! # Output formats
+//! # Output
 //!
-//! The default text format is `path:line:col: [ID] message` plus the
-//! offending line. `--format sarif` emits a SARIF 2.1.0 document
-//! ([`sarif`]) carrying the identical finding multiset, for
-//! `github/codeql-action/upload-sarif`-style PR annotation.
+//! Findings print as `path:line:col: [ID] message` plus the offending
+//! line.
 //!
 //! # Known limits (by design)
 //!
@@ -87,14 +84,12 @@ pub mod goldens;
 pub mod lexer;
 pub mod passes;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod tree;
 pub mod waivers;
 
 pub use goldens::{bless_goldens, check_goldens, GOLDEN_DIRS, GOLDEN_MANIFEST};
 pub use rules::{lint_file, FileClass, Finding, RuleId};
-pub use sarif::render_sarif;
 pub use waivers::{
     apply_waivers, check_edge_waivers, check_waivers, current_pr_from_changes, parse_config,
     parse_waivers, render_waivers, EdgeWaiver, LintConfig, Waiver,

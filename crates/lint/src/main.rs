@@ -1,16 +1,15 @@
 //! The `ldp-lint` binary: scans the workspace, prints findings as
-//! `path:line:col: [ID] message` (with the offending line) or as a
-//! SARIF 2.1.0 document (`--format sarif`), and — with `--check-waivers`
-//! — validates waiver and edge-waiver freshness. See the library docs
-//! for the rule catalog; `--explain <RULE>` prints one rule's full
-//! catalog entry with its bad/good fixture pair.
+//! `path:line:col: [ID] message` (with the offending line), and — with
+//! `--check-waivers` — validates waiver and edge-waiver freshness. See
+//! the library docs for the rule catalog; `--explain <RULE>` prints one
+//! rule's full catalog entry with its bad/good fixture pair.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ldp_lint::{
     bless_goldens, check_edge_waivers, check_goldens, check_waivers, discover_current_pr,
-    lint_workspace, load_config, render_sarif, RuleId, GOLDEN_MANIFEST,
+    lint_workspace, load_config, RuleId, GOLDEN_MANIFEST,
 };
 
 const USAGE: &str = "\
@@ -25,8 +24,6 @@ OPTIONS:
     --check-goldens    fail when a blessed golden/trajectory file drifted
                        from golden.manifest
     --bless-goldens    regenerate golden.manifest from the tree and exit
-    --format <FMT>     finding output: text (default) or sarif; sarif goes
-                       to stdout, diagnostics and the summary to stderr
     --explain <RULE>   print a rule's full catalog entry (rationale plus
                        the bad/good fixture pair) and exit
     --root <DIR>       workspace root (default: current directory)
@@ -36,17 +33,11 @@ OPTIONS:
     --help             print this help
 ";
 
-enum Format {
-    Text,
-    Sarif,
-}
-
 struct Args {
     deny: bool,
     check_waivers: bool,
     check_goldens: bool,
     bless_goldens: bool,
-    format: Format,
     explain: Option<String>,
     root: PathBuf,
     waivers: Option<PathBuf>,
@@ -60,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         check_waivers: false,
         check_goldens: false,
         bless_goldens: false,
-        format: Format::Text,
         explain: None,
         root: PathBuf::from("."),
         waivers: None,
@@ -75,14 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--check-goldens" => args.check_goldens = true,
             "--bless-goldens" => args.bless_goldens = true,
             "--list-rules" => args.list_rules = true,
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value (text|sarif)")?;
-                args.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("--format: unknown format `{other}`")),
-                };
-            }
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain needs a rule id")?);
             }
@@ -182,26 +164,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // In SARIF mode stdout is the document; everything human-facing
-    // (findings as text, waiver errors, the summary) moves to stderr so
-    // `ldp-lint --format sarif > lint.sarif` stays parseable.
-    match args.format {
-        Format::Text => {
-            for finding in &report.findings {
-                println!("{}", finding.render());
-            }
-        }
-        Format::Sarif => {
-            print!("{}", render_sarif(&report.findings));
-            for finding in &report.findings {
-                eprintln!("{}", finding.render());
-            }
-        }
+    for finding in &report.findings {
+        println!("{}", finding.render());
     }
-    let diag = |line: &str| match args.format {
-        Format::Text => println!("{line}"),
-        Format::Sarif => eprintln!("{line}"),
-    };
     let mut failed = false;
     if args.check_waivers {
         let current_pr = args.pr.or_else(|| discover_current_pr(&args.root));
@@ -212,7 +177,7 @@ fn main() -> ExitCode {
             current_pr,
         ));
         for e in &errors {
-            diag(&format!("ldp-lint: {e}"));
+            println!("ldp-lint: {e}");
         }
         failed |= !errors.is_empty();
     }
@@ -220,7 +185,7 @@ fn main() -> ExitCode {
         match check_goldens(&args.root) {
             Ok(errors) => {
                 for e in &errors {
-                    diag(&format!("ldp-lint: {e}"));
+                    println!("ldp-lint: {e}");
                 }
                 failed |= !errors.is_empty();
             }
@@ -230,14 +195,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    diag(&format!(
+    println!(
         "ldp-lint: {} finding(s) ({} waived) across {} files, {} waiver(s) + {} edge waiver(s) on file",
         report.findings.len(),
         report.suppressed.len(),
         report.files_scanned,
         config.waivers.len(),
         config.edge_waivers.len()
-    ));
+    );
     failed |= args.deny && !report.findings.is_empty();
     if failed {
         ExitCode::FAILURE

@@ -37,11 +37,9 @@ use crate::waivers::EdgeWaiver;
 /// The built-in pure-root list, used when `lint_waivers.toml` declares
 /// no `[[pure_root]]` entries: the determinism-critical entry points
 /// whose whole call closure the golden gates depend on.
-pub const DEFAULT_PURE_ROOTS: [&str; 11] = [
+pub const DEFAULT_PURE_ROOTS: [&str; 9] = [
     "attack_from_json",
     "attack_to_json",
-    "delta_from_json",
-    "delta_to_json",
     "from_checkpoint",
     "run_experiment",
     "run_eta_sweep",

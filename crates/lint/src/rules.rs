@@ -25,8 +25,7 @@ pub enum RuleId {
     D08,
     /// Artifact writes go through `ldp_common::write_atomic`.
     D09,
-    /// No `thread::spawn` outside the `map_trials*` internals and the
-    /// stream coordinator.
+    /// No `thread::spawn` outside the `map_trials*` internals.
     D10,
     /// Every crate root carries `#![forbid(unsafe_code)]`.
     H01,
@@ -85,7 +84,7 @@ impl RuleId {
             RuleId::D05 => "rng_from_seed(<literal>) only in tests/benches/examples",
             RuleId::D08 => "no single RNG drawn from in two argument positions of one call",
             RuleId::D09 => "artifact writes go through ldp_common::write_atomic",
-            RuleId::D10 => "no thread::spawn outside map_trials* internals and the coordinator",
+            RuleId::D10 => "no thread::spawn outside map_trials* internals",
             RuleId::H01 => "crate roots must carry #![forbid(unsafe_code)]",
             RuleId::H02 => "no println!/eprintln! outside the CLI, benches, and tests",
             RuleId::P01 => "pure-root call closures stay transitively free of ambient state",
@@ -118,10 +117,11 @@ impl RuleId {
                  the one blessed definition site."
             }
             RuleId::D04 => {
-                "A library panic kills a whole shard worker mid-stream. The workspace \
-                 contract is typed errors (LdpError) or graceful degradation \
-                 (ArmOutcome::Degenerate); a justified .expect(\"<why this cannot fail>\") \
-                 is allowed because the message is the proof obligation."
+                "A library panic aborts a whole run — a stream mid-epoch, a repro \
+                 mid-figure. The workspace contract is typed errors (LdpError) or \
+                 graceful degradation (ArmOutcome::Degenerate); a justified \
+                 .expect(\"<why this cannot fail>\") is allowed because the message is \
+                 the proof obligation."
             }
             RuleId::D05 => {
                 "Production paths must derive per-purpose streams via derive_seed2(master, \
@@ -147,10 +147,9 @@ impl RuleId {
             RuleId::D10 => {
                 "Threading topology is part of the determinism argument: the workspace \
                  funnels all parallelism through map_trials/map_trials_with (which join in \
-                 deterministic trial order) and the stream coordinator's process workers. \
-                 A stray thread::spawn anywhere else introduces unaudited interleaving — \
-                 route the work through the runner, or extend the audited surface \
-                 deliberately."
+                 deterministic trial order). A stray thread::spawn anywhere else \
+                 introduces unaudited interleaving — route the work through the runner, \
+                 or extend the audited surface deliberately."
             }
             RuleId::H01 => {
                 "The workspace is pure safe Rust; #![forbid(unsafe_code)] turns that claim \
@@ -264,7 +263,7 @@ impl Finding {
 /// Where a file sits in the workspace — drives per-rule exemptions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// Under `crates/bench/` (criterion suites, figure binaries, gate).
+    /// Under `crates/bench/` (criterion suites, smoke tests, gate).
     pub bench_crate: bool,
     /// A binary target: under `src/bin/` or a `src/main.rs`.
     pub bin: bool,
@@ -643,7 +642,7 @@ fn rule_d03(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
 
 /// D04 — `unwrap()` / bare `expect("")` in non-test library code. The
 /// streaming/defense contracts degrade (`ArmOutcome::Degenerate`) or
-/// propagate typed errors; a library panic kills a whole shard worker.
+/// propagate typed errors; a library panic aborts the whole run.
 fn rule_d04(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
     if !class.library() {
         return;
@@ -865,17 +864,14 @@ fn rule_d09(
 }
 
 /// Files allowed to spawn threads/processes: the trial fan-out
-/// internals and the multi-process stream coordinator.
-const D10_ALLOWED: [&str; 2] = [
-    "crates/sim/src/runner.rs",
-    "crates/sim/src/stream/coordinator.rs",
-];
+/// internals.
+const D10_ALLOWED: [&str; 1] = ["crates/sim/src/runner.rs"];
 
 /// D10 — thread-spawn audit. All parallelism must flow through the
-/// audited surfaces (`map_trials*`, the stream coordinator) whose join
-/// order is deterministic; any other `thread::spawn` / `.spawn(` is
-/// unaudited interleaving. Deliberately fires in tests and binaries
-/// too: the audit is about topology, not output.
+/// audited surface (`map_trials*`) whose join order is deterministic;
+/// any other `thread::spawn` / `.spawn(` is unaudited interleaving.
+/// Deliberately fires in tests and binaries too: the audit is about
+/// topology, not output.
 fn rule_d10(
     class: &FileClass,
     toks: &[Tok],
@@ -900,8 +896,8 @@ fn rule_d10(
             emit(
                 t,
                 RuleId::D10,
-                "thread/process spawn outside the audited surface (map_trials* internals, \
-                 stream/coordinator.rs) — route parallel work through the runner, or \
+                "thread/process spawn outside the audited surface (map_trials* internals \
+                 in runner.rs) — route parallel work through the runner, or \
                  extend the audited file list deliberately"
                     .to_string(),
             );
@@ -1224,7 +1220,11 @@ mod tests {
             [(2, "D10")]
         );
         assert!(rules_on("crates/sim/src/runner.rs", src).is_empty());
-        assert!(rules_on("crates/sim/src/stream/coordinator.rs", src).is_empty());
+        assert_eq!(
+            rules_on("crates/sim/src/stream/mod.rs", src),
+            [(2, "D10"), (3, "D10")],
+            "only runner.rs is audited"
+        );
         // A fn *named* spawn, called bare, is not a spawn site.
         assert!(rules_on(LIB, "pub fn go() { spawn(); }\nfn spawn() {}\n").is_empty());
     }

@@ -182,10 +182,6 @@ impl LdpFrequencyProtocol for HadamardResponse {
     ) -> Option<Vec<u64>> {
         Some(self.batch_support_counts(item_counts, rng))
     }
-
-    fn is_closed_form(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

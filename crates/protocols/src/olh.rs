@@ -162,10 +162,6 @@ impl LdpFrequencyProtocol for Olh {
         // binomials per item, no per-user loop.
         Some(self.batch_support_counts(item_counts, rng))
     }
-
-    fn is_closed_form(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -275,16 +275,6 @@ impl LdpFrequencyProtocol for AnyProtocol {
             AnyProtocol::Hr(x) => x.batch_aggregate(item_counts, rng),
         }
     }
-
-    fn is_closed_form(&self) -> bool {
-        match self {
-            AnyProtocol::Grr(x) => x.is_closed_form(),
-            AnyProtocol::Oue(x) => x.is_closed_form(),
-            AnyProtocol::Olh(x) => x.is_closed_form(),
-            AnyProtocol::Sue(x) => x.is_closed_form(),
-            AnyProtocol::Hr(x) => x.is_closed_form(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,8 +22,6 @@ use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::{DatasetKind, ScalePreset};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::scenario::{catalog, run_scenario, RunScale, ScaleSpec};
-use ldp_sim::stream::coordinator::{self, CoordinatorConfig, WorkerLauncher};
-use ldp_sim::stream::worker::{run_worker, FaultPlan};
 use ldp_sim::stream::{StreamEngine, StreamSpec, WindowMode};
 use ldp_sim::table::{fmt_mean, fmt_stat};
 use ldp_sim::{
@@ -126,7 +124,7 @@ fn parse_args<I: Iterator<Item = String>>(mut iter: I) -> Result<Args> {
             "--epsilon" => args.epsilon = parse_f64(&value("--epsilon")?, "--epsilon")?,
             "--trials" => args.trials = parse_num(&value("--trials")?, "--trials")?,
             "--scale" => args.scale = parse_f64(&value("--scale")?, "--scale")?,
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
+            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
             "--aggregation" => {
                 args.aggregation = AggregationMode::parse(&value("--aggregation")?)?;
             }
@@ -165,6 +163,16 @@ fn resolve_attack(name: &str, targets: usize, attackers: usize) -> Result<Option
 fn parse_num(s: &str, flag: &str) -> Result<usize> {
     s.parse()
         .map_err(|e| LdpError::invalid(format!("{flag}: {e}")))
+}
+
+/// Parses a `--seed` value: decimal, or hex with a `0x` prefix — the form
+/// every usage text and the `ldp stream` header print.
+fn parse_seed(s: &str) -> Result<u64> {
+    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
+    };
+    parsed.map_err(|e| LdpError::invalid(format!("--seed: {e}")))
 }
 
 fn parse_f64(s: &str, flag: &str) -> Result<f64> {
@@ -215,7 +223,7 @@ fn parse_repro_args<I: Iterator<Item = String>>(mut iter: I) -> Result<ReproArgs
             "--figure" => args.figure = value("--figure")?.to_ascii_lowercase(),
             "--scale" => args.scale = ScaleSpec::parse(&value("--scale")?)?,
             "--trials" => args.trials = Some(parse_num(&value("--trials")?, "--trials")?),
-            "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")? as u64,
+            "--seed" => args.seed = parse_seed(&value("--seed")?)?,
             "--json" => args.json = Some(value("--json")?.into()),
             "--csv" => args.csv = true,
             "--help" | "-h" => {
@@ -300,8 +308,7 @@ own derived RNG stream), merged at every epoch boundary, and re-recovered,
 producing a recovery-accuracy-vs-reports-seen trajectory. With
 --checkpoint the full engine state is written (atomically) after every
 epoch; --resume continues a suspended run bit-identically (same bytes as
-uninterrupted). With --workers N the shards are computed by N separate
-worker processes with failover replay — still byte-identical.
+uninterrupted).
 
 options:
   --dataset ipums|fire          workload                [ipums]
@@ -321,13 +328,6 @@ options:
                                 recovery window over epochs: all epochs,
                                 the last N, or exponential decay with
                                 factor L in (0,1)       [cumulative]
-  --workers N                   distribute shards over N worker processes
-                                (byte-identical to the in-process engine)
-  --worker-timeout-ms N         per-work-unit reply timeout before a
-                                worker is killed and replayed   [10000]
-  --inject-fault K[@U]          test-only: worker 0's first process
-                                misbehaves on its U-th unit; K is
-                                worker-crash|stall|corrupt-frame
   --checkpoint PATH             write the engine state after every epoch
   --resume PATH                 restore from a checkpoint (spec flags, if
                                 repeated, must match the checkpoint spec)
@@ -345,9 +345,6 @@ struct StreamArgs {
     /// The spec-shaping flags that were explicitly given — with --resume
     /// each is diffed field-by-field against the checkpoint's spec.
     spec_flags: Vec<&'static str>,
-    workers: Option<usize>,
-    worker_timeout_ms: u64,
-    inject_fault: Option<String>,
     checkpoint: Option<std::path::PathBuf>,
     resume: Option<std::path::PathBuf>,
     suspend_after: Option<usize>,
@@ -376,9 +373,6 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
     let mut args = StreamArgs {
         spec,
         spec_flags: Vec::new(),
-        workers: None,
-        worker_timeout_ms: 10_000,
-        inject_fault: None,
         checkpoint: None,
         resume: None,
         suspend_after: None,
@@ -440,28 +434,12 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
                 spec_flag = Some("--users-per-epoch");
             }
             "--seed" => {
-                spec.seed = parse_num(&value("--seed")?, "--seed")? as u64;
+                spec.seed = parse_seed(&value("--seed")?)?;
                 spec_flag = Some("--seed");
             }
             "--window" => {
                 spec.window = WindowMode::parse(&value("--window")?)?;
                 spec_flag = Some("--window");
-            }
-            "--workers" => {
-                let n = parse_num(&value("--workers")?, "--workers")?;
-                if n == 0 {
-                    return Err(LdpError::invalid("--workers must be ≥ 1"));
-                }
-                args.workers = Some(n);
-            }
-            "--worker-timeout-ms" => {
-                args.worker_timeout_ms =
-                    parse_num(&value("--worker-timeout-ms")?, "--worker-timeout-ms")? as u64;
-            }
-            "--inject-fault" => {
-                let fault = value("--inject-fault")?;
-                FaultPlan::parse(&fault)?; // validate eagerly; workers re-parse
-                args.inject_fault = Some(fault);
             }
             "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?.into()),
             "--resume" => args.resume = Some(value("--resume")?.into()),
@@ -489,11 +467,6 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
         spec.beta = 0.0;
     }
     args.spec = spec;
-    if args.inject_fault.is_some() && args.workers.is_none() {
-        return Err(LdpError::invalid(
-            "--inject-fault targets worker processes; it requires --workers",
-        ));
-    }
     Ok(args)
 }
 
@@ -592,28 +565,9 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     // Dump the starting state too, so the checkpoint file exists (and the
     // resume hint below holds) even if no epoch runs before suspension.
     checkpoint_after(&engine)?;
-    match args.workers {
-        Some(workers) => {
-            let program = std::env::current_exe().map_err(|e| {
-                LdpError::invalid(format!("locating the ldp binary for workers: {e}"))
-            })?;
-            let mut launcher = WorkerLauncher::for_binary(program);
-            if let Some(fault) = &args.inject_fault {
-                launcher.first_spawn_extra_args = vec!["--inject-fault".into(), fault.clone()];
-            }
-            let config = CoordinatorConfig {
-                workers,
-                timeout: std::time::Duration::from_millis(args.worker_timeout_ms),
-                ..CoordinatorConfig::default()
-            };
-            coordinator::drive_with(&mut engine, horizon, &launcher, &config, &checkpoint_after)?;
-        }
-        None => {
-            while engine.epochs_done() < horizon {
-                engine.step()?;
-                checkpoint_after(&engine)?;
-            }
-        }
+    while engine.epochs_done() < horizon {
+        engine.step()?;
+        checkpoint_after(&engine)?;
     }
 
     let spec = *engine.spec();
@@ -737,31 +691,6 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     Ok(())
 }
 
-/// The hidden `ldp stream-worker` subcommand: serve length-prefixed work
-/// frames on stdio until shutdown/EOF. Spawned by the stream
-/// coordinator; not part of the user-facing CLI surface.
-fn stream_worker_main<I: Iterator<Item = String>>(mut iter: I) -> Result<()> {
-    let mut fault = None;
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--inject-fault" => {
-                let spec = iter
-                    .next()
-                    .ok_or_else(|| LdpError::invalid("--inject-fault requires a value"))?;
-                fault = Some(FaultPlan::parse(&spec)?);
-            }
-            other => {
-                return Err(LdpError::invalid(format!(
-                    "unknown stream-worker flag '{other}'"
-                )))
-            }
-        }
-    }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    run_worker(&mut stdin.lock(), &mut stdout.lock(), fault)
-}
-
 fn main() -> Result<()> {
     let mut raw = std::env::args().skip(1).peekable();
     if raw.peek().map(String::as_str) == Some("repro") {
@@ -771,10 +700,6 @@ fn main() -> Result<()> {
     if raw.peek().map(String::as_str) == Some("stream") {
         raw.next();
         return stream_main(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("stream-worker") {
-        raw.next();
-        return stream_worker_main(raw);
     }
     let args = parse_args(raw)?;
     let mut config = ExperimentConfig::paper_default(args.dataset, args.protocol, args.attack);
@@ -981,8 +906,6 @@ mod tests {
         assert_eq!(a.spec.attack, Some(AttackKind::Adaptive));
         assert_eq!(a.spec.seed, DEFAULT_SEED);
         assert_eq!(a.spec.window, WindowMode::Cumulative);
-        assert!(a.workers.is_none(), "in-process engine by default");
-        assert_eq!(a.worker_timeout_ms, 10_000);
         assert!(a.checkpoint.is_none() && a.resume.is_none());
         assert!(a.spec_flags.is_empty(), "no spec flags recorded");
         assert!(a.spec.validate().is_ok());
@@ -1041,34 +964,32 @@ mod tests {
     }
 
     #[test]
-    fn stream_worker_flags_parse() {
-        let a = parse_stream(&[
-            "--workers",
-            "4",
-            "--worker-timeout-ms",
-            "2500",
-            "--inject-fault",
-            "corrupt-frame@1",
-            "--window",
-            "sliding:3",
-        ])
-        .unwrap();
-        assert_eq!(a.workers, Some(4));
-        assert_eq!(a.worker_timeout_ms, 2500);
-        assert_eq!(a.inject_fault.as_deref(), Some("corrupt-frame@1"));
+    fn stream_window_flag_parses() {
+        let a = parse_stream(&["--window", "sliding:3"]).unwrap();
         assert_eq!(a.spec.window, WindowMode::Sliding(3));
-        assert_eq!(
-            a.spec_flags,
-            ["--window"],
-            "worker knobs are not spec flags"
-        );
-        // Rejections: zero workers, malformed faults, faults without
-        // workers, malformed windows.
-        assert!(parse_stream(&["--workers", "0"]).is_err());
-        assert!(parse_stream(&["--workers", "2", "--inject-fault", "explode"]).is_err());
-        assert!(parse_stream(&["--inject-fault", "stall"]).is_err());
+        assert_eq!(a.spec_flags, ["--window"]);
         assert!(parse_stream(&["--window", "sliding:0"]).is_err());
         assert!(parse_stream(&["--window", "decay:1.5"]).is_err());
+    }
+
+    #[test]
+    fn seeds_parse_from_decimal_and_the_printed_hex_form() {
+        let hex = ["--seed", "0x1db05eed"];
+        let dec = ["--seed", "498097901"];
+        assert_eq!(parse(&hex).unwrap().seed, 0x1DB0_5EED);
+        assert_eq!(parse(&dec).unwrap().seed, 0x1DB0_5EED);
+        assert_eq!(
+            parse_repro(&hex).unwrap().run_scale(),
+            parse_repro(&dec).unwrap().run_scale()
+        );
+        assert_eq!(
+            parse_stream(&hex).unwrap().spec,
+            parse_stream(&dec).unwrap().spec
+        );
+        assert_eq!(parse_seed("0XFFFFFFFFFFFFFFFF").unwrap(), u64::MAX);
+        for bad in ["0x", "0xg1", "-1", "1e3", "18446744073709551616"] {
+            assert!(parse_seed(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

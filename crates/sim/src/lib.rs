@@ -25,7 +25,8 @@
 //!   parameter sweeps (e.g. over η) can reuse aggregations.
 //! * [`runner`] — multi-trial execution with derived per-trial seeds and
 //!   [`metrics::Stats`] summaries.
-//! * [`table`] — fixed-width / CSV rendering for the experiment binaries.
+//! * [`table`] — fixed-width / CSV rendering for the `ldp` CLI and
+//!   scenario reports.
 //! * [`scenario`] — the declarative scenario-matrix subsystem: the
 //!   paper's figures as data (cells × grids), one engine executing them,
 //!   JSON reports, and golden statistical regression gates.

@@ -91,11 +91,6 @@ impl ExperimentResult {
         self.arm("star").and_then(|a| a.fg)
     }
 
-    /// FG after Detection.
-    pub fn fg_detection(&self) -> Option<Stats> {
-        self.arm("detection").and_then(|a| a.fg)
-    }
-
     /// MSE of LDPRecover's malicious estimate vs the true `f̃_Y` (Fig. 7).
     pub fn malicious_mse_recover(&self) -> Option<Stats> {
         self.arm("recover").and_then(|a| a.malicious_mse)

@@ -2,12 +2,11 @@
 //! the ablation and key-value extension experiments) as declarative
 //! [`Scenario`] definitions.
 //!
-//! The `fig*` / `table1` / `ablations` / `kv_extension` binaries in
-//! `ldp-bench` are thin shells over this module: they parse flags, fetch
-//! their scenario by id, and hand it to
+//! `ldp repro --figure <id>` is a thin shell over this module: it parses
+//! flags, fetches the scenario by id, and hands it to
 //! [`run_scenario`](crate::scenario::run_scenario). The golden regression
 //! suite (`tests/golden_repro.rs`) runs the same definitions at the
-//! `small` preset, so the catalog — not any binary — is the single source
+//! `small` preset, so the catalog — not the CLI — is the single source
 //! of truth for what each figure computes.
 
 use ldp_attacks::AttackKind;
@@ -982,8 +981,8 @@ fn stream_online() -> Scenario {
 
 /// Windowed-recovery variant of [`stream_online`]: the same epoch grid
 /// under a 2-epoch sliding window and an exponentially-decaying window,
-/// the two non-cumulative [`WindowMode`](crate::stream::WindowMode)s the
-/// distributed coordinator ships. Where the cumulative trajectory's MSE
+/// the two non-cumulative [`WindowMode`](crate::stream::WindowMode)s of
+/// the streaming engine. Where the cumulative trajectory's MSE
 /// falls ≈ 1/reports, a bounded window pins the effective sample size, so
 /// these curves flatten — the catalog keeps both shapes under golden
 /// regression.

@@ -14,9 +14,8 @@
 //! `LDP_BLESS_GOLDENS=1 cargo test --test golden_repro` rewrites the
 //! checked-in files (see `tests/golden_repro.rs`).
 
-use ldp_common::{LdpError, Result};
+use ldp_common::{Json, LdpError, Result};
 
-use crate::scenario::json::Json;
 use crate::scenario::report::ScenarioReport;
 
 /// Multiplier on the SEM for the tolerance band: wide enough for an

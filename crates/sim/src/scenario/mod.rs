@@ -16,20 +16,15 @@
 //!   regression gate of `tests/golden_repro.rs`.
 //! * [`catalog`] — every figure/table of the paper (and the ablation/KV
 //!   extensions) as scenario definitions; the single source of truth the
-//!   `fig*` binaries, the `ldp repro` subcommand, and the golden suite
-//!   all share.
-//! * [`json`] — the minimal hand-rolled JSON layer (no `serde_json` under
-//!   the vendored-dependency policy).
+//!   `ldp repro` subcommand and the golden suite share.
 
 pub mod catalog;
 pub mod golden;
-pub mod json;
 pub mod report;
 pub mod run;
 pub mod spec;
 
 pub use golden::{Golden, GoldenEntry};
-pub use json::Json;
 pub use report::{CellReport, GridReport, ScenarioReport};
 pub use run::run_scenario;
 pub use spec::{

@@ -2,9 +2,9 @@
 //! grids, and the JSON emit consumed by the golden suite and CI artifacts.
 
 use ldp_common::float::exactly_zero;
+use ldp_common::Json;
 
 use crate::metrics::Stats;
-use crate::scenario::json::Json;
 use crate::scenario::spec::{Entry, GridSpec};
 use crate::table::Table;
 
@@ -59,11 +59,10 @@ impl ScenarioReport {
             .map(|(_, stats)| *stats)
     }
 
-    /// Renders the run header, every grid, and the notes — the output
-    /// the historical `fig*` binaries hand-rolled. Returns the full text
-    /// (trailing newline included) so callers that own a terminal — the
-    /// `ldp` CLI and the figure binaries — decide where it goes; library
-    /// code never prints (workspace lint rule H02).
+    /// Renders the run header, every grid, and the notes. Returns the
+    /// full text (trailing newline included) so the caller that owns the
+    /// terminal — `ldp repro` — decides where it goes; library code never
+    /// prints (workspace lint rule H02).
     pub fn render_text(&self, csv: bool) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -22,7 +22,7 @@ use ldp_datasets::DatasetKind;
 use ldp_protocols::{CountAccumulator, ProtocolKind};
 
 use super::window::{EpochAggregate, WindowMode, WindowState};
-use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec};
+use super::{EpochPoint, StreamEngine, StreamSpec};
 
 /// Format tag guarding against feeding scenario reports (or arbitrary
 /// JSON) to the restore path.
@@ -33,12 +33,12 @@ const VERSION: f64 = 1.0;
 /// Largest integer a JSON number can carry exactly.
 const MAX_SAFE_INT: f64 = 9_007_199_254_740_992.0; // 2^53
 
-pub(crate) fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json> {
+fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json> {
     json.get(key)
         .ok_or_else(|| LdpError::invalid(format!("checkpoint: missing '{key}'")))
 }
 
-pub(crate) fn usize_field(json: &Json, key: &str) -> Result<usize> {
+fn usize_field(json: &Json, key: &str) -> Result<usize> {
     let v = field(json, key)?
         .as_f64()
         .ok_or_else(|| LdpError::invalid(format!("checkpoint: '{key}' not a number")))?;
@@ -50,19 +50,19 @@ pub(crate) fn usize_field(json: &Json, key: &str) -> Result<usize> {
     Ok(v as usize)
 }
 
-pub(crate) fn f64_field(json: &Json, key: &str) -> Result<f64> {
+fn f64_field(json: &Json, key: &str) -> Result<f64> {
     field(json, key)?
         .as_f64()
         .ok_or_else(|| LdpError::invalid(format!("checkpoint: '{key}' not a number")))
 }
 
-pub(crate) fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str> {
+fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str> {
     field(json, key)?
         .as_str()
         .ok_or_else(|| LdpError::invalid(format!("checkpoint: '{key}' not a string")))
 }
 
-pub(crate) fn counts_field(json: &Json, key: &str, len: usize) -> Result<Vec<u64>> {
+fn counts_field(json: &Json, key: &str, len: usize) -> Result<Vec<u64>> {
     let arr = field(json, key)?
         .as_array()
         .ok_or_else(|| LdpError::invalid(format!("checkpoint: '{key}' not an array")))?;
@@ -223,43 +223,6 @@ fn accumulator_from_json(json: &Json, len: usize) -> Result<CountAccumulator> {
         ));
     }
     Ok(CountAccumulator::from_parts(counts, reports))
-}
-
-/// Serializes a shard delta — the payload format of the multi-process
-/// wire protocol ([`super::transport`]), deliberately identical in shape
-/// to the checkpoint's accumulator members so a delta on the wire is a
-/// checkpoint fragment.
-pub fn delta_to_json(delta: &ShardDelta) -> Json {
-    let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect());
-    Json::Obj(vec![
-        ("population".into(), counts(&delta.population)),
-        ("genuine_counts".into(), counts(&delta.genuine_counts)),
-        (
-            "genuine_users".into(),
-            Json::Num(delta.genuine_users as f64),
-        ),
-        ("malicious_counts".into(), counts(&delta.malicious_counts)),
-        (
-            "malicious_users".into(),
-            Json::Num(delta.malicious_users as f64),
-        ),
-    ])
-}
-
-/// Parses a shard delta serialized by [`delta_to_json`], re-validating
-/// shapes against the domain size.
-///
-/// # Errors
-/// [`LdpError::InvalidParameter`] for malformed fields or wrong-length
-/// count vectors.
-pub fn delta_from_json(json: &Json, domain_size: usize) -> Result<ShardDelta> {
-    Ok(ShardDelta {
-        population: counts_field(json, "population", domain_size)?,
-        genuine_counts: counts_field(json, "genuine_counts", domain_size)?,
-        genuine_users: usize_field(json, "genuine_users")?,
-        malicious_counts: counts_field(json, "malicious_counts", domain_size)?,
-        malicious_users: usize_field(json, "malicious_users")?,
-    })
 }
 
 fn floats_field(json: &Json, key: &str, len: usize) -> Result<Vec<f64>> {

@@ -45,18 +45,14 @@
 //! 2. The merged final state of an `N`-shard run is bit-identical to
 //!    re-running each of its shard/epoch cells standalone
 //!    ([`shard_epoch_delta`]) and merging the deltas in any grouping —
-//!    sharding is pure parallelization of a fixed randomness layout, which
-//!    is what lets shards live on separate machines.
+//!    sharding is pure parallelization of a fixed randomness layout.
 //! 3. Relative to a 1-shard run over the same traffic volume, an
 //!    `N`-shard run re-rolls the sampling noise (different derived
 //!    streams) but draws from the same distribution: estimates agree
 //!    statistically, never bitwise.
 
 pub mod checkpoint;
-pub mod coordinator;
-pub mod transport;
 pub mod window;
-pub mod worker;
 
 pub use window::{EpochAggregate, WindowAggregate, WindowMode, WindowState};
 
@@ -434,12 +430,11 @@ impl StreamEngine {
         self.apply_epoch_deltas(epoch, &tagged)
     }
 
-    /// Folds one complete epoch of shard deltas — however they were
-    /// computed, in whatever order they arrived — into the engine and
-    /// runs boundary recovery. This is the merge half of [`Self::step`],
-    /// shared with the multi-process [`coordinator`]: because the fold is
-    /// exact element-wise `u64` addition (the [`CountAccumulator`] merge
-    /// monoid), any arrival order produces bit-identical state.
+    /// Folds one complete epoch of shard deltas, in any order, into the
+    /// engine and runs boundary recovery — the merge half of
+    /// [`Self::step`]. Because the fold is exact element-wise `u64`
+    /// addition (the [`CountAccumulator`] merge monoid), any delta order
+    /// produces bit-identical state.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the stream is complete,
@@ -946,8 +941,8 @@ mod tests {
 
     #[test]
     fn out_of_order_delta_application_is_bit_identical() {
-        // The distributed coordinator folds deltas in arrival order; the
-        // merge monoid promises any permutation lands on the same bits.
+        // The merge monoid promises any permutation of an epoch's deltas
+        // lands on the same bits.
         let spec = tiny_spec();
         let mut stepped = StreamEngine::new(spec).unwrap();
         stepped.run_to_completion().unwrap();

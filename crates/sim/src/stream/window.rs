@@ -2,8 +2,7 @@
 //!
 //! Cumulative recovery (the PR 4 default) answers "what happened since
 //! the stream started"; a long-running aggregator usually wants "what is
-//! happening *now*". Two windowed modes share the engine and the
-//! distributed coordinator:
+//! happening *now*". Two windowed modes are available:
 //!
 //! * **Sliding** — the recovery state is the exact sum of the last `W`
 //!   epoch aggregates. Integer counts, so the windowed estimate is
@@ -16,7 +15,6 @@
 //!
 //! Window state only affects what the recovery snapshot *reads*; shard
 //! delta computation is untouched, so windowed runs remain bit-identical
-//! between the in-process engine and the multi-process coordinator, and
 //! across checkpoint/resume (decayed `f64` state round-trips bit-for-bit
 //! through the shortest-roundtrip JSON layer).
 

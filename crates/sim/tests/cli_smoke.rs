@@ -1,5 +1,6 @@
-//! `#[ignore]`-gated smoke test for the `ldp` CLI: argument parsing plus
-//! one tiny end-to-end experiment cell.
+//! `#[ignore]`-gated smoke tests for the `ldp` CLI: argument parsing,
+//! tiny end-to-end runs of the cell, `repro` and `stream` subcommands,
+//! and their output modes.
 
 use std::process::Command;
 
@@ -71,6 +72,57 @@ fn ldp_repro_rejects_unknown_figure() {
         .output()
         .expect("spawn ldp repro");
     assert!(!output.status.success());
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_repro_rejects_malformed_flags() {
+    // Arg parsing must fail loudly, not fall through to defaults.
+    for args in [
+        ["--frobnicate"].as_slice(),
+        ["--trials", "0"].as_slice(),
+        ["--scale", "2.0"].as_slice(),
+        ["--scale", "medium"].as_slice(),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+            .arg("repro")
+            .args(args)
+            .output()
+            .expect("spawn ldp repro");
+        assert!(
+            !output.status.success(),
+            "ldp repro {args:?} should exit non-zero"
+        );
+    }
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_repro_csv_and_json_modes_emit_structured_output() {
+    let dir = std::env::temp_dir().join("ldprecover-smoke-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("fig3.json");
+    let _ = std::fs::remove_file(&json_path);
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args([
+            "repro", "--figure", "fig3", "--trials", "1", "--scale", "0.002", "--csv",
+        ])
+        .arg("--json")
+        .arg(&json_path)
+        .output()
+        .expect("spawn ldp repro");
+    assert!(
+        output.status.success(),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.lines().any(|l| l.matches(',').count() >= 2),
+        "--csv produced no comma-separated rows:\n{stdout}"
+    );
+    let json = std::fs::read_to_string(&json_path).expect("json report written");
+    assert!(json.contains("\"figure\": \"fig3\""), "{json}");
 }
 
 #[test]
