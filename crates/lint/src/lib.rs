@@ -22,13 +22,12 @@
 //! | D03 | no `==`/`!=` on float-typed operands | float equality is almost always a rounding-sensitive bug; *intentional* exact comparison (sentinels, golden bit-compares) must go through `ldp_common::float::{exact_eq, exactly_zero}`, which documents the intent | tests, examples, `crates/bench`, the `float` module itself |
 //! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic aborts a whole run — a stream mid-epoch, a repro mid-figure; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, `crates/bench`, binary targets |
 //! | D05 | seed literals (`rng_from_seed(<int>)`) only in tests/benches/examples | production paths must derive per-purpose streams via `derive_seed2(master, …)`; a literal silently reuses one stream everywhere | tests, examples, `crates/bench` |
-//! | D08 | no single RNG drawn from in **two argument positions of one call** | Rust evaluates arguments left-to-right, so `f(rng.draw(), rng.draw())` works — until a refactor reorders, splits, or lifts the arguments and silently reshuffles the consumed stream (and every downstream draw). Bind the draws to sequential `let`s, or derive independent streams via `derive_seed2`. | tests, examples, `crates/bench`, binary targets |
 //! | D09 | artifact writes go through `ldp_common::write_atomic` | a bare `fs::write`/`File::create`/`fs::copy` leaves a torn half-file on crash, which checkpoint-resume and the golden gates would read as corrupt or silently truncated. Applies to binaries and `crates/bench` too — that is where artifacts get written. | tests, examples, test regions, the `write_atomic` impl (`crates/common/src/json.rs`), the lint manifest writer (`crates/lint/src/goldens.rs`) |
 //! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order); stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs` |
 //! | H01 | every crate root carries `#![forbid(unsafe_code)]` | the workspace is pure safe Rust; `forbid` makes that a compile error, this rule makes *removing the forbid* a lint error | — |
 //! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI and bench binaries own the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, `crates/bench`, tests, examples |
 //! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see `[[pure_root]]`) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure, waivable per edge via `[[edge_waiver]]` | test regions; bins/benches/tests never enter the graph |
-//! | P02 | **RNG stream discipline** | (a) one RNG feeding two calls in a single statement depends on evaluation order (inter-call complement of D08); (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, `crates/bench`, binary targets |
+//! | P02 | **RNG stream discipline** | (a) one RNG drawn from in two argument positions of one call, or feeding two calls, in a single statement depends on evaluation order — `f(rng.draw(), rng.draw())` works until a refactor reorders, splits, or lifts the draws and silently reshuffles the consumed stream; bind them to sequential `let`s or derive independent streams via `derive_seed2`; (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, `crates/bench`, binary targets |
 //!
 //! Run `ldp-lint --explain <RULE>` for the full rationale plus the
 //! bad/good fixture pair of any rule.
@@ -341,12 +340,6 @@ pub fn load_config(path: &Path) -> Result<LintConfig, LintError> {
         .map_err(|e| LintError::Io(format!("{}: {e}", path.display())))?;
     waivers::parse_config(&content)
         .map_err(|(line, msg)| LintError::Waivers(format!("{}:{line}: {msg}", path.display())))
-}
-
-/// Loads just the `[[waiver]]` entries (pre-P01 entry point, kept for
-/// compatibility with existing tooling).
-pub fn load_waivers(path: &Path) -> Result<Vec<Waiver>, LintError> {
-    load_config(path).map(|c| c.waivers)
 }
 
 /// Reads the in-flight PR number from `<root>/CHANGES.md` (see

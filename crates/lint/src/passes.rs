@@ -14,8 +14,8 @@
 //!
 //! **P02 — RNG stream discipline.** Three shapes that leave every draw
 //! *defined* today but one refactor away from reshuffling the stream:
-//! (a) one RNG binding feeding two separate calls inside a single
-//! statement (the inter-call complement of D08's intra-call rule);
+//! (a) one RNG binding drawn from in two argument slots of one call, or
+//! feeding two separate calls, inside a single statement;
 //! (b) cloning an RNG outside the blessed η-sweep site — a forked
 //! stream replays draws instead of deriving an independent stream via
 //! `derive_seed2`; (c) an RNG binding captured by a closure handed to
@@ -313,19 +313,37 @@ fn p02_stream_discipline(ws: &Workspace, cg: &CallGraph, findings: &mut Vec<Pass
     }
 }
 
-/// Identifier heuristic shared with D08: a binding "carries an RNG" when
-/// its name mentions `rng`.
+/// Identifier heuristic: a binding "carries an RNG" when its name
+/// mentions `rng`.
 fn rngish(text: &str) -> bool {
     text.to_ascii_lowercase().contains("rng")
 }
 
-/// P02-a: one RNG binding feeding ≥ 2 distinct call units inside a
-/// single statement. "Statement" splits at `;`, `{`, `}`, `,` and `=>`
-/// — the comma split is what keeps this the exact complement of D08
-/// (same RNG in two argument *slots* of one call), so no shape is
-/// reported twice. A use's unit is the outermost enclosing call's
-/// argument list, or the RNG's own method-call parens at statement
-/// level.
+/// One open delimiter of P02-a's nesting stack; only `(` groups (calls
+/// and tuples) track argument slots.
+struct Group {
+    paren: bool,
+    arg: usize,
+    /// `(rng name, argument slot, token index of the use)`.
+    uses: Vec<(String, usize, usize)>,
+}
+
+/// P02-a: one RNG binding whose draws depend on evaluation order within
+/// a single statement (split at `;`, `{`, `}` and `=>`). Two shapes, in
+/// one walk:
+///
+/// * **argument slots** — the binding is drawn from in ≥ 2 top-level
+///   argument positions of one parenthesized group, a call or a tuple
+///   (`combine(sample(&mut rng), sample(&mut rng))`; commas inside nested
+///   `()`/`[]`/`{}` don't count, so a duplicate inside a single argument
+///   flags at the inner group only);
+/// * **separate calls** — the binding feeds ≥ 2 distinct call units
+///   (`rng.next_u64() ^ rng.next_u64()`). A use's unit is the outermost
+///   enclosing call's argument list, or the RNG's own method-call parens
+///   at statement level.
+///
+/// A finding anchors at the first use it covers; when both shapes cover
+/// the same first use (`(rng.a(), rng.b())`), it is reported once.
 fn p02a_same_statement(
     ws: &Workspace,
     cg: &CallGraph,
@@ -338,26 +356,54 @@ fn p02a_same_statement(
     for call in &cg.calls[u] {
         call_opens.insert(call.args_open, call.args_close);
     }
+    // First use token → message; one report per anchor.
+    let mut reports: BTreeMap<usize, String> = BTreeMap::new();
     // (name, statement id) → distinct unit ids + first use token.
-    let mut uses: BTreeMap<(String, usize), (Vec<usize>, usize)> = BTreeMap::new();
+    let mut units: BTreeMap<(String, usize), (Vec<usize>, usize)> = BTreeMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut calls: Vec<(usize, usize)> = Vec::new(); // (open, close) of enclosing calls
     let mut stmt = 0usize;
-    let mut stack: Vec<(usize, usize)> = Vec::new(); // (open, close) of enclosing calls
     for k in open + 1..close {
-        while stack.last().is_some_and(|&(_, c)| k >= c) {
-            stack.pop();
+        while calls.last().is_some_and(|&(_, c)| k >= c) {
+            calls.pop();
         }
         let t = &toks[k];
-        if t.is_punct(";")
-            || t.is_punct("{")
-            || t.is_punct("}")
-            || t.is_punct(",")
-            || t.is_punct("=>")
-        {
-            stmt += 1;
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
+            groups.push(Group {
+                paren: t.is_punct("("),
+                arg: 0,
+                uses: Vec::new(),
+            });
+            if let Some(&c) = call_opens.get(&k) {
+                calls.push((k, c));
+            }
+            stmt += usize::from(t.is_punct("{"));
             continue;
         }
-        if let Some(&c) = call_opens.get(&k) {
-            stack.push((k, c));
+        if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
+            if let Some(group) = groups.pop().filter(|g| g.paren) {
+                for (name, slots, first) in repeated_slots(&group.uses) {
+                    reports.entry(first).or_insert_with(|| {
+                        format!(
+                            "`{name}` is drawn from in {slots} argument positions of one call — \
+                             the consumed stream depends on argument evaluation order, which \
+                             the next refactor can silently reshuffle; bind each draw to its \
+                             own `let`, or derive independent streams via derive_seed2"
+                        )
+                    });
+                }
+            }
+            stmt += usize::from(t.is_punct("}"));
+            continue;
+        }
+        if t.is_punct(",") {
+            if let Some(g) = groups.last_mut().filter(|g| g.paren) {
+                g.arg += 1;
+            }
+            continue;
+        }
+        if t.is_punct(";") || t.is_punct("=>") {
+            stmt += 1;
             continue;
         }
         if t.in_test {
@@ -384,33 +430,67 @@ fn p02a_same_statement(
         } else {
             continue;
         };
-        let unit = match (stack.first(), own_unit) {
+        for g in groups.iter_mut().filter(|g| g.paren) {
+            g.uses.push((name.clone(), g.arg, use_tok));
+        }
+        let unit = match (calls.first(), own_unit) {
             (Some(&(outer, _)), _) => outer,
             (None, Some(own)) => own,
             (None, None) => continue, // `&mut rng` outside any call: a borrow, not a draw
         };
-        let entry = uses
+        let entry = units
             .entry((name, stmt))
             .or_insert_with(|| (Vec::new(), use_tok));
         if !entry.0.contains(&unit) {
             entry.0.push(unit);
         }
     }
-    for ((name, _), (units, first_tok)) in uses {
+    for ((name, _), (units, first)) in units {
         if units.len() >= 2 {
-            findings.push(PassFinding {
-                file: ws.fns[u].file,
-                tok: first_tok,
-                rule: RuleId::P02,
-                message: format!(
+            reports.entry(first).or_insert_with(|| {
+                format!(
                     "`{name}` feeds {} separate calls within one statement — the consumed \
                      stream depends on evaluation order, which the next refactor can \
                      silently reshuffle; bind each draw to its own `let`",
                     units.len()
-                ),
+                )
             });
         }
     }
+    for (tok, message) in reports {
+        findings.push(PassFinding {
+            file: ws.fns[u].file,
+            tok,
+            rule: RuleId::P02,
+            message,
+        });
+    }
+}
+
+/// The names a group's uses put in ≥ 2 distinct argument slots:
+/// `(name, slot count, first use token)`.
+fn repeated_slots(uses: &[(String, usize, usize)]) -> Vec<(&str, usize, usize)> {
+    let mut names: Vec<&str> = uses.iter().map(|(n, _, _)| n.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let mut out = Vec::new();
+    for name in names {
+        let mut slots: Vec<usize> = uses
+            .iter()
+            .filter(|(n, _, _)| n == name)
+            .map(|&(_, slot, _)| slot)
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let first = uses
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map(|&(_, _, tok)| tok);
+        if let (true, Some(first)) = (slots.len() >= 2, first) {
+            out.push((name, slots.len(), first));
+        }
+    }
+    out
 }
 
 /// P02-b: `rng.clone()` outside the blessed η-sweep file.
@@ -697,20 +777,87 @@ mod tests {
         assert!(clean.is_empty(), "{clean:?}");
     }
 
+    /// P02 findings of one library file.
+    fn p02_on(path: &str, src: &str) -> Vec<String> {
+        let (found, _) = analyze(&[(path, src)], &[], &[]).expect("no roots needed");
+        found.into_iter().map(|(_, message)| message).collect()
+    }
+
+    const LIB: &str = "crates/app/src/lib.rs";
+
     #[test]
-    fn p02a_leaves_the_intra_call_shape_to_d08() {
-        // Same RNG in two argument slots of ONE call: D08's shape — the
-        // comma splits P02-a's statement, so it stays silent here.
-        let (found, _) = analyze(
-            &[(
-                "crates/app/src/lib.rs",
-                "pub fn f(rng: &mut R) -> u64 { pair(rng.next_u64(), rng.next_u64()) }\n",
-            )],
-            &[],
-            &[],
-        )
-        .expect("no roots needed");
-        assert!(found.is_empty(), "{found:?}");
+    fn p02a_reports_each_shape_once() {
+        // A tuple's two slots are also two separate calls: one finding.
+        let found = p02_on(
+            LIB,
+            "pub fn f(rng: &mut R) -> (u64, u64) { (rng.next_u64(), rng.next_u64()) }\n",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("2 argument positions"), "{}", found[0]);
+    }
+
+    #[test]
+    fn rng_in_two_argument_slots_fires() {
+        // Two nested draws in distinct argument positions: the outer call
+        // observes evaluation order.
+        let found = p02_on(
+            LIB,
+            "pub fn f(rng: &mut R) -> u64 {\n\
+                 combine(sample(a, &mut rng), sample(b, &mut rng))\n\
+             }\n",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("2 argument positions"), "{}", found[0]);
+        // Receiver-position draws count too.
+        let found = p02_on(
+            LIB,
+            "pub fn f(rng: &mut R) -> (u64, u64) {\n\
+                 pair(rng.next_u64(), rng.next_u64())\n\
+             }\n",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        // Binary targets and tests are exempt.
+        let src = "pub fn f(rng: &mut R) { g(h(&mut rng), h(&mut rng)); }\n";
+        assert!(p02_on("crates/sim/src/bin/ldp.rs", src).is_empty());
+        let test = "#[test]\nfn t() { g(h(&mut rng), h(&mut rng)); }\n";
+        assert!(p02_on(LIB, test).is_empty());
+    }
+
+    #[test]
+    fn rng_duplicates_inside_one_argument_flag_the_inner_call_only() {
+        // Both draws sit in argument 0 of the outer call, so only the
+        // inner group (where they occupy two slots) fires.
+        let found = p02_on(
+            LIB,
+            "pub fn f(rng: &mut R) -> u64 {\n\
+                 outer(inner(&mut rng, &mut rng))\n\
+             }\n",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+    }
+
+    #[test]
+    fn sequential_and_distinct_rng_use_is_clean() {
+        // Sequential lets make the order explicit.
+        let ordered = "pub fn f(rng: &mut R) -> u64 {\n\
+                           let x = sample(a, &mut rng);\n\
+                           let y = sample(b, &mut rng);\n\
+                           combine(x, y)\n\
+                       }\n";
+        assert!(p02_on(LIB, ordered).is_empty());
+        // Two *different* RNGs in one call are fine.
+        let distinct = "pub fn f(a_rng: &mut R, b_rng: &mut R) -> u64 {\n\
+                            combine(sample(&mut a_rng), sample(&mut b_rng))\n\
+                        }\n";
+        assert!(p02_on(LIB, distinct).is_empty());
+        // Commas inside nested braces don't split argument slots.
+        let braced = "pub fn f(rng: &mut R) -> S {\n\
+                          build(S { a: 1, b: 2 }, &mut rng)\n\
+                      }\n";
+        assert!(p02_on(LIB, braced).is_empty());
+        // Non-RNG identifiers are outside the rule's scope.
+        let vecs = "pub fn f(v: &mut Vec<u32>) { g(fill(&mut v), fill(&mut v)); }\n";
+        assert!(p02_on(LIB, vecs).is_empty());
     }
 
     #[test]

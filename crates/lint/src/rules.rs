@@ -21,8 +21,6 @@ pub enum RuleId {
     D04,
     /// Seed literals only in tests/benches/examples.
     D05,
-    /// No single RNG drawn from in two argument positions of one call.
-    D08,
     /// Artifact writes go through `ldp_common::write_atomic`.
     D09,
     /// No `thread::spawn` outside the `map_trials*` internals.
@@ -41,13 +39,12 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalog order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D01,
         RuleId::D02,
         RuleId::D03,
         RuleId::D04,
         RuleId::D05,
-        RuleId::D08,
         RuleId::D09,
         RuleId::D10,
         RuleId::H01,
@@ -64,7 +61,6 @@ impl RuleId {
             RuleId::D03 => "D03",
             RuleId::D04 => "D04",
             RuleId::D05 => "D05",
-            RuleId::D08 => "D08",
             RuleId::D09 => "D09",
             RuleId::D10 => "D10",
             RuleId::H01 => "H01",
@@ -82,13 +78,12 @@ impl RuleId {
             RuleId::D03 => "no ==/!= on float-typed operands",
             RuleId::D04 => "no unwrap()/bare expect(\"\") in non-test library code",
             RuleId::D05 => "rng_from_seed(<literal>) only in tests/benches/examples",
-            RuleId::D08 => "no single RNG drawn from in two argument positions of one call",
             RuleId::D09 => "artifact writes go through ldp_common::write_atomic",
             RuleId::D10 => "no thread::spawn outside map_trials* internals",
             RuleId::H01 => "crate roots must carry #![forbid(unsafe_code)]",
             RuleId::H02 => "no println!/eprintln! outside the CLI, benches, and tests",
             RuleId::P01 => "pure-root call closures stay transitively free of ambient state",
-            RuleId::P02 => "RNG streams: no same-statement double feeds, clones, or captures",
+            RuleId::P02 => "RNG streams: no same-statement double draws, clones, or captures",
         }
     }
 
@@ -129,12 +124,6 @@ impl RuleId {
                  collides shard/epoch/trial draws, and makes the seed impossible to vary \
                  from the CLI."
             }
-            RuleId::D08 => {
-                "Rust evaluates arguments left-to-right, so f(rng.draw(), rng.draw()) works \
-                 — until a refactor reorders, splits, or lifts the arguments and silently \
-                 reshuffles the consumed stream (and every downstream draw). Bind the draws \
-                 to sequential `let`s, or derive independent streams via derive_seed2."
-            }
             RuleId::D09 => {
                 "A bare fs::write/File::create leaves a torn half-file on crash or \
                  SIGKILL, which the checkpoint-resume and golden machinery would then read \
@@ -170,9 +159,12 @@ impl RuleId {
                  impure; suppress a single edge with [[edge_waiver]] + justification."
             }
             RuleId::P02 => {
-                "RNG stream discipline across the call graph: (a) one RNG feeding two \
-                 calls in a single statement depends on evaluation order (the inter-call \
-                 complement of D08); (b) cloning an RNG forks the stream into replayed \
+                "RNG stream discipline across the call graph: (a) one RNG drawn from in two \
+                 argument positions of one call, or feeding two calls, in a single statement \
+                 depends on evaluation order — Rust evaluates left-to-right today, but a \
+                 refactor that reorders, splits, or lifts the draws silently reshuffles the \
+                 consumed stream; bind the draws to sequential `let`s or derive independent \
+                 streams via derive_seed2; (b) cloning an RNG forks the stream into replayed \
                  draws — derive an independent stream via derive_seed2 (the η-sweep replay \
                  in runner.rs is the one blessed exception); (c) an RNG captured by a \
                  closure handed to map_trials/map_trials_with/thread::spawn draws in \
@@ -191,7 +183,6 @@ impl RuleId {
             RuleId::D03 => include_str!("../fixtures/bad/d03.rs"),
             RuleId::D04 => include_str!("../fixtures/bad/d04.rs"),
             RuleId::D05 => include_str!("../fixtures/bad/d05.rs"),
-            RuleId::D08 => include_str!("../fixtures/bad/d08.rs"),
             RuleId::D09 => include_str!("../fixtures/bad/d09.rs"),
             RuleId::D10 => include_str!("../fixtures/bad/d10.rs"),
             RuleId::H01 => include_str!("../fixtures/bad/h01.rs"),
@@ -210,7 +201,6 @@ impl RuleId {
             RuleId::D03 => include_str!("../fixtures/good/d03.rs"),
             RuleId::D04 => include_str!("../fixtures/good/d04.rs"),
             RuleId::D05 => include_str!("../fixtures/good/d05.rs"),
-            RuleId::D08 => include_str!("../fixtures/good/d08.rs"),
             RuleId::D09 => include_str!("../fixtures/good/d09.rs"),
             RuleId::D10 => include_str!("../fixtures/good/d10.rs"),
             RuleId::H01 => include_str!("../fixtures/good/h01.rs"),
@@ -422,7 +412,6 @@ pub fn lint_tokens(rel_path: &str, class: &FileClass, toks: &[Tok], src: &str) -
         rule_d03(class, toks, &mut emit);
         rule_d04(class, toks, &mut emit);
         rule_d05(class, toks, &mut emit);
-        rule_d08(class, toks, &mut emit);
         rule_d09(class, toks, &mut emit, rel_path);
         rule_d10(class, toks, &mut emit, rel_path);
         rule_h01(class, toks, &mut emit, rel_path);
@@ -709,114 +698,6 @@ fn rule_d05(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
     }
 }
 
-/// D08 — RNG argument ordering. One RNG drawn from in two (or more)
-/// argument positions of a single call, e.g.
-/// `combine(sample(a, &mut rng), sample(b, &mut rng))`, makes the
-/// consumed stream depend on argument evaluation order — defined today,
-/// but silently reshuffled by any refactor that reorders, splits, or
-/// lifts the arguments, which perturbs every downstream draw.
-///
-/// Heuristic (the lexer has no types): an RNG use is `&mut <ident>` or a
-/// `<ident>.method(` receiver where the identifier contains `rng`. Each
-/// use is attributed to every enclosing parenthesized group at that
-/// group's current top-level argument index (commas inside nested
-/// `()`/`[]`/`{}` don't count); a group fires when one name lands in ≥ 2
-/// distinct argument slots. Nested duplicates inside a *single* argument
-/// therefore flag at the inner call only. The fix is sequential `let`
-/// bindings (explicit order) or independent streams via `derive_seed2`.
-fn rule_d08(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
-    if !class.library() {
-        return;
-    }
-    /// One delimiter on the nesting stack; only `(` groups track args.
-    struct Group {
-        paren: bool,
-        arg: usize,
-        /// `(rng name, argument slot, token index of the use)`.
-        uses: Vec<(String, usize, usize)>,
-    }
-    let looks_like_rng =
-        |t: &Tok| t.kind == TokKind::Ident && t.text.to_ascii_lowercase().contains("rng");
-    let mut stack: Vec<Group> = Vec::new();
-    for (k, t) in toks.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            stack.push(Group {
-                paren: t.is_punct("("),
-                arg: 0,
-                uses: Vec::new(),
-            });
-            continue;
-        }
-        if t.is_punct(",") {
-            if let Some(g) = stack.last_mut().filter(|g| g.paren) {
-                g.arg += 1;
-            }
-            continue;
-        }
-        if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-            let Some(group) = stack.pop() else { continue };
-            if !group.paren {
-                continue;
-            }
-            // Each distinct name fires at most once per group.
-            let mut names: Vec<&str> = group.uses.iter().map(|(n, _, _)| n.as_str()).collect();
-            names.sort_unstable();
-            names.dedup();
-            for name in names {
-                let mut slots: Vec<usize> = group
-                    .uses
-                    .iter()
-                    .filter(|(n, _, _)| n == name)
-                    .map(|(_, slot, _)| *slot)
-                    .collect();
-                slots.sort_unstable();
-                slots.dedup();
-                if slots.len() >= 2 {
-                    let first = group
-                        .uses
-                        .iter()
-                        .find(|(n, _, _)| n == name)
-                        .map(|&(_, _, idx)| idx)
-                        .unwrap_or(k);
-                    emit(
-                        &toks[first],
-                        RuleId::D08,
-                        format!(
-                            "`{name}` is drawn from in {} argument positions of one call — \
-                             the consumed RNG stream then depends on argument evaluation \
-                             order; bind the draws to sequential `let`s or derive independent \
-                             streams via derive_seed2",
-                            slots.len()
-                        ),
-                    );
-                }
-            }
-            continue;
-        }
-        if t.in_test {
-            continue;
-        }
-        // `&mut rng` or `rng.method(` — attribute to every open paren group.
-        let is_mut_borrow = t.is_punct("&")
-            && toks.get(k + 1).is_some_and(|t| t.is_ident("mut"))
-            && toks.get(k + 2).is_some_and(&looks_like_rng);
-        let is_receiver = looks_like_rng(t)
-            && toks.get(k + 1).is_some_and(|t| t.is_punct("."))
-            && toks.get(k + 2).is_some_and(|t| t.kind == TokKind::Ident)
-            && toks.get(k + 3).is_some_and(|t| t.is_punct("("));
-        let name = if is_mut_borrow {
-            toks[k + 2].text.clone()
-        } else if is_receiver {
-            t.text.clone()
-        } else {
-            continue;
-        };
-        for g in stack.iter_mut().filter(|g| g.paren) {
-            g.uses.push((name.clone(), g.arg, k));
-        }
-    }
-}
-
 /// Files allowed to create/write files directly: the `write_atomic`
 /// implementation itself, and the lint crate's own manifest writer
 /// (which cannot depend on `ldp_common` and carries its own
@@ -1099,62 +980,6 @@ mod tests {
             "pub fn f(master: u64) { let _ = rng_from_seed(derive_seed2(master, 1, 2)); }\n"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn rng_in_two_argument_slots_fires() {
-        // Two nested draws in distinct argument positions: the outer call
-        // observes evaluation order.
-        let src = "pub fn f(rng: &mut R) -> u64 {\n\
-                       combine(sample(a, &mut rng), sample(b, &mut rng))\n\
-                   }\n";
-        assert_eq!(rules_on(LIB, src), [(2, "D08")]);
-        // Receiver-position draws count too.
-        let src = "pub fn f(rng: &mut R) -> (u64, u64) {\n\
-                       pair(rng.next_u64(), rng.next_u64())\n\
-                   }\n";
-        assert_eq!(rules_on(LIB, src), [(2, "D08")]);
-        // Binary targets and tests are exempt.
-        assert!(rules_on(
-            "crates/sim/src/bin/ldp.rs",
-            "pub fn f(rng: &mut R) { g(h(&mut rng), h(&mut rng)); }\n"
-        )
-        .is_empty());
-        assert!(rules_on(LIB, "#[test]\nfn t() { g(h(&mut rng), h(&mut rng)); }\n").is_empty());
-    }
-
-    #[test]
-    fn rng_duplicates_inside_one_argument_flag_the_inner_call_only() {
-        // Both draws sit in argument 0 of the outer call, so only the
-        // inner group (where they occupy two slots) fires.
-        let src = "pub fn f(rng: &mut R) -> u64 {\n\
-                       outer(inner(&mut rng, &mut rng))\n\
-                   }\n";
-        assert_eq!(rules_on(LIB, src), [(2, "D08")]);
-    }
-
-    #[test]
-    fn sequential_and_distinct_rng_use_is_clean() {
-        // Sequential lets make the order explicit.
-        let ordered = "pub fn f(rng: &mut R) -> u64 {\n\
-                           let x = sample(a, &mut rng);\n\
-                           let y = sample(b, &mut rng);\n\
-                           combine(x, y)\n\
-                       }\n";
-        assert!(rules_on(LIB, ordered).is_empty());
-        // Two *different* RNGs in one call are fine.
-        let distinct = "pub fn f(a_rng: &mut R, b_rng: &mut R) -> u64 {\n\
-                            combine(sample(&mut a_rng), sample(&mut b_rng))\n\
-                        }\n";
-        assert!(rules_on(LIB, distinct).is_empty());
-        // Commas inside nested braces don't split argument slots.
-        let braced = "pub fn f(rng: &mut R) -> S {\n\
-                          build(S { a: 1, b: 2 }, &mut rng)\n\
-                      }\n";
-        assert!(rules_on(LIB, braced).is_empty());
-        // Non-RNG identifiers are outside the rule's scope.
-        let vecs = "pub fn f(v: &mut Vec<u32>) { g(fill(&mut v), fill(&mut v)); }\n";
-        assert!(rules_on(LIB, vecs).is_empty());
     }
 
     #[test]

@@ -92,13 +92,12 @@ impl AnyProtocol {
     }
 }
 
-/// Grouped per-user aggregation over item counts — the fallback for any
-/// future protocol whose `batch_aggregate` keeps the trait default, and
-/// the reference implementation the closed-form samplers are
-/// differential-tested against (`tests/batched_aggregation.rs`). Walks the
-/// item groups calling the concrete protocol's `perturb` + `accumulate`:
-/// still `O(n·d)`, but with per-report enum dispatch, `Report` wrapping,
-/// and item-array chasing hoisted out.
+/// Grouped per-user aggregation over item counts — the reference
+/// implementation the closed-form samplers are differential-tested
+/// against (`tests/batched_aggregation.rs`); no engine path calls it.
+/// Walks the item groups calling the concrete protocol's `perturb` +
+/// `accumulate`: still `O(n·d)`, but with per-report enum dispatch,
+/// `Report` wrapping, and item-array chasing hoisted out.
 ///
 /// # Panics
 /// Panics if `item_counts.len()` differs from the protocol's domain size.

@@ -71,12 +71,13 @@ pub trait LdpFrequencyProtocol {
     /// item `v`, exactly distributed as running [`Self::perturb`] +
     /// [`Self::accumulate`] per user (see `crate::batch`).
     ///
-    /// Returns `Some` **iff the protocol has a closed-form count sampler**
-    /// (every [`crate::ProtocolKind`] protocol does); `None` — the
-    /// default — sends callers to the grouped per-user fallback
-    /// (`crate::batch::grouped_support_counts`). Batched and per-user
-    /// paths consume different RNG draws, so they are statistically, not
-    /// bitwise, interchangeable.
+    /// Returns `Some` **iff the protocol has a closed-form count sampler**.
+    /// Every [`crate::ProtocolKind`] protocol does, and the engines'
+    /// count-level paths require one; `None` — the default — means "no
+    /// count sampler", and only [`crate::BinaryRandomizedResponse`], which
+    /// no engine builds, keeps it. Batched and per-user paths consume
+    /// different RNG draws, so they are statistically, not bitwise,
+    /// interchangeable.
     ///
     /// # Panics
     /// Implementations panic if `item_counts.len() != d`.

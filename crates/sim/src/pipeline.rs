@@ -3,11 +3,18 @@
 //! The split matters for the parameter sweeps: the η sweep of Fig. 5/6
 //! re-runs only [`apply_recoveries`] on a shared [`TrialAggregates`], while
 //! β and ε sweeps re-aggregate (the perturbation itself changes).
+//!
+//! The aggregation half is one count-level core shared with the streaming
+//! engine ([`crate::stream`]): a cell's integer counts are a
+//! [`ShardDelta`], the batched trial and every stream `(shard, epoch)`
+//! cell sample theirs through [`sample_count_cell`], the per-user path
+//! shares its malicious half, and [`apply_recoveries`] is the one arm loop
+//! every engine runs.
 
+use ldp_attacks::AttackKind;
 use ldp_common::{Domain, Result};
-use ldp_protocols::{
-    AnyProtocol, CountAccumulator, LdpFrequencyProtocol, ProtocolScratch, PureParams, Report,
-};
+use ldp_datasets::PopulationCounts;
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, ProtocolScratch, PureParams, Report};
 use ldprecover::{top_k_increase, ArmContext, ArmOutcome, ArmOutput};
 use rand::Rng;
 
@@ -20,19 +27,16 @@ use crate::config::{ExperimentConfig, PipelineOptions};
 /// loop.
 const REPORT_CHUNK: usize = 4096;
 
-/// Reusable per-worker scratch for trial execution: the genuine and
-/// malicious count accumulators, the per-user report chunk buffer, and
-/// the protocol transform workspace. One arena per worker thread
-/// ([`crate::runner::map_trials_with`]) amortizes every per-trial
-/// allocation that is not part of the returned results.
+/// Reusable per-worker scratch for trial execution: the per-user report
+/// chunk buffer and the protocol transform workspace. One arena per worker
+/// thread ([`crate::runner::map_trials_with`]) amortizes the per-trial
+/// allocations that scale with `n` or with HR's transform size.
 ///
 /// Threading an arena through [`run_trial_with`] never changes results:
 /// all buffers are fully reset per trial and no kernel consumes
 /// randomness (`arena_reuse_is_bitwise_invisible` pins this).
 #[derive(Debug, Default)]
 pub struct TrialArena {
-    genuine_acc: Option<CountAccumulator>,
-    malicious_acc: Option<CountAccumulator>,
     report_chunk: Vec<Report>,
     scratch: ProtocolScratch,
 }
@@ -44,11 +48,106 @@ impl TrialArena {
     }
 }
 
-/// Resets the accumulator slot for `domain`, building it on first use.
-fn reuse_acc(slot: &mut Option<CountAccumulator>, domain: Domain) -> &mut CountAccumulator {
-    let acc = slot.get_or_insert_with(|| CountAccumulator::new(domain));
-    acc.reset(domain);
-    acc
+/// The integer counts of one aggregation cell — a stream `(shard, epoch)`
+/// cell, a merged epoch or window, or a whole offline trial: population
+/// histogram, aggregated genuine support counts, and aggregated malicious
+/// support counts. Merging is exact element-wise `u64` addition, so
+/// records combine in any order and grouping.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardDelta {
+    /// The cell's genuine population histogram (ground truth).
+    pub population: Vec<u64>,
+    /// Aggregated genuine support counts `C(v)`.
+    pub genuine_counts: Vec<u64>,
+    /// Genuine users in this cell.
+    pub genuine_users: usize,
+    /// Aggregated malicious support counts.
+    pub malicious_counts: Vec<u64>,
+    /// Malicious reports in this cell.
+    pub malicious_users: usize,
+}
+
+impl ShardDelta {
+    /// The empty record over `domain` — the identity of [`ShardDelta::merge`].
+    pub fn empty(domain: Domain) -> Self {
+        ShardDelta {
+            population: vec![0; domain.size()],
+            genuine_counts: vec![0; domain.size()],
+            genuine_users: 0,
+            malicious_counts: vec![0; domain.size()],
+            malicious_users: 0,
+        }
+    }
+
+    /// Adds `other` into `self`, element-wise.
+    pub fn merge(&mut self, other: &ShardDelta) {
+        let add = |into: &mut Vec<u64>, from: &[u64]| {
+            for (slot, &c) in into.iter_mut().zip(from) {
+                *slot += c;
+            }
+        };
+        add(&mut self.population, &other.population);
+        add(&mut self.genuine_counts, &other.genuine_counts);
+        add(&mut self.malicious_counts, &other.malicious_counts);
+        self.genuine_users += other.genuine_users;
+        self.malicious_users += other.malicious_users;
+    }
+}
+
+/// Samples one count cell: the genuine population's support counts from
+/// the protocol's count sampler, then the malicious half (attack
+/// instantiate → craft → fold). This is the whole RNG sequence after the
+/// population sample, for the batched trial and for every stream
+/// `(shard, epoch)` cell alike, which is why a 1-shard single-epoch stream
+/// is bit-identical to the batched pipeline. Returns the cell's counts and
+/// the attack's targets (`None` for untargeted attacks or `m = 0`).
+///
+/// # Panics
+/// When `protocol` has no count sampler; every protocol the engines build
+/// has one (`every_enum_protocol_batch_aggregates` pins this).
+pub fn sample_count_cell<R: Rng>(
+    protocol: &AnyProtocol,
+    population: &PopulationCounts,
+    attack: Option<AttackKind>,
+    m: usize,
+    rng: &mut R,
+    arena: &mut TrialArena,
+) -> (ShardDelta, Option<Vec<usize>>) {
+    let genuine_counts = protocol
+        .batch_aggregate_with(population.counts(), rng, &mut arena.scratch)
+        .expect("every engine protocol has a count sampler (every_enum_protocol_batch_aggregates)");
+    let mut cell = ShardDelta {
+        population: population.counts().to_vec(),
+        genuine_counts,
+        genuine_users: population.len(),
+        malicious_counts: vec![0; protocol.domain().size()],
+        malicious_users: 0,
+    };
+    let (_, targets) = craft_and_fold(protocol, attack, m, rng, &mut cell);
+    (cell, targets)
+}
+
+/// The malicious half of a cell, shared by every aggregation path:
+/// instantiate the attack, craft `m` reports (the attack decides their
+/// joint shape), fold them into `cell`'s malicious counts. Returns the
+/// crafted reports and the attack's targets; draws nothing when `m == 0`.
+fn craft_and_fold<R: Rng>(
+    protocol: &AnyProtocol,
+    attack: Option<AttackKind>,
+    m: usize,
+    rng: &mut R,
+    cell: &mut ShardDelta,
+) -> (Vec<Report>, Option<Vec<usize>>) {
+    if m == 0 {
+        return (Vec::new(), None);
+    }
+    let attack = attack
+        .expect("validated: beta > 0 implies an attack")
+        .instantiate(protocol.domain(), rng);
+    let crafted = attack.craft(protocol, m, rng);
+    protocol.accumulate_all(&crafted, &mut cell.malicious_counts);
+    cell.malicious_users += m;
+    (crafted, attack.targets().map(<[usize]>::to_vec))
 }
 
 /// The expensive half of a trial: everything up to the frequency estimates.
@@ -81,7 +180,6 @@ impl TrialAggregates {
         self.protocol.params()
     }
 }
-
 /// Everything a trial produces, ready for metric extraction.
 ///
 /// Defense outputs are open data: one `(metric key, output)` entry per
@@ -171,7 +269,7 @@ impl TrialResult {
 ///   each report (`O(n·d)`);
 /// * **batched** — sample the population's count vector directly
 ///   (`DatasetKind::generate_counts`, one multinomial) and feed it to the
-///   protocol's count sampler (`batch_aggregate`), so the whole genuine
+///   protocol's count sampler ([`sample_count_cell`]), so the whole genuine
 ///   half is `O(d)`–`O(d·log n)` for all five protocols — nothing `O(n)`
 ///   is ever materialized. This is what makes full-paper-scale sweeps
 ///   affordable.
@@ -192,8 +290,8 @@ pub fn run_aggregation<R: Rng>(
 }
 
 /// [`run_aggregation`] with a caller-owned [`TrialArena`]: bitwise
-/// identical results, but accumulators, chunk buffers, and transform
-/// scratch are reused across calls instead of reallocated per trial.
+/// identical results, but chunk buffers and transform scratch are reused
+/// across calls instead of reallocated per trial.
 ///
 /// # Errors
 /// Same contract as [`run_aggregation`].
@@ -230,118 +328,82 @@ fn run_aggregation_per_user<R: Rng>(
     let mut reports: Option<Vec<Report>> =
         options.needs_reports().then(|| Vec::with_capacity(n + m));
 
+    let mut cell = ShardDelta {
+        population: dataset.counts(),
+        genuine_users: n,
+        ..ShardDelta::empty(domain)
+    };
     // Genuine users run Ψ, chunked: perturbation order (hence the RNG
     // stream) is exactly the one-report-at-a-time loop's.
-    let genuine_acc = reuse_acc(&mut arena.genuine_acc, domain);
     let chunk = &mut arena.report_chunk;
     chunk.clear();
     for &item in dataset.items() {
         chunk.push(protocol.perturb(item as usize, rng));
         if chunk.len() == REPORT_CHUNK {
-            genuine_acc.add_batch(&protocol, chunk);
+            protocol.accumulate_all(chunk, &mut cell.genuine_counts);
             match reports.as_mut() {
                 Some(buf) => buf.append(chunk),
                 None => chunk.clear(),
             }
         }
     }
-    genuine_acc.add_batch(&protocol, chunk);
+    protocol.accumulate_all(chunk, &mut cell.genuine_counts);
     match reports.as_mut() {
         Some(buf) => buf.append(chunk),
         None => chunk.clear(),
     }
 
-    finish_aggregation(
-        config,
-        protocol,
-        dataset.true_frequencies(),
-        reports,
-        n,
-        m,
-        rng,
-        arena,
-    )
+    let (crafted, targets) = craft_and_fold(&protocol, config.attack, m, rng, &mut cell);
+    if let Some(buf) = reports.as_mut() {
+        buf.extend(crafted);
+    }
+    finish_aggregation(protocol, &cell, targets, reports)
 }
 
 /// The batched aggregation path: population counts sampled directly, then
-/// the protocol's count sampler. Falls back to a grouped per-user loop for
-/// protocols whose `batch_aggregate` returns `None` (the trait default) —
-/// never panics on them.
+/// the shared count-cell sampler.
 fn run_aggregation_batched<R: Rng>(
     config: &ExperimentConfig,
     rng: &mut R,
     arena: &mut TrialArena,
 ) -> Result<TrialAggregates> {
     let population = config.dataset.generate_counts(config.scale, rng)?;
-    let domain = population.domain();
-    let protocol = config.protocol.build(config.epsilon, domain)?;
-    let n = population.len();
-    let m = config.malicious_count(n);
-
-    // Batched mode never retains reports, so only counts matter; protocols
-    // without a count sampler fall back to the shared grouped loop.
-    let genuine_counts = protocol
-        .batch_aggregate_with(population.counts(), rng, &mut arena.scratch)
-        .unwrap_or_else(|| {
-            ldp_protocols::batch::grouped_support_counts(&protocol, population.counts(), rng)
-        });
-    arena.genuine_acc = Some(CountAccumulator::from_parts(genuine_counts, n));
-
-    finish_aggregation(
-        config,
-        protocol,
-        population.true_frequencies(),
-        None,
-        n,
-        m,
-        rng,
-        arena,
-    )
+    let protocol = config.protocol.build(config.epsilon, population.domain())?;
+    let m = config.malicious_count(population.len());
+    let (cell, targets) = sample_count_cell(&protocol, &population, config.attack, m, rng, arena);
+    finish_aggregation(protocol, &cell, targets, None)
 }
 
-/// Shared tail of both aggregation paths: craft + fold in the malicious
-/// reports, debias everything, assemble the [`TrialAggregates`]. The
-/// genuine accumulator (already filled, in `arena`) becomes the poisoned
-/// accumulator in place.
-#[allow(clippy::too_many_arguments)]
-fn finish_aggregation<R: Rng>(
-    config: &ExperimentConfig,
+/// Debiases one cell's counts into the [`TrialAggregates`] both
+/// aggregation paths return: the truth, the genuine estimate `f̃_X̃`, the
+/// malicious estimate `f̃_Y` (when attacked), and the poisoned estimate
+/// `f̃_Z` over the merged genuine and malicious counts (Eq. 14).
+fn finish_aggregation(
     protocol: AnyProtocol,
-    true_freqs: Vec<f64>,
-    mut reports: Option<Vec<Report>>,
-    n: usize,
-    m: usize,
-    rng: &mut R,
-    arena: &mut TrialArena,
+    cell: &ShardDelta,
+    attack_targets: Option<Vec<usize>>,
+    reports: Option<Vec<Report>>,
 ) -> Result<TrialAggregates> {
-    let domain = protocol.domain();
     let params = protocol.params();
-    let poisoned_acc = arena
-        .genuine_acc
-        .as_mut()
-        .expect("aggregation filled the genuine accumulator");
-    let genuine_freqs = poisoned_acc.frequencies(params)?;
-
-    // Malicious users bypass Ψ (or, for IPA attacks, run it on adversarial
-    // inputs — the attack decides).
-    let (malicious_true_freqs, attack_targets) = if m > 0 {
-        let attack_kind = config
-            .attack
-            .expect("validated: beta > 0 implies an attack");
-        let attack = attack_kind.instantiate(domain, rng);
-        let crafted = attack.craft(&protocol, m, rng);
-        let malicious_acc = reuse_acc(&mut arena.malicious_acc, domain);
-        malicious_acc.add_batch(&protocol, &crafted);
-        poisoned_acc.merge(malicious_acc);
-        let targets = attack.targets().map(<[usize]>::to_vec);
-        if let Some(buf) = reports.as_mut() {
-            buf.extend(crafted);
-        }
-        (Some(malicious_acc.frequencies(params)?), targets)
+    let (n, m) = (cell.genuine_users, cell.malicious_users);
+    let true_freqs = cell
+        .population
+        .iter()
+        .map(|&c| c as f64 / n as f64)
+        .collect();
+    let genuine_freqs = params.debias_frequencies(&cell.genuine_counts, n)?;
+    let malicious_true_freqs = if m > 0 {
+        Some(params.debias_frequencies(&cell.malicious_counts, m)?)
     } else {
-        (None, None)
+        None
     };
-    let poisoned_freqs = poisoned_acc.frequencies(params)?;
+    let poisoned_counts: Vec<u64> = cell
+        .genuine_counts
+        .iter()
+        .zip(&cell.malicious_counts)
+        .map(|(&g, &b)| g + b)
+        .collect();
+    let poisoned_freqs = params.debias_frequencies(&poisoned_counts, n + m)?;
 
     Ok(TrialAggregates {
         protocol,

@@ -190,7 +190,8 @@ impl MetricBuffers {
     }
 }
 
-/// Runs `config.trials` independent trials and summarizes every metric.
+/// Runs `config.trials` independent trials and summarizes every metric:
+/// the one-point η sweep at `config.eta` ([`run_eta_sweep`]).
 ///
 /// Trials run on `min(available cores, trials)` threads. Every trial owns
 /// an RNG stream derived from `(seed, trial)` and results are folded in
@@ -205,21 +206,8 @@ pub fn run_experiment(
     config: &ExperimentConfig,
     options: &PipelineOptions,
 ) -> Result<ExperimentResult> {
-    config.validate()?;
-    let results = map_trials_with(
-        config.trials,
-        thread_count(config.trials),
-        crate::pipeline::TrialArena::new,
-        |trial, arena| {
-            let mut rng = rng_from_seed(derive_seed(config.seed, trial as u64));
-            crate::pipeline::run_trial_with(config, options, &mut rng, arena)
-        },
-    )?;
-    let mut buffers = MetricBuffers::default();
-    for result in &results {
-        buffers.push_trial(result)?;
-    }
-    Ok(buffers.summarize(config.clone()))
+    let mut results = run_eta_sweep(config, &[config.eta], options)?;
+    Ok(results.pop().expect("a one-point sweep has one result"))
 }
 
 /// Worker count for a trial batch: `min(available cores, trials)`.
@@ -233,7 +221,7 @@ pub(crate) fn thread_count(trials: usize) -> usize {
 
 /// Runs `run(trial)` for every trial index, fanned across `threads`
 /// workers, with results returned in trial order — the shared machinery of
-/// [`run_experiment`], [`run_eta_sweep`], and the scenario engine
+/// [`run_eta_sweep`], the streaming engine, and the scenario engine
 /// (`crate::scenario`), which fans both whole cells and custom-cell trials
 /// through it. Every job owns a caller-derived RNG stream, so the output
 /// is bit-identical for any `threads` (verified by
@@ -304,16 +292,17 @@ where
 }
 
 /// Runs an η sweep reusing one aggregation per trial (the recovery half is
-/// ~10⁴× cheaper than the aggregation half at paper scale), fanned across
-/// cores by the same machinery as [`run_experiment`].
+/// ~10⁴× cheaper than the aggregation half at paper scale), with trials
+/// fanned across cores by [`map_trials_with`].
 ///
 /// Every `(trial, η)` cell gets its own RNG stream: a clone of the trial
-/// RNG taken right after aggregation — exactly the state a standalone
-/// [`run_experiment`] at that η would hand to the recovery arms. Cells are
-/// therefore bit-identical to standalone runs and independent of which
-/// *other* η values share the sweep (regression-tested by
-/// `eta_sweep_cells_match_standalone_runs`; threading one RNG through all
-/// ηs used to couple the k-means arm across cells).
+/// RNG taken right after aggregation — exactly the state
+/// [`crate::pipeline::run_trial_with`] at that η hands to the recovery
+/// arms. Cells are therefore bit-identical to standalone trials and
+/// independent of which *other* η values share the sweep
+/// (regression-tested by `eta_sweep_cells_match_standalone_runs`;
+/// threading one RNG through all ηs used to couple the k-means arm across
+/// cells).
 ///
 /// Returns one [`ExperimentResult`] per η, each over `config.trials` trials.
 ///
@@ -443,12 +432,24 @@ mod tests {
         );
     }
 
+    /// The summary of `config.trials` standalone `run_trial` calls, one
+    /// trial at a time.
+    fn standalone_trials(config: &ExperimentConfig, options: &PipelineOptions) -> ExperimentResult {
+        let mut buffers = MetricBuffers::default();
+        for trial in 0..config.trials {
+            let mut rng = rng_from_seed(derive_seed(config.seed, trial as u64));
+            let result = crate::pipeline::run_trial(config, options, &mut rng).unwrap();
+            buffers.push_trial(&result).unwrap();
+        }
+        buffers.summarize(config.clone())
+    }
+
     #[test]
     fn eta_sweep_cells_match_standalone_runs() {
         // The RNG-coupling regression: with an rng-consuming arm (k-means)
         // configured, each (trial, η) cell must be bit-identical to a
-        // standalone run_experiment at that η — in particular independent
-        // of which *other* η values share the sweep. The old code threaded
+        // standalone run_trial at that η — in particular independent of
+        // which *other* η values share the sweep. The old code threaded
         // one RNG through every η in sequence, so a cell's k-means draws
         // depended on its position in the grid.
         let mut config = quick_config(Some(AttackKind::MgaIpa { r: 5 }));
@@ -463,7 +464,7 @@ mod tests {
         for (cell, &eta) in swept.iter().zip(&etas) {
             let mut standalone_cfg = config.clone();
             standalone_cfg.eta = eta;
-            let standalone = run_experiment(&standalone_cfg, &options).unwrap();
+            let standalone = standalone_trials(&standalone_cfg, &options);
             assert_eq!(
                 cell.mse_recover().unwrap().mean.to_bits(),
                 standalone.mse_recover().unwrap().mean.to_bits(),

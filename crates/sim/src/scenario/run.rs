@@ -6,10 +6,10 @@
 //!    only existing cells, consistent row widths),
 //! 2. materialize each experiment cell's config at the requested
 //!    [`RunScale`] (trials / seed / per-dataset fraction),
-//! 3. fuse experiment cells that differ **only in η** into one
-//!    [`run_eta_sweep`] unit — each fused cell stays bit-identical to a
-//!    standalone [`run_experiment`] (the PR 2 RNG-stream contract), so
-//!    fusion is purely a speed-up,
+//! 3. group experiment cells that differ **only in η** into one
+//!    [`run_eta_sweep`] unit (a lone cell is a one-point sweep) — each
+//!    fused cell stays bit-identical to running it alone (the PR 2
+//!    RNG-stream contract), so fusion is purely a speed-up,
 //! 4. execute the units through the same [`map_trials`] fan-out the trial
 //!    runner uses (units across workers, trials across workers inside each
 //!    unit — results are folded in declaration order either way, so
@@ -22,7 +22,7 @@ use ldp_common::{LdpError, Result};
 
 use crate::config::{ExperimentConfig, PipelineOptions};
 use crate::metrics::Stats;
-use crate::runner::{map_trials, run_eta_sweep, run_experiment, thread_count};
+use crate::runner::{map_trials, run_eta_sweep, thread_count};
 use crate::scenario::report::{CellReport, GridReport, ScenarioReport};
 use crate::scenario::spec::{CellCtx, CellKind, RunScale, Scenario};
 
@@ -124,14 +124,8 @@ fn validate(scenario: &Scenario) -> Result<()> {
 
 /// One schedulable unit of work.
 enum Unit<'a> {
-    /// A lone experiment cell.
-    Experiment {
-        cell_index: usize,
-        config: ExperimentConfig,
-        options: &'a PipelineOptions,
-    },
-    /// Experiment cells identical up to η, fused into one aggregation-
-    /// sharing sweep.
+    /// Experiment cells identical up to η (one or more), fused into one
+    /// aggregation-sharing sweep.
     EtaSweep {
         cell_indices: Vec<usize>,
         base: ExperimentConfig,
@@ -149,9 +143,7 @@ enum Unit<'a> {
 impl Unit<'_> {
     fn cell_indices(&self) -> Vec<usize> {
         match self {
-            Unit::Experiment { cell_index, .. } | Unit::Custom { cell_index, .. } => {
-                vec![*cell_index]
-            }
+            Unit::Custom { cell_index, .. } => vec![*cell_index],
             Unit::EtaSweep { cell_indices, .. } => cell_indices.clone(),
         }
     }
@@ -199,22 +191,13 @@ fn plan_units<'a>(scenario: &'a Scenario, scale: &RunScale) -> Vec<Unit<'a>> {
     }
 
     for group in groups {
-        if group.len() == 1 {
-            let (cell_index, config, options) = experiment[group[0]].clone();
-            units.push(Unit::Experiment {
-                cell_index,
-                config,
-                options,
-            });
-        } else {
-            let (_, base, options) = experiment[group[0]].clone();
-            units.push(Unit::EtaSweep {
-                cell_indices: group.iter().map(|&g| experiment[g].0).collect(),
-                etas: group.iter().map(|&g| experiment[g].1.eta).collect(),
-                base,
-                options,
-            });
-        }
+        let (_, base, options) = experiment[group[0]].clone();
+        units.push(Unit::EtaSweep {
+            cell_indices: group.iter().map(|&g| experiment[g].0).collect(),
+            etas: group.iter().map(|&g| experiment[g].1.eta).collect(),
+            base,
+            options,
+        });
     }
     units
 }
@@ -232,12 +215,6 @@ fn outer_thread_count(trials: usize, units: usize) -> usize {
 /// `cell_indices` order).
 fn execute(unit: &Unit<'_>, scale: &RunScale) -> Result<Vec<Vec<(String, Stats)>>> {
     match unit {
-        Unit::Experiment {
-            config, options, ..
-        } => {
-            let result = run_experiment(config, options)?;
-            Ok(vec![experiment_metrics(&result)])
-        }
         Unit::EtaSweep {
             base,
             etas,

@@ -21,8 +21,8 @@ use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
 use ldp_protocols::{CountAccumulator, ProtocolKind};
 
-use super::window::{EpochAggregate, WindowMode, WindowState};
-use super::{EpochPoint, StreamEngine, StreamSpec};
+use super::window::{WindowMode, WindowState};
+use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec};
 
 /// Format tag guarding against feeding scenario reports (or arbitrary
 /// JSON) to the restore path.
@@ -260,30 +260,33 @@ fn nonneg_f64_field(json: &Json, key: &str) -> Result<f64> {
     Ok(x)
 }
 
-fn epoch_aggregate_to_json(epoch: &EpochAggregate) -> Json {
+/// One sliding-window epoch. The member names predate [`ShardDelta`]
+/// (`truth` is its population, `*_reports` its user counts) and stay, so
+/// checkpoints keep their bytes.
+fn window_epoch_to_json(epoch: &ShardDelta) -> Json {
     let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect());
     Json::Obj(vec![
-        ("truth".into(), counts(&epoch.truth)),
+        ("truth".into(), counts(&epoch.population)),
         ("genuine_counts".into(), counts(&epoch.genuine_counts)),
         (
             "genuine_reports".into(),
-            Json::Num(epoch.genuine_reports as f64),
+            Json::Num(epoch.genuine_users as f64),
         ),
         ("malicious_counts".into(), counts(&epoch.malicious_counts)),
         (
             "malicious_reports".into(),
-            Json::Num(epoch.malicious_reports as f64),
+            Json::Num(epoch.malicious_users as f64),
         ),
     ])
 }
 
-fn epoch_aggregate_from_json(json: &Json, d: usize) -> Result<EpochAggregate> {
-    Ok(EpochAggregate {
-        truth: counts_field(json, "truth", d)?,
+fn window_epoch_from_json(json: &Json, d: usize) -> Result<ShardDelta> {
+    Ok(ShardDelta {
+        population: counts_field(json, "truth", d)?,
         genuine_counts: counts_field(json, "genuine_counts", d)?,
-        genuine_reports: usize_field(json, "genuine_reports")?,
+        genuine_users: usize_field(json, "genuine_reports")?,
         malicious_counts: counts_field(json, "malicious_counts", d)?,
-        malicious_reports: usize_field(json, "malicious_reports")?,
+        malicious_users: usize_field(json, "malicious_reports")?,
     })
 }
 
@@ -297,7 +300,7 @@ fn window_state_to_json(state: &WindowState) -> Option<Json> {
             ("kind".into(), Json::Str("sliding".into())),
             (
                 "epochs".into(),
-                Json::Arr(history.iter().map(epoch_aggregate_to_json).collect()),
+                Json::Arr(history.iter().map(window_epoch_to_json).collect()),
             ),
         ])),
         WindowState::Decay {
@@ -350,7 +353,7 @@ fn window_state_from_json(
             }
             let history = epochs
                 .iter()
-                .map(|e| epoch_aggregate_from_json(e, d))
+                .map(|e| window_epoch_from_json(e, d))
                 .collect::<Result<_>>()?;
             Ok(WindowState::Sliding { history })
         }

@@ -13,16 +13,16 @@
 //!   individually re-runnable, and mergeable in any order.
 //! * **Epoch deltas** — a shard never materializes reports for genuine
 //!   traffic: it samples its epoch's population histogram
-//!   ([`DatasetKind::generate_user_counts`]) and feeds it to the protocol's
-//!   count sampler (`batch_aggregate`, the PR 2 batched engine), `O(d)`
-//!   per epoch for all five protocols regardless of traffic volume.
-//!   Malicious
-//!   reports are crafted individually — the attack decides their joint
-//!   shape — and folded into a separate accumulator, exactly as the
-//!   offline pipeline does.
+//!   ([`DatasetKind::generate_user_counts`]) and hands it to the offline
+//!   pipeline's count-cell sampler ([`crate::pipeline::sample_count_cell`]),
+//!   `O(d)` per epoch for all five protocols regardless of traffic volume,
+//!   plus the individually crafted malicious reports. The result is a
+//!   [`ShardDelta`], the one integer count record of both engines.
 //! * **Epoch boundaries** — after every epoch the shard deltas merge into
-//!   the engine's cumulative state and the `recover` defense arm
-//!   (`ldprecover::arm`) runs on the debiased merged counts, producing a
+//!   one epoch delta, which folds into the engine's cumulative state and
+//!   its recovery window; the `recover` defense arm then runs on the
+//!   debiased window through the pipeline's arm loop
+//!   ([`crate::pipeline::apply_recoveries`]), producing a
 //!   recovery-accuracy-vs-reports-seen trajectory. Any *count-only* arm
 //!   set can be evaluated on the same state via
 //!   [`StreamEngine::arm_snapshot`]: an arm's
@@ -39,9 +39,10 @@
 //! Equivalence contracts (enforced by `tests/stream_equivalence.rs`):
 //!
 //! 1. A 1-shard single-epoch run consumes exactly the RNG call sequence of
-//!    the offline batched pipeline (`run_aggregation` + recover), so its
-//!    counts, estimates, and recovered frequencies are bit-identical to
-//!    the one-shot path at the same derived seed.
+//!    the offline batched pipeline (`run_aggregation` + recover) — both
+//!    call the same count-cell sampler after the population sample — so
+//!    its counts, estimates, and recovered frequencies are bit-identical
+//!    to the one-shot path at the same derived seed.
 //! 2. The merged final state of an `N`-shard run is bit-identical to
 //!    re-running each of its shard/epoch cells standalone
 //!    ([`shard_epoch_delta`]) and merging the deltas in any grouping —
@@ -54,7 +55,8 @@
 pub mod checkpoint;
 pub mod window;
 
-pub use window::{EpochAggregate, WindowAggregate, WindowMode, WindowState};
+pub use crate::pipeline::ShardDelta;
+pub use window::{WindowAggregate, WindowMode, WindowState};
 
 use ldp_attacks::AttackKind;
 use ldp_common::float::exactly_zero;
@@ -62,18 +64,14 @@ use ldp_common::rng::{derive_seed2, rng_from_seed};
 use ldp_common::{Domain, Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
 use ldp_protocols::{AnyProtocol, CountAccumulator, LdpFrequencyProtocol, ProtocolKind};
-use ldprecover::arm::RecoverArm;
-use ldprecover::{
-    top_k_increase, ArmContext, ArmOutcome, ArmOutput, ArmSet, DefenseArm, KMeansDefense,
-};
+use ldprecover::{ArmKind, ArmOutput, ArmSet};
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, PipelineOptions};
 use crate::metrics::mse;
+use crate::pipeline::{
+    apply_recoveries, sample_count_cell, TrialAggregates, TrialArena, TrialResult,
+};
 use crate::runner::{map_trials, thread_count};
-
-/// Identified targets for partial-knowledge arms in streaming snapshots
-/// (the paper's r/2 = 5 rule).
-const STREAM_STAR_TOP_K: usize = 5;
 
 /// Domain-separation salt for the (inert) RNG stream handed to snapshot
 /// arms — count-only arms never draw, but the trait contract requires
@@ -207,30 +205,14 @@ impl StreamSpec {
     }
 }
 
-/// One shard's contribution to one epoch: population histogram, aggregated
-/// genuine support counts, and malicious support counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardDelta {
-    /// The epoch's genuine population histogram (ground truth delta).
-    pub population: Vec<u64>,
-    /// Aggregated genuine support counts `C(v)`.
-    pub genuine_counts: Vec<u64>,
-    /// Genuine users in this delta.
-    pub genuine_users: usize,
-    /// Aggregated malicious support counts.
-    pub malicious_counts: Vec<u64>,
-    /// Malicious reports in this delta.
-    pub malicious_users: usize,
-}
-
 /// Computes the delta of one `(shard, epoch)` cell from its derived RNG
 /// stream — the unit of randomness of the whole engine.
 ///
-/// The RNG call sequence deliberately mirrors the offline batched
-/// aggregation path (`ldp_sim::pipeline::run_aggregation` in `Batched`
-/// mode) step for step: population histogram, genuine count sampler, then
-/// attack instantiation + crafting. That is what makes a 1-shard
-/// single-epoch stream bit-identical to the one-shot pipeline.
+/// After the population histogram, every draw goes through
+/// [`sample_count_cell`], the function the offline batched aggregation
+/// path (`ldp_sim::pipeline::run_aggregation` in `Batched` mode) calls
+/// too. That is what makes a 1-shard single-epoch stream bit-identical to
+/// the one-shot pipeline.
 ///
 /// # Errors
 /// Propagates spec validation, dataset generation, and protocol
@@ -244,35 +226,17 @@ pub fn shard_epoch_delta(spec: &StreamSpec, shard: usize, epoch: usize) -> Resul
     }
     let mut rng = rng_from_seed(derive_seed2(spec.seed, shard as u64, epoch as u64));
     let users = spec.shard_users(shard);
-
-    // Genuine traffic: population histogram + batched count sampler —
-    // nothing O(n) is ever materialized.
     let population = spec.dataset.generate_user_counts(users, &mut rng)?;
-    let domain = population.domain();
-    let protocol = spec.protocol.build(spec.epsilon, domain)?;
-    let genuine_counts = protocol
-        .batch_aggregate(population.counts(), &mut rng)
-        .unwrap_or_else(|| {
-            ldp_protocols::batch::grouped_support_counts(&protocol, population.counts(), &mut rng)
-        });
-
-    // Malicious traffic: crafted reports, the attack decides their shape.
-    let m = spec.malicious_count(users);
-    let mut malicious = CountAccumulator::new(domain);
-    if m > 0 {
-        let attack_kind = spec.attack.expect("validated: beta > 0 implies an attack");
-        let attack = attack_kind.instantiate(domain, &mut rng);
-        let crafted = attack.craft(&protocol, m, &mut rng);
-        malicious.add_all(&protocol, &crafted);
-    }
-
-    Ok(ShardDelta {
-        population: population.counts().to_vec(),
-        genuine_counts,
-        genuine_users: users,
-        malicious_counts: malicious.counts().to_vec(),
-        malicious_users: m,
-    })
+    let protocol = spec.protocol.build(spec.epsilon, population.domain())?;
+    let (delta, _targets) = sample_count_cell(
+        &protocol,
+        &population,
+        spec.attack,
+        spec.malicious_count(users),
+        &mut rng,
+        &mut TrialArena::new(),
+    );
+    Ok(delta)
 }
 
 /// One point of the recovery-accuracy-vs-reports-seen trajectory,
@@ -361,7 +325,7 @@ impl StreamEngine {
             true_counts: vec![0; domain.size()],
             genuine: CountAccumulator::new(domain),
             malicious: CountAccumulator::new(domain),
-            window: WindowState::new(spec.window, domain.size()),
+            window: WindowState::new(spec.window, domain),
             trajectory: Vec::new(),
         })
     }
@@ -389,13 +353,6 @@ impl StreamEngine {
     /// The cumulative malicious accumulator.
     pub fn malicious(&self) -> &CountAccumulator {
         &self.malicious
-    }
-
-    /// The merged poisoned accumulator (genuine + malicious).
-    pub fn poisoned(&self) -> CountAccumulator {
-        let mut poisoned = self.genuine.clone();
-        poisoned.merge(&self.malicious);
-        poisoned
     }
 
     /// The cumulative realized population histogram (ground truth).
@@ -433,8 +390,8 @@ impl StreamEngine {
     /// Folds one complete epoch of shard deltas, in any order, into the
     /// engine and runs boundary recovery — the merge half of
     /// [`Self::step`]. Because the fold is exact element-wise `u64`
-    /// addition (the [`CountAccumulator`] merge monoid), any delta order
-    /// produces bit-identical state.
+    /// addition ([`ShardDelta::merge`]), any delta order produces
+    /// bit-identical state.
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the stream is complete,
@@ -457,7 +414,8 @@ impl StreamEngine {
                 self.next_epoch
             )));
         }
-        let domain_size = self.spec.domain().size();
+        let domain = self.spec.domain();
+        let domain_size = domain.size();
         let mut seen = vec![false; self.spec.shards];
         for (shard, delta) in deltas {
             if *shard >= self.spec.shards || seen[*shard] {
@@ -483,24 +441,22 @@ impl StreamEngine {
             )));
         }
 
+        let mut merged = ShardDelta::empty(domain);
         for (_, delta) in deltas {
-            for (slot, &c) in self.true_counts.iter_mut().zip(&delta.population) {
-                *slot += c;
-            }
-            self.genuine.merge(&CountAccumulator::from_parts(
-                delta.genuine_counts.clone(),
-                delta.genuine_users,
-            ));
-            self.malicious.merge(&CountAccumulator::from_parts(
-                delta.malicious_counts.clone(),
-                delta.malicious_users,
-            ));
+            merged.merge(delta);
         }
-        let epoch_agg = EpochAggregate::from_deltas(
-            domain_size,
-            &deltas.iter().map(|(_, d)| d).collect::<Vec<_>>(),
-        );
-        self.window.absorb(self.spec.window, epoch_agg)?;
+        for (slot, &c) in self.true_counts.iter_mut().zip(&merged.population) {
+            *slot += c;
+        }
+        self.genuine.merge(&CountAccumulator::from_parts(
+            merged.genuine_counts.clone(),
+            merged.genuine_users,
+        ));
+        self.malicious.merge(&CountAccumulator::from_parts(
+            merged.malicious_counts.clone(),
+            merged.malicious_users,
+        ));
+        self.window.absorb(self.spec.window, merged)?;
         self.next_epoch += 1;
 
         let snapshot = self.recovery_snapshot()?;
@@ -530,51 +486,55 @@ impl StreamEngine {
 
     /// Debiases and recovers the current merged state (on demand; pure in
     /// the accumulated counts). Recovery runs the `recover` defense arm
-    /// on a count-only [`ArmContext`] — exactly debias-then-recover, the
-    /// historical `recover_from_counts` path bit for bit. In a windowed
-    /// mode ([`WindowMode::Sliding`] / [`WindowMode::Decay`]) every
-    /// vector is computed over the windowed state instead of the
-    /// cumulative one; the debias map is linear in `(count, reports)`,
-    /// so the float-count path is the exact windowed estimator.
+    /// through the pipeline's arm loop
+    /// ([`apply_recoveries`]) on the
+    /// debiased counts. In a windowed mode ([`WindowMode::Sliding`] /
+    /// [`WindowMode::Decay`]) every vector is computed over the windowed
+    /// state instead of the cumulative one; the debias map is linear in
+    /// `(count, reports)`, so the float-count path is the exact windowed
+    /// estimator.
     ///
     /// # Errors
-    /// [`LdpError::EmptyInput`] before the first epoch (or when the
-    /// window holds no genuine mass); otherwise propagates estimation /
-    /// recovery failures.
+    /// [`LdpError::EmptyInput`] before the first epoch; otherwise
+    /// propagates estimation / recovery failures.
     pub fn recovery_snapshot(&self) -> Result<RecoverySnapshot> {
-        let (truth, genuine_estimate, poisoned_estimate) = self.current_estimates()?;
-        let recovered = self.recover_estimate(&poisoned_estimate)?;
+        let TrialResult {
+            true_freqs,
+            genuine,
+            poisoned,
+            mut arms,
+            ..
+        } = self.run_arms(ArmSet::new([ArmKind::Recover]))?;
+        let (_, recovered) = arms
+            .pop()
+            .ok_or_else(|| LdpError::invalid("the recover arm cannot degenerate"))?;
         Ok(RecoverySnapshot {
-            truth,
-            genuine_estimate,
-            poisoned_estimate,
-            recovered,
+            truth: true_freqs,
+            genuine_estimate: genuine,
+            poisoned_estimate: poisoned,
+            recovered: recovered.frequencies,
         })
     }
 
-    /// `(truth, genuine_estimate, poisoned_estimate)` of the state the
-    /// snapshot reads — cumulative integer path, or the windowed float
-    /// path when the spec runs a window.
-    fn current_estimates(&self) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>)> {
+    /// The state the snapshot reads, as the pipeline's count-only
+    /// aggregates: the window's float counts (cumulative mode reads the
+    /// cumulative counts through the same float path — exact, since every
+    /// sum stays below 2⁵³), debiased. The report counts are cumulative.
+    fn current_aggregates(&self) -> Result<TrialAggregates> {
         let params = self.protocol.params();
-        let Some(agg) = self.window.aggregate(self.spec.domain().size()) else {
-            let total: u64 = self.true_counts.iter().sum();
-            if total == 0 {
-                return Err(LdpError::EmptyInput("stream state (no epochs ingested)"));
-            }
-            let truth: Vec<f64> = self
-                .true_counts
-                .iter()
-                .map(|&c| c as f64 / total as f64)
-                .collect();
-            let genuine_estimate = self.genuine.frequencies(params)?;
-            let poisoned = self.poisoned();
-            let poisoned_estimate = poisoned.frequencies(params)?;
-            return Ok((truth, genuine_estimate, poisoned_estimate));
-        };
+        let domain = self.spec.domain();
+        let agg = self.window.aggregate(domain).unwrap_or_else(|| {
+            WindowAggregate::from_counts(&ShardDelta {
+                population: self.true_counts.clone(),
+                genuine_counts: self.genuine.counts().to_vec(),
+                genuine_users: self.genuine.report_count(),
+                malicious_counts: self.malicious.counts().to_vec(),
+                malicious_users: self.malicious.report_count(),
+            })
+        });
         let total: f64 = agg.truth.iter().sum();
         if total <= 0.0 || total.is_nan() {
-            return Err(LdpError::EmptyInput("windowed stream state (empty window)"));
+            return Err(LdpError::EmptyInput("stream state (no epochs ingested)"));
         }
         let truth: Vec<f64> = agg.truth.iter().map(|&c| c / total).collect();
         let genuine_estimate = debias_window(params, &agg.genuine_counts, agg.genuine_reports)?;
@@ -589,21 +549,36 @@ impl StreamEngine {
             &poisoned_counts,
             agg.genuine_reports + agg.malicious_reports,
         )?;
-        Ok((truth, genuine_estimate, poisoned_estimate))
+        Ok(TrialAggregates {
+            protocol: self.protocol,
+            true_freqs: truth,
+            genuine_freqs: genuine_estimate,
+            poisoned_freqs: poisoned_estimate,
+            malicious_true_freqs: None,
+            attack_targets: None,
+            reports: None,
+            genuine_count: self.genuine.report_count(),
+            malicious_count: self.malicious.report_count(),
+        })
     }
 
-    /// Runs the recover arm on a poisoned estimate (deterministic; the
-    /// RNG stream handed to the arm is inert).
-    fn recover_estimate(&self, poisoned_estimate: &[f64]) -> Result<Vec<f64>> {
-        let params = self.protocol.params();
-        let ctx = ArmContext::new(poisoned_estimate, params, self.spec.eta);
-        let mut rng = rng_from_seed(derive_seed2(self.spec.seed, ARM_SNAPSHOT_SALT, 0));
-        match RecoverArm.run(&ctx, &mut rng)? {
-            ArmOutcome::Outputs(mut outputs) => Ok(outputs.swap_remove(0).1.frequencies),
-            ArmOutcome::Degenerate { reason } => Err(LdpError::invalid(format!(
-                "the recover arm cannot degenerate, but reported: {reason}"
-            ))),
-        }
+    /// Runs `arms` on the current state through the pipeline's arm loop:
+    /// partial-knowledge arms get targets identified online by its
+    /// top-k-increase rule (the stream never knows the attack's targets),
+    /// with the genuine-only estimate standing in for historical data.
+    fn run_arms(&self, arms: ArmSet) -> Result<TrialResult> {
+        let aggregates = self.current_aggregates()?;
+        let mut rng = rng_from_seed(derive_seed2(
+            self.spec.seed,
+            ARM_SNAPSHOT_SALT,
+            self.next_epoch as u64,
+        ));
+        apply_recoveries(
+            &aggregates,
+            self.spec.eta,
+            &PipelineOptions::with_arms(arms),
+            &mut rng,
+        )
     }
 
     /// The engine's windowed state (cumulative mode keeps none) — read
@@ -618,9 +593,9 @@ impl StreamEngine {
     /// materializes per-user reports, so a set containing a
     /// report-consuming arm (detection, k-means) is rejected up front.
     /// Partial-knowledge arms get targets identified online via the
-    /// paper's top-k-increase rule, with the cumulative genuine-only
-    /// estimate standing in for historical data; arms that degenerate
-    /// (e.g. the star arm on a clean stream) are skipped.
+    /// paper's top-k-increase rule, with the genuine-only estimate
+    /// standing in for historical data; arms that degenerate (e.g. the
+    /// star arm on a clean stream) are skipped.
     ///
     /// Pure in the accumulated counts, so resumed and uninterrupted runs
     /// produce identical snapshots.
@@ -635,7 +610,7 @@ impl StreamEngine {
                 return Err(LdpError::invalid(format!(
                     "arm '{kind}' consumes per-user reports; the streaming engine \
                      aggregates counts only (count-only arms: {})",
-                    ldprecover::ArmKind::ALL
+                    ArmKind::ALL
                         .into_iter()
                         .filter(|k| !k.requirements().needs_reports)
                         .map(|k| k.name())
@@ -644,32 +619,7 @@ impl StreamEngine {
                 )));
             }
         }
-        let params = self.protocol.params();
-        let (_truth, genuine_estimate, poisoned_estimate) = self.current_estimates()?;
-        let targets: Option<Vec<usize>> =
-            if arms.needs_targets() && self.malicious.report_count() > 0 {
-                top_k_increase(&poisoned_estimate, &genuine_estimate, STREAM_STAR_TOP_K).ok()
-            } else {
-                None
-            };
-        let mut ctx = ArmContext::new(&poisoned_estimate, params, self.spec.eta)
-            .with_protocol(&self.protocol);
-        if let Some(targets) = &targets {
-            ctx = ctx.with_targets(targets);
-        }
-        let mut rng = rng_from_seed(derive_seed2(
-            self.spec.seed,
-            ARM_SNAPSHOT_SALT,
-            self.next_epoch as u64,
-        ));
-        let mut outputs = Vec::new();
-        for arm in arms.build(&KMeansDefense::default()) {
-            match arm.run(&ctx, &mut rng)? {
-                ArmOutcome::Outputs(named) => outputs.extend(named),
-                ArmOutcome::Degenerate { .. } => {}
-            }
-        }
-        Ok(outputs)
+        Ok(self.run_arms(arms.clone())?.arms)
     }
 
     /// The run's JSON report: spec, trajectory, and the final recovery
@@ -715,9 +665,11 @@ impl StreamEngine {
 }
 
 /// Debiases windowed float support counts into frequency estimates —
-/// the [`PureParams::debias_frequencies`](ldp_protocols) map with the
-/// integer counts generalized to window mass (exact for sliding windows,
-/// the precise geometric mixture for decay).
+/// the float operations of
+/// [`PureParams::debias_frequencies`](ldp_protocols::PureParams::debias_frequencies)
+/// with the integer counts generalized to window mass (exact for
+/// cumulative and sliding windows, the precise geometric mixture for
+/// decay).
 fn debias_window(
     params: ldp_protocols::PureParams,
     counts: &[f64],

@@ -5,7 +5,7 @@
 //! happening *now*". Two windowed modes are available:
 //!
 //! * **Sliding** — the recovery state is the exact sum of the last `W`
-//!   epoch aggregates. Integer counts, so the windowed estimate is
+//!   epoch deltas. Integer counts, so the windowed estimate is
 //!   bit-identical to running the batch estimator over those epochs.
 //! * **Decay** — exponentially-decaying counts `S_t = λ·S_{t-1} + Δ_t`
 //!   (for truth, genuine, and malicious state alike). The debias map
@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use ldp_common::{LdpError, Result};
+use ldp_common::{Domain, LdpError, Result};
 
 use super::ShardDelta;
 
@@ -103,59 +103,16 @@ impl WindowMode {
     }
 }
 
-/// One epoch's merged (all-shard) aggregate — the unit the sliding
-/// window retains.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochAggregate {
-    /// Merged genuine population histogram of the epoch.
-    pub truth: Vec<u64>,
-    /// Merged genuine support counts.
-    pub genuine_counts: Vec<u64>,
-    /// Genuine reports in the epoch.
-    pub genuine_reports: usize,
-    /// Merged malicious support counts.
-    pub malicious_counts: Vec<u64>,
-    /// Malicious reports in the epoch.
-    pub malicious_reports: usize,
-}
-
-impl EpochAggregate {
-    /// Sums a full epoch's shard deltas (order-independent: exact `u64`
-    /// element-wise addition).
-    pub fn from_deltas(domain_size: usize, deltas: &[&ShardDelta]) -> Self {
-        let mut agg = EpochAggregate {
-            truth: vec![0; domain_size],
-            genuine_counts: vec![0; domain_size],
-            genuine_reports: 0,
-            malicious_counts: vec![0; domain_size],
-            malicious_reports: 0,
-        };
-        for delta in deltas {
-            for (slot, &c) in agg.truth.iter_mut().zip(&delta.population) {
-                *slot += c;
-            }
-            for (slot, &c) in agg.genuine_counts.iter_mut().zip(&delta.genuine_counts) {
-                *slot += c;
-            }
-            for (slot, &c) in agg.malicious_counts.iter_mut().zip(&delta.malicious_counts) {
-                *slot += c;
-            }
-            agg.genuine_reports += delta.genuine_users;
-            agg.malicious_reports += delta.malicious_users;
-        }
-        agg
-    }
-}
-
 /// The windowed counterpart of the engine's cumulative accumulators.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WindowState {
     /// Cumulative mode keeps no extra state.
     Cumulative,
-    /// The last (up to) `W` epoch aggregates, oldest first.
+    /// The last (up to) `W` epochs, oldest first.
     Sliding {
-        /// Retained epochs, oldest first; capped at the window span.
-        history: VecDeque<EpochAggregate>,
+        /// Retained epoch deltas (each the merge of the epoch's shard
+        /// deltas), oldest first; capped at the window span.
+        history: VecDeque<ShardDelta>,
     },
     /// Exponentially-decayed float state `S_t = λ·S_{t-1} + Δ_t`.
     Decay {
@@ -173,9 +130,9 @@ pub enum WindowState {
 }
 
 impl WindowState {
-    /// Fresh (nothing-ingested) state for `mode` over a `domain_size`
-    /// item domain.
-    pub fn new(mode: WindowMode, domain_size: usize) -> Self {
+    /// Fresh (nothing-ingested) state for `mode` over `domain`.
+    pub fn new(mode: WindowMode, domain: Domain) -> Self {
+        let domain_size = domain.size();
         match mode {
             WindowMode::Cumulative => WindowState::Cumulative,
             WindowMode::Sliding(_) => WindowState::Sliding {
@@ -196,7 +153,7 @@ impl WindowState {
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the state variant disagrees
     /// with `mode` (a corrupt checkpoint would be the only way there).
-    pub fn absorb(&mut self, mode: WindowMode, epoch: EpochAggregate) -> Result<()> {
+    pub fn absorb(&mut self, mode: WindowMode, epoch: ShardDelta) -> Result<()> {
         match (self, mode) {
             (WindowState::Cumulative, WindowMode::Cumulative) => Ok(()),
             (WindowState::Sliding { history }, WindowMode::Sliding(span)) => {
@@ -221,11 +178,11 @@ impl WindowState {
                         *slot = lambda * *slot + c as f64;
                     }
                 };
-                decay_into(truth, &epoch.truth);
+                decay_into(truth, &epoch.population);
                 decay_into(genuine_counts, &epoch.genuine_counts);
                 decay_into(malicious_counts, &epoch.malicious_counts);
-                *genuine_reports = lambda * *genuine_reports + epoch.genuine_reports as f64;
-                *malicious_reports = lambda * *malicious_reports + epoch.malicious_reports as f64;
+                *genuine_reports = lambda * *genuine_reports + epoch.genuine_users as f64;
+                *malicious_reports = lambda * *malicious_reports + epoch.malicious_users as f64;
                 Ok(())
             }
             (state, mode) => Err(LdpError::invalid(format!(
@@ -235,26 +192,17 @@ impl WindowState {
     }
 
     /// The windowed float aggregate the recovery snapshot reads, or
-    /// `None` in cumulative mode (which keeps the exact integer path).
-    pub fn aggregate(&self, domain_size: usize) -> Option<WindowAggregate> {
+    /// `None` in cumulative mode (the engine's cumulative counts are the
+    /// window there).
+    pub fn aggregate(&self, domain: Domain) -> Option<WindowAggregate> {
         match self {
             WindowState::Cumulative => None,
             WindowState::Sliding { history } => {
-                let mut agg = WindowAggregate::zero(domain_size);
+                let mut window = ShardDelta::empty(domain);
                 for epoch in history {
-                    for (slot, &c) in agg.truth.iter_mut().zip(&epoch.truth) {
-                        *slot += c as f64;
-                    }
-                    for (slot, &c) in agg.genuine_counts.iter_mut().zip(&epoch.genuine_counts) {
-                        *slot += c as f64;
-                    }
-                    for (slot, &c) in agg.malicious_counts.iter_mut().zip(&epoch.malicious_counts) {
-                        *slot += c as f64;
-                    }
-                    agg.genuine_reports += epoch.genuine_reports as f64;
-                    agg.malicious_reports += epoch.malicious_reports as f64;
+                    window.merge(epoch);
                 }
-                Some(agg)
+                Some(WindowAggregate::from_counts(&window))
             }
             WindowState::Decay {
                 truth,
@@ -289,13 +237,16 @@ pub struct WindowAggregate {
 }
 
 impl WindowAggregate {
-    fn zero(domain_size: usize) -> Self {
+    /// The float view of integer counts — exact while every count and
+    /// report total stays below 2⁵³.
+    pub(super) fn from_counts(counts: &ShardDelta) -> Self {
+        let floats = |v: &[u64]| v.iter().map(|&c| c as f64).collect();
         WindowAggregate {
-            truth: vec![0.0; domain_size],
-            genuine_counts: vec![0.0; domain_size],
-            genuine_reports: 0.0,
-            malicious_counts: vec![0.0; domain_size],
-            malicious_reports: 0.0,
+            truth: floats(&counts.population),
+            genuine_counts: floats(&counts.genuine_counts),
+            genuine_reports: counts.genuine_users as f64,
+            malicious_counts: floats(&counts.malicious_counts),
+            malicious_reports: counts.malicious_users as f64,
         }
     }
 }
@@ -327,26 +278,30 @@ mod tests {
         }
     }
 
-    fn fake_epoch(fill: u64, reports: usize) -> EpochAggregate {
-        EpochAggregate {
-            truth: vec![fill; 3],
+    fn fake_epoch(fill: u64, reports: usize) -> ShardDelta {
+        ShardDelta {
+            population: vec![fill; 3],
             genuine_counts: vec![fill + 1; 3],
-            genuine_reports: reports,
+            genuine_users: reports,
             malicious_counts: vec![fill / 2; 3],
-            malicious_reports: reports / 4,
+            malicious_users: reports / 4,
         }
+    }
+
+    fn domain() -> Domain {
+        Domain::new(3).unwrap()
     }
 
     #[test]
     fn sliding_window_retains_exactly_the_span() {
         let mode = WindowMode::Sliding(2);
-        let mut state = WindowState::new(mode, 3);
+        let mut state = WindowState::new(mode, domain());
         for fill in 1..=4u64 {
             state
                 .absorb(mode, fake_epoch(fill, fill as usize * 10))
                 .unwrap();
         }
-        let agg = state.aggregate(3).unwrap();
+        let agg = state.aggregate(domain()).unwrap();
         // Epochs 3 and 4 survive: truth 3+4, reports 30+40.
         assert_eq!(agg.truth, vec![7.0; 3]);
         assert_eq!(agg.genuine_reports, 70.0);
@@ -355,10 +310,10 @@ mod tests {
     #[test]
     fn decay_state_is_the_exact_geometric_mixture() {
         let mode = WindowMode::Decay(0.5);
-        let mut state = WindowState::new(mode, 3);
+        let mut state = WindowState::new(mode, domain());
         state.absorb(mode, fake_epoch(8, 80)).unwrap();
         state.absorb(mode, fake_epoch(2, 20)).unwrap();
-        let agg = state.aggregate(3).unwrap();
+        let agg = state.aggregate(domain()).unwrap();
         // 0.5·8 + 2 = 6 exactly (powers of two: no rounding).
         assert_eq!(agg.truth, vec![6.0; 3]);
         assert_eq!(agg.genuine_reports, 60.0);
@@ -366,10 +321,10 @@ mod tests {
 
     #[test]
     fn mismatched_state_and_mode_is_rejected() {
-        let mut state = WindowState::new(WindowMode::Cumulative, 3);
+        let mut state = WindowState::new(WindowMode::Cumulative, domain());
         assert!(state
             .absorb(WindowMode::Sliding(2), fake_epoch(1, 10))
             .is_err());
-        assert!(state.aggregate(3).is_none());
+        assert!(state.aggregate(domain()).is_none());
     }
 }

@@ -69,6 +69,44 @@ fn suspend_resume_is_bit_identical_to_an_uninterrupted_run() {
     }
 }
 
+/// Checkpoints written by an earlier build of `ldp stream --protocol hr
+/// --shards 3 --epochs 4 --users-per-epoch 600 --suspend-after 3
+/// --window <mode> --checkpoint <file>`. Every other test here round-trips
+/// within one build; these pin the format across versions.
+const PINNED_CHECKPOINTS: [(&str, &str); 2] = [
+    (
+        "sliding:2",
+        include_str!("fixtures/stream_checkpoint_sliding.json"),
+    ),
+    (
+        "decay:0.5",
+        include_str!("fixtures/stream_checkpoint_decay.json"),
+    ),
+];
+
+#[test]
+fn checkpoints_from_an_earlier_build_restore_byte_for_byte_and_resume() {
+    for (window, bytes) in PINNED_CHECKPOINTS {
+        let mut resumed = StreamEngine::from_checkpoint(&Json::parse(bytes).unwrap()).unwrap();
+        assert_eq!(resumed.spec().window.name(), window);
+        assert_eq!(resumed.epochs_done(), 3, "{window}: suspended after 3");
+        assert_eq!(
+            resumed.to_checkpoint().render(),
+            bytes,
+            "{window}: the restored engine re-renders the exact file bytes"
+        );
+
+        let mut uninterrupted = StreamEngine::new(*resumed.spec()).unwrap();
+        uninterrupted.run_to_completion().unwrap();
+        resumed.run_to_completion().unwrap();
+        assert_eq!(
+            resumed.report().unwrap().render(),
+            uninterrupted.report().unwrap().render(),
+            "{window}: resumed final report"
+        );
+    }
+}
+
 #[test]
 fn checkpoints_can_be_taken_at_every_epoch_boundary() {
     // Continuous checkpointing (what `ldp stream --checkpoint` does):

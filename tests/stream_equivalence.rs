@@ -3,14 +3,15 @@
 //!
 //! The stream engine only earns trust if it is provably the *same
 //! computation* as the validated offline path, re-scheduled. Three
-//! contracts, each exercised for all five pure protocols (GRR/OUE/SUE/HR
-//! through their batched count samplers, OLH through the grouped
-//! fallback):
+//! contracts, each exercised for all five pure protocols through their
+//! batched count samplers:
 //!
 //! 1. **1-shard single-epoch ≡ offline.** The stream's one cell consumes
 //!    exactly the RNG call sequence of `run_aggregation` in `Batched` mode
-//!    at the same derived seed, so support counts, debiased estimates, and
-//!    recovered frequencies are bit-identical to the one-shot pipeline.
+//!    at the same derived seed — both call `pipeline::sample_count_cell`
+//!    after the population sample — so support counts, debiased
+//!    estimates, and recovered frequencies are bit-identical to the
+//!    one-shot pipeline.
 //! 2. **N-shard final state ≡ the exact merge of its cells.** Re-running
 //!    every `(shard, epoch)` cell standalone and folding the deltas — in
 //!    any order — reproduces the engine's merged state bitwise: sharding
