@@ -25,6 +25,23 @@ impl BitVec {
         }
     }
 
+    /// Builds a `len`-bit vector whose bit `i` is `bit(i)`, calling `bit`
+    /// exactly once per index in increasing order. Each result is OR-ed
+    /// into its packed word, so a data-dependent bit costs no branch.
+    #[inline]
+    pub fn from_fn(len: usize, mut bit: impl FnMut(usize) -> bool) -> Self {
+        let mut blocks = vec![0u64; len.div_ceil(64)];
+        for (w, block) in blocks.iter_mut().enumerate() {
+            let base = w * 64;
+            let mut word = 0u64;
+            for offset in 0..(len - base).min(64) {
+                word |= u64::from(bit(base + offset)) << offset;
+            }
+            *block = word;
+        }
+        Self { blocks, len }
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -213,6 +230,22 @@ mod tests {
         let c = BitVec::mask_of(100, &[2, 4]);
         assert_eq!(a.intersection_count(&c), 1);
         assert!(!a.contains_all(&c));
+    }
+
+    #[test]
+    fn from_fn_sets_exactly_the_requested_bits_in_index_order() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let mut calls = Vec::new();
+            let v = BitVec::from_fn(len, |i| {
+                calls.push(i);
+                i % 3 == 1
+            });
+            assert_eq!(calls, (0..len).collect::<Vec<_>>(), "len={len}");
+            let ones: Vec<usize> = v.iter_ones().collect();
+            let want: Vec<usize> = (0..len).filter(|i| i % 3 == 1).collect();
+            assert_eq!(ones, want, "len={len}");
+            assert_eq!(v, BitVec::mask_of(len, &want), "len={len}");
+        }
     }
 
     #[test]

@@ -269,13 +269,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (the input is a &str, so this is
-                // always a valid boundary walk).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err_at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty rest");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash in
+                // one push. Both are ASCII, so they never occur inside a
+                // multi-byte sequence and the run ends on a char boundary
+                // of the &str input; validating only the run keeps the
+                // parse linear in the document length.
+                let start = *pos;
+                let run = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |len| start + len);
+                let text = std::str::from_utf8(&bytes[start..run])
+                    .map_err(|_| err_at(start, "invalid UTF-8"))?;
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -504,6 +511,17 @@ mod tests {
             let text = value.render();
             assert_eq!(Json::parse(&text).unwrap(), value, "case {case}: {text}");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Parsing re-validated the rest of the document once per
+        // character, which took minutes on a string this long; the run
+        // copy takes milliseconds. Multi-byte scalars and escapes are
+        // mixed in so runs end on every kind of boundary.
+        let text: String = "ab η€😀\"\n".repeat(40_000);
+        let value = Json::Arr(vec![Json::Str(text.clone()), Json::Str(text)]);
+        assert_eq!(roundtrip(&value), value);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use rand::Rng;
 
+use crate::bitvec::BitVec;
 use crate::error::{LdpError, Result};
 use crate::rng::uniform_index;
 
@@ -177,20 +178,21 @@ pub fn zipf_weights(d: usize, s: f64) -> Vec<f64> {
 /// Samples `k` distinct indices uniformly from `0..n` (Floyd's algorithm),
 /// returned in random order.
 ///
+/// Membership is tracked in an `n`-bit bitmap, so the scratch is `n / 8`
+/// bytes whatever `k` is.
+///
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_distinct<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
     assert!(k <= n, "cannot sample {k} distinct items from {n}");
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    let mut set = std::collections::HashSet::with_capacity(k * 2);
+    let mut taken = BitVec::zeros(n);
     for j in (n - k)..n {
         let t = uniform_index(rng, j + 1);
-        if set.insert(t) {
-            chosen.push(t);
-        } else {
-            set.insert(j);
-            chosen.push(j);
-        }
+        // Every earlier pick is below j, so j itself is always free.
+        let pick = if taken.get(t) { j } else { t };
+        taken.set_one(pick);
+        chosen.push(pick);
     }
     // Floyd's produces a set biased in order; shuffle for random order.
     for i in (1..chosen.len()).rev() {
@@ -792,6 +794,47 @@ mod tests {
         for (i, &s) in sums.iter().enumerate() {
             let mean = s / trials as f64;
             assert!((mean - expect).abs() < tol, "bin {i}: {mean} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn sample_distinct_draws_match_the_hash_set_floyd() {
+        // The bitmap replaced a HashSet; the picks, their order and the
+        // draws consumed must not change.
+        fn hash_set_floyd(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+            let mut chosen = Vec::with_capacity(k);
+            let mut set = std::collections::HashSet::new();
+            for j in (n - k)..n {
+                let t = uniform_index(rng, j + 1);
+                if set.insert(t) {
+                    chosen.push(t);
+                } else {
+                    set.insert(j);
+                    chosen.push(j);
+                }
+            }
+            for i in (1..chosen.len()).rev() {
+                chosen.swap(i, uniform_index(rng, i + 1));
+            }
+            chosen
+        }
+        for (n, k) in [
+            (1usize, 1usize),
+            (10, 10),
+            (100, 7),
+            (130, 65),
+            (5000, 2500),
+        ] {
+            for seed in 0..8 {
+                let mut rng = rng_from_seed(seed);
+                let mut reference = rng_from_seed(seed);
+                assert_eq!(
+                    sample_distinct(n, k, &mut rng),
+                    hash_set_floyd(n, k, &mut reference),
+                    "n={n} k={k} seed={seed}"
+                );
+                assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+            }
         }
     }
 

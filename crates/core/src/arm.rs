@@ -701,12 +701,7 @@ impl DefenseArm for KMeansFamilyArm {
         })?;
         let outcome = self.defense.run(protocol, reports, rng)?;
         let recover_km = if self.emit_recover_km {
-            let recovered = KMeansDefense::recover_from_outcome(
-                &ctx.recoverer()?,
-                protocol,
-                reports,
-                &outcome,
-            )?;
+            let recovered = KMeansDefense::recover_from_outcome(&ctx.recoverer()?, &outcome)?;
             Some(recovered.frequencies)
         } else {
             None

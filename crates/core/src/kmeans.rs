@@ -20,7 +20,7 @@
 use ldp_common::rng::uniform_index;
 use ldp_common::vecmath::normalize_to_simplex_sum;
 use ldp_common::{LdpError, Result};
-use ldp_protocols::{AnyProtocol, CountAccumulator, LdpFrequencyProtocol, Report};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -58,6 +58,9 @@ pub struct KMeansOutcome {
     pub malicious_centroid: Option<Vec<f64>>,
     /// Per-subset cluster assignment (`true` = majority cluster).
     pub assignments: Vec<bool>,
+    /// Frequencies estimated from every report (the poisoned estimate
+    /// `f̃_Z`), which LDPRecover-KM starts from.
+    pub poisoned_estimate: Vec<f64>,
 }
 
 impl KMeansDefense {
@@ -84,6 +87,17 @@ impl KMeansDefense {
 
     /// Runs the defense over the (mixed genuine + malicious) report stream.
     ///
+    /// All `G` subsets are drawn first (`ξ·N` distinct reports each, a
+    /// bootstrap over users), then one report-major pass computes each
+    /// report's support once and adds it to the running total and to every
+    /// subset whose membership mask contains the report. The subset
+    /// vectors are clustered (Lloyd, k = 2) and the majority cluster is
+    /// trusted. Its union estimate is the total minus the reports outside
+    /// every majority subset, and the total itself is the full poisoned
+    /// estimate LDPRecover-KM starts from. Folding consumes no randomness
+    /// and the counts are exact `u64` sums, so every output is bitwise what
+    /// folding each subset and the union separately would give.
+    ///
     /// # Errors
     /// [`LdpError::EmptyInput`] when there are no reports or the sampled
     /// subsets would be empty.
@@ -100,22 +114,20 @@ impl KMeansDefense {
         if subset_size == 0 {
             return Err(LdpError::EmptyInput("sampled subset (ξ·N rounded to 0)"));
         }
-        let domain = protocol.domain();
         let params = protocol.params();
 
-        // Per-subset frequency vectors (sampling with replacement across
-        // subsets, without within a subset — a bootstrap over users).
-        let mut subset_members: Vec<Vec<usize>> = Vec::with_capacity(self.groups);
-        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(self.groups);
-        for _ in 0..self.groups {
-            let members = ldp_common::sampling::sample_distinct(reports.len(), subset_size, rng);
-            let mut acc = CountAccumulator::new(domain);
-            for &i in &members {
-                acc.add(protocol, &reports[i]);
+        let mut membership = Membership::new(reports.len(), self.groups);
+        for g in 0..self.groups {
+            for i in ldp_common::sampling::sample_distinct(reports.len(), subset_size, rng) {
+                membership.insert(i, g);
             }
-            vectors.push(acc.frequencies(params)?);
-            subset_members.push(members);
         }
+        let fold = SupportFold::new(protocol);
+        let (subset_cells, total_cells) = fold.subsets_and_total(reports, &membership);
+        let vectors = subset_cells
+            .chunks_exact(fold.width)
+            .map(|cells| params.debias_frequencies(&fold.counts(cells), subset_size))
+            .collect::<Result<Vec<_>>>()?;
 
         let (assign, centroids) = lloyd_two_means(&vectors, self.max_iters, rng);
         // Majority cluster = genuine.
@@ -131,28 +143,26 @@ impl KMeansDefense {
             None
         };
 
-        // Estimate from the union of majority-cluster subsets (dedup users).
-        let mut in_union = vec![false; reports.len()];
-        for (members, &is_majority) in subset_members.iter().zip(&assignments) {
-            if is_majority {
-                for &i in members {
-                    in_union[i] = true;
-                }
-            }
-        }
-        let mut acc = CountAccumulator::new(domain);
-        for (i, report) in reports.iter().enumerate() {
-            if in_union[i] {
-                acc.add(protocol, report);
-            }
-        }
-        let genuine_estimate = acc.frequencies(params)?;
+        // Union of the majority-cluster subsets (each user once): the
+        // total minus the reports no majority subset drew.
+        let majority = membership.mask_of(&assignments);
+        let (outside_cells, outside) = fold.outside(reports, &membership, &majority);
+        let union_cells: Vec<u64> = total_cells
+            .iter()
+            .zip(&outside_cells)
+            .map(|(&t, &o)| t - o)
+            .collect();
+        let genuine_estimate =
+            params.debias_frequencies(&fold.counts(&union_cells), reports.len() - outside)?;
+        let poisoned_estimate =
+            params.debias_frequencies(&fold.counts(&total_cells), reports.len())?;
 
         Ok(KMeansOutcome {
             genuine_estimate,
             genuine_centroid,
             malicious_centroid,
             assignments,
+            poisoned_estimate,
         })
     }
 
@@ -170,28 +180,25 @@ impl KMeansDefense {
         rng: &mut R,
     ) -> Result<RecoveryOutcome> {
         let outcome = self.run(protocol, reports, rng)?;
-        Self::recover_from_outcome(recover, protocol, reports, &outcome)
+        Self::recover_from_outcome(recover, &outcome)
     }
 
     /// LDPRecover-KM from an already-computed defense outcome (lets callers
     /// that also report the plain k-means estimate pay for one clustering
     /// pass, not two).
     ///
+    /// The poisoned estimate is the outcome's
+    /// [`poisoned_estimate`](KMeansOutcome::poisoned_estimate), the total
+    /// that [`KMeansDefense::run`]'s single pass already folded, so no
+    /// report is folded again here.
+    ///
     /// # Errors
-    /// Propagates estimation and recovery failures.
+    /// Propagates recovery failures.
     pub fn recover_from_outcome(
         recover: &LdpRecover,
-        protocol: &AnyProtocol,
-        reports: &[Report],
         outcome: &KMeansOutcome,
     ) -> Result<RecoveryOutcome> {
-        // Full poisoned estimate from all reports.
-        let mut acc = CountAccumulator::new(protocol.domain());
-        for report in reports {
-            acc.add(protocol, report);
-        }
-        let poisoned = acc.frequencies(protocol.params())?;
-
+        let poisoned = &outcome.poisoned_estimate;
         // Malicious direction: positive part of (minority − majority)
         // centroid difference, normalized to unit mass (under IPA the
         // aggregated malicious frequencies sum to ≈ 1).
@@ -209,7 +216,179 @@ impl KMeansDefense {
             // (the estimator then reduces to a mild rescale + refine).
             None => vec![1.0 / poisoned.len() as f64; poisoned.len()],
         };
-        recover.recover_with_malicious(&poisoned, &malicious)
+        recover.recover_with_malicious(poisoned, &malicious)
+    }
+}
+
+/// Which of the `G` subsets hold each report: a `G`-bit mask per report,
+/// packed into `⌈G/64⌉` words.
+struct Membership {
+    groups: usize,
+    words: usize,
+    masks: Vec<u64>,
+}
+
+impl Membership {
+    fn new(reports: usize, groups: usize) -> Self {
+        let words = groups.div_ceil(64);
+        Self {
+            groups,
+            words,
+            masks: vec![0; reports * words],
+        }
+    }
+
+    fn insert(&mut self, report: usize, group: usize) {
+        self.masks[report * self.words + group / 64] |= 1 << (group % 64);
+    }
+
+    fn mask(&self, report: usize) -> &[u64] {
+        &self.masks[report * self.words..(report + 1) * self.words]
+    }
+
+    /// The mask of the groups flagged `true`.
+    fn mask_of(&self, flags: &[bool]) -> Vec<u64> {
+        let mut mask = vec![0u64; self.words];
+        for (g, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+            mask[g / 64] |= 1 << (g % 64);
+        }
+        mask
+    }
+
+    /// Whether no group of `mask` holds `report`.
+    fn outside(&self, report: usize, mask: &[u64]) -> bool {
+        self.mask(report)
+            .iter()
+            .zip(mask)
+            .all(|(&m, &k)| m & k == 0)
+    }
+
+    /// The groups holding `report`, in increasing order.
+    fn groups(&self, report: usize) -> impl Iterator<Item = usize> + '_ {
+        self.mask(report).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// What one report adds to a row of cells.
+enum Support<'a> {
+    /// One cell: the GRR item or the HR column.
+    Cell(usize),
+    /// A 0/1 indicator per item (OUE, SUE, OLH), added lane by lane.
+    Row(&'a [u64]),
+}
+
+impl Support<'_> {
+    fn add_to(&self, cells: &mut [u64]) {
+        match *self {
+            Support::Cell(c) => cells[c] += 1,
+            Support::Row(row) => {
+                for (c, &r) in cells.iter_mut().zip(row) {
+                    *c += r;
+                }
+            }
+        }
+    }
+}
+
+/// Folds reports into rows of `width` cells: the support counts
+/// themselves (width `d`), or for HR the reported-column histogram
+/// (width `K`), which [`SupportFold::counts`] turns into support counts
+/// with one transform per row.
+struct SupportFold<'p> {
+    protocol: &'p AnyProtocol,
+    width: usize,
+}
+
+impl<'p> SupportFold<'p> {
+    fn new(protocol: &'p AnyProtocol) -> Self {
+        let width = match protocol {
+            AnyProtocol::Hr(hr) => hr.order() as usize,
+            _ => protocol.domain().size(),
+        };
+        Self { protocol, width }
+    }
+
+    /// The support of `report`, computed once and added to every row that
+    /// holds it; `row` is `d` cells of scratch. A unary encoding is
+    /// expanded to 0/1 once, because adding a dense row to each subset
+    /// beats re-walking its set bits per subset.
+    fn support<'a>(&self, report: &Report, row: &'a mut [u64]) -> Support<'a> {
+        match (self.protocol, report) {
+            (AnyProtocol::Grr(_), Report::Grr(item)) => Support::Cell(*item as usize),
+            (AnyProtocol::Hr(_), Report::Hr(column)) => Support::Cell(*column as usize),
+            // OLH's branch-free hash scan, the unary encodings' set bits
+            // (and the mismatch panic).
+            _ => {
+                row.fill(0);
+                self.protocol.accumulate(report, row);
+                Support::Row(row)
+            }
+        }
+    }
+
+    /// One report-major pass: the `G` subset rows (row `g` at
+    /// `g·width..`) and the total row over all reports.
+    fn subsets_and_total(
+        &self,
+        reports: &[Report],
+        membership: &Membership,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut subsets = vec![0u64; membership.groups * self.width];
+        let mut total = vec![0u64; self.width];
+        let mut row = vec![0u64; self.protocol.domain().size()];
+        for (i, report) in reports.iter().enumerate() {
+            let support = self.support(report, &mut row);
+            support.add_to(&mut total);
+            for g in membership.groups(i) {
+                support.add_to(&mut subsets[g * self.width..(g + 1) * self.width]);
+            }
+        }
+        (subsets, total)
+    }
+
+    /// The row of the reports no group of `mask` holds, and their number.
+    fn outside(
+        &self,
+        reports: &[Report],
+        membership: &Membership,
+        mask: &[u64],
+    ) -> (Vec<u64>, usize) {
+        let mut cells = vec![0u64; self.width];
+        let mut count = 0;
+        let mut row = vec![0u64; self.protocol.domain().size()];
+        for (i, report) in reports.iter().enumerate() {
+            if membership.outside(i, mask) {
+                self.support(report, &mut row).add_to(&mut cells);
+                count += 1;
+            }
+        }
+        (cells, count)
+    }
+
+    /// The support counts `C(v)` of a row: the row itself, or for HR the
+    /// transform of its column histogram.
+    fn counts(&self, cells: &[u64]) -> Vec<u64> {
+        match self.protocol {
+            AnyProtocol::Hr(hr) => {
+                let mut hist: Vec<i64> = cells
+                    .iter()
+                    .map(|&c| i64::try_from(c).expect("a report count fits i64"))
+                    .collect();
+                let mut counts = vec![0u64; self.protocol.domain().size()];
+                hr.accumulate_histogram(&mut hist, &mut counts);
+                counts
+            }
+            _ => cells.to_vec(),
+        }
     }
 }
 
@@ -381,6 +560,157 @@ mod tests {
         let defense = KMeansDefense::default();
         let mut rng = rng_from_seed(3);
         assert!(defense.run(&proto, &[], &mut rng).is_err());
+    }
+
+    /// Tests that pin [`KMeansDefense::run`]'s single pass to the
+    /// per-subset folds it replaced.
+    mod oracle {
+        use super::*;
+        use ldp_protocols::CountAccumulator;
+        use rand::RngCore;
+
+        /// The defense as it was before the single pass: each subset, the
+        /// majority union and the full poisoned estimate folded separately,
+        /// report by report, through [`CountAccumulator`].
+        fn reference_run<R: Rng + ?Sized>(
+            defense: &KMeansDefense,
+            protocol: &AnyProtocol,
+            reports: &[Report],
+            rng: &mut R,
+        ) -> KMeansOutcome {
+            let domain = protocol.domain();
+            let params = protocol.params();
+            let subset_size = ((reports.len() as f64) * defense.sample_rate).round() as usize;
+            let mut subset_members: Vec<Vec<usize>> = Vec::new();
+            let mut vectors: Vec<Vec<f64>> = Vec::new();
+            for _ in 0..defense.groups {
+                let members =
+                    ldp_common::sampling::sample_distinct(reports.len(), subset_size, rng);
+                let mut acc = CountAccumulator::new(domain);
+                for &i in &members {
+                    acc.add(protocol, &reports[i]);
+                }
+                vectors.push(acc.frequencies(params).unwrap());
+                subset_members.push(members);
+            }
+            let (assign, centroids) = lloyd_two_means(&vectors, defense.max_iters, rng);
+            let ones = assign.iter().filter(|&&a| a).count();
+            let majority_label = ones * 2 >= assign.len();
+            let assignments: Vec<bool> = assign.iter().map(|&a| a == majority_label).collect();
+            let malicious_centroid = assignments
+                .iter()
+                .any(|&a| !a)
+                .then(|| centroids[usize::from(!majority_label)].clone());
+            let mut in_union = vec![false; reports.len()];
+            for (members, &is_majority) in subset_members.iter().zip(&assignments) {
+                if is_majority {
+                    for &i in members {
+                        in_union[i] = true;
+                    }
+                }
+            }
+            let mut union = CountAccumulator::new(domain);
+            let mut all = CountAccumulator::new(domain);
+            for (report, &inside) in reports.iter().zip(&in_union) {
+                if inside {
+                    union.add(protocol, report);
+                }
+                all.add(protocol, report);
+            }
+            KMeansOutcome {
+                genuine_estimate: union.frequencies(params).unwrap(),
+                genuine_centroid: centroids[usize::from(majority_label)].clone(),
+                malicious_centroid,
+                assignments,
+                poisoned_estimate: all.frequencies(params).unwrap(),
+            }
+        }
+
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// 900 genuine users over a skewed distribution plus 90 input
+        /// poisoners reporting items 3 and 5 through Ψ. `d = 70` spans two
+        /// bitmap words for OUE/SUE and leaves `K = 128 > d + 1` for HR.
+        fn poisoned_reports(protocol: &AnyProtocol, rng: &mut impl Rng) -> Vec<Report> {
+            let d = protocol.domain().size();
+            let mut reports: Vec<Report> = (0..900)
+                .map(|i| protocol.perturb((i * i) % d, rng))
+                .collect();
+            reports.extend((0..90).map(|i| protocol.perturb(3 + 2 * (i % 2), rng)));
+            reports
+        }
+
+        #[test]
+        fn single_pass_matches_per_subset_folds_bit_for_bit() {
+            let domain = Domain::new(70).unwrap();
+            let recover = LdpRecover::new(0.1).unwrap();
+            let mut minority_cases = 0;
+            let mut no_minority_cases = 0;
+            for kind in ProtocolKind::EXTENDED {
+                let protocol = kind.build(1.0, domain).unwrap();
+                let reports = poisoned_reports(&protocol, &mut rng_from_seed(21));
+                for groups in [2usize, 20, 70] {
+                    for xi in [0.1, 1.0] {
+                        let case = format!("{kind} G={groups} ξ={xi}");
+                        let defense = KMeansDefense::new(groups, xi).unwrap();
+                        let mut rng = rng_from_seed(groups as u64);
+                        let mut reference_rng = rng_from_seed(groups as u64);
+                        let got = defense.run(&protocol, &reports, &mut rng).unwrap();
+                        let want = reference_run(&defense, &protocol, &reports, &mut reference_rng);
+                        assert_eq!(got.assignments, want.assignments, "{case}");
+                        assert_eq!(
+                            bits(&got.genuine_centroid),
+                            bits(&want.genuine_centroid),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            got.malicious_centroid.as_deref().map(bits),
+                            want.malicious_centroid.as_deref().map(bits),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            bits(&got.genuine_estimate),
+                            bits(&want.genuine_estimate),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            bits(&got.poisoned_estimate),
+                            bits(&want.poisoned_estimate),
+                            "{case}"
+                        );
+                        // Same RNG draws consumed.
+                        assert_eq!(rng.next_u64(), reference_rng.next_u64(), "{case}");
+
+                        // LDPRecover-KM through the fused entry point.
+                        let km = defense
+                            .recover_km(&recover, &protocol, &reports, &mut rng_from_seed(7))
+                            .unwrap();
+                        let reference_km = KMeansDefense::recover_from_outcome(
+                            &recover,
+                            &reference_run(&defense, &protocol, &reports, &mut rng_from_seed(7)),
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            bits(&km.frequencies),
+                            bits(&reference_km.frequencies),
+                            "{case}"
+                        );
+
+                        if want.malicious_centroid.is_some() {
+                            minority_cases += 1;
+                        } else {
+                            no_minority_cases += 1;
+                        }
+                    }
+                }
+            }
+            // ξ = 1 draws every subset as the whole population, so the
+            // vectors coincide and no minority cluster forms.
+            assert_eq!(no_minority_cases, 15);
+            assert_eq!(minority_cases, 15);
+        }
     }
 
     #[test]

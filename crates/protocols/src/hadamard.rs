@@ -101,14 +101,25 @@ impl HadamardResponse {
     where
         I: IntoIterator<Item = u32>,
     {
-        assert_eq!(counts.len(), self.domain.size());
         let mut hist = vec![0i64; self.k as usize];
-        let mut total = 0i64;
         for y in columns {
             hist[y as usize] += 1;
-            total += 1;
         }
-        fwht_i64(&mut hist);
+        self.accumulate_histogram(&mut hist, counts);
+    }
+
+    /// The transform half of [`Self::accumulate_columns`]: adds the
+    /// support counts of the reports whose `K`-column histogram is `hist`.
+    /// `hist` is transformed in place; afterwards `hist[0]` is the number
+    /// of reports (row 0 is all `+1`).
+    ///
+    /// # Panics
+    /// Panics if `hist.len() != K` or `counts.len() != d`.
+    pub fn accumulate_histogram(&self, hist: &mut [i64], counts: &mut [u64]) {
+        assert_eq!(hist.len(), self.k as usize);
+        assert_eq!(counts.len(), self.domain.size());
+        fwht_i64(hist);
+        let total = hist[0];
         for (w, c) in counts.iter_mut().enumerate() {
             *c += ((total + hist[w + 1]) / 2) as u64;
         }

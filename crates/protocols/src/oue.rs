@@ -54,6 +54,26 @@ impl Oue {
     }
 }
 
+/// Ψ of the unary encodings (OUE, SUE): one Bernoulli draw per bit, in
+/// index order — `one_bit` for the item's own bit, `zero_bit` for every
+/// other. The draws are OR-ed into packed words, so the ~`q·d` set bits
+/// cost no mispredicted branch.
+pub(crate) fn perturb_unary<R: Rng + ?Sized>(
+    domain: Domain,
+    item: usize,
+    one_bit: FastBernoulli,
+    zero_bit: FastBernoulli,
+    rng: &mut R,
+) -> BitVec {
+    BitVec::from_fn(domain.size(), |v| {
+        if v == item {
+            one_bit.sample(rng)
+        } else {
+            zero_bit.sample(rng)
+        }
+    })
+}
+
 impl LdpFrequencyProtocol for Oue {
     type Report = BitVec;
 
@@ -75,19 +95,7 @@ impl LdpFrequencyProtocol for Oue {
 
     fn perturb<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> BitVec {
         debug_assert!(self.domain.contains(item), "item {item} out of domain");
-        let d = self.domain.size();
-        let mut bits = BitVec::zeros(d);
-        for v in 0..d {
-            let on = if v == item {
-                self.one_bit.sample(rng)
-            } else {
-                self.zero_bit.sample(rng)
-            };
-            if on {
-                bits.set_one(v);
-            }
-        }
-        bits
+        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, rng)
     }
 
     fn encode_clean<R: Rng + ?Sized>(&self, item: usize, _rng: &mut R) -> BitVec {
@@ -177,6 +185,50 @@ mod tests {
         let r = BitVec::mask_of(8, &[0, 3, 7]);
         o.accumulate(&r, &mut counts);
         assert_eq!(counts, vec![1, 0, 0, 1, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn unary_perturbation_matches_the_per_bit_loop() {
+        // The packed-word Ψ must make the same draws in the same order as
+        // the per-bit `set_one` loop it replaced, for OUE and SUE
+        // probabilities, a certain bit (p = 1 draws nothing), and domains
+        // on and off the 64-bit word boundary.
+        fn per_bit_loop(
+            d: usize,
+            item: usize,
+            one_bit: FastBernoulli,
+            zero_bit: FastBernoulli,
+            rng: &mut impl Rng,
+        ) -> BitVec {
+            let mut bits = BitVec::zeros(d);
+            for v in 0..d {
+                let on = if v == item {
+                    one_bit.sample(rng)
+                } else {
+                    zero_bit.sample(rng)
+                };
+                if on {
+                    bits.set_one(v);
+                }
+            }
+            bits
+        }
+        for (p, q) in [(0.5, 0.38), (0.62, 0.38), (1.0, 0.1)] {
+            let (one_bit, zero_bit) = (FastBernoulli::new(p), FastBernoulli::new(q));
+            for d in [1usize, 2, 63, 64, 65, 102, 490] {
+                let domain = Domain::new(d).unwrap();
+                let mut rng = rng_from_seed(d as u64);
+                let mut reference = rng_from_seed(d as u64);
+                for item in [0, d / 2, d - 1] {
+                    assert_eq!(
+                        perturb_unary(domain, item, one_bit, zero_bit, &mut rng),
+                        per_bit_loop(d, item, one_bit, zero_bit, &mut reference),
+                        "p={p} d={d} item={item}"
+                    );
+                }
+                assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "p={p} d={d}");
+            }
+        }
     }
 
     #[test]

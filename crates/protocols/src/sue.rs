@@ -13,6 +13,7 @@ use ldp_common::rng::FastBernoulli;
 use ldp_common::{BitVec, Domain, Result};
 use rand::Rng;
 
+use crate::oue::perturb_unary;
 use crate::params::{check_epsilon, PureParams};
 use crate::traits::LdpFrequencyProtocol;
 
@@ -73,19 +74,7 @@ impl LdpFrequencyProtocol for Sue {
 
     fn perturb<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> BitVec {
         debug_assert!(self.domain.contains(item), "item {item} out of domain");
-        let d = self.domain.size();
-        let mut bits = BitVec::zeros(d);
-        for v in 0..d {
-            let on = if v == item {
-                self.one_bit.sample(rng)
-            } else {
-                self.zero_bit.sample(rng)
-            };
-            if on {
-                bits.set_one(v);
-            }
-        }
-        bits
+        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, rng)
     }
 
     fn encode_clean<R: Rng + ?Sized>(&self, item: usize, _rng: &mut R) -> BitVec {
