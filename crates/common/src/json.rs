@@ -4,17 +4,37 @@
 //! Scenario reports, golden files, and streaming-engine checkpoints are
 //! JSON so external tooling can read them, but the workspace's dependency
 //! policy (vendored, minimal stand-ins only — no `serde_json`) means we
-//! carry our own ~200-line subset: objects, arrays, strings (with escape
-//! handling), finite numbers, booleans, and null. That is exactly what
-//! those artifacts need; non-finite floats render as `null`.
+//! carry our own subset: objects, arrays, strings (with escape handling),
+//! finite numbers, booleans, and null. That is exactly what those
+//! artifacts need. Non-finite floats render as `null`, and the parser
+//! rejects numbers that overflow to ±∞, so [`Json::Num`] stays finite.
 //!
-//! The renderer emits the shortest round-tripping decimal form for every
-//! finite `f64` (Rust's `Display`), so a render → parse cycle reproduces
-//! numbers **bit-for-bit** — the property the stream checkpoint layer's
-//! suspend/resume contract is built on. Integers that must survive beyond
-//! 2⁵³ (e.g. full-width `u64` seeds) are stored as decimal strings by
-//! their owners, never as numbers.
+//! Every finite `f64` renders as Rust's `Display` prints it: the shortest
+//! decimal that round-trips, never in exponent form. A render → parse
+//! cycle therefore reproduces numbers **bit-for-bit** — the property the
+//! stream checkpoint layer's suspend/resume contract is built on.
+//! Integers that must survive beyond 2⁵³ (e.g. full-width `u64` seeds) are
+//! stored as decimal strings by their owners, never as numbers.
+//!
+//! Rendering is one pass into one `String`, with no allocation per value.
+//! Most numbers in a checkpoint are integer counts, and those take a fast
+//! path: a finite integer-valued `v` with |v| < 2⁵³, other than −0.0, is
+//! written digit by digit straight into the output. Those are exactly the
+//! bytes `Display` prints. Below 2⁵³ neighbouring doubles are at most 1
+//! apart, so a decimal rounds to `v` only if it lies within ½ of it, and
+//! no decimal with as few significant digits as `v` does except `v`
+//! itself. The shortest round-tripping digits are therefore `v`'s own,
+//! which `Display` pads with zeros up to the decimal point. The two
+//! exclusions are where that breaks: `Display` prints −0.0 as `-0`, and
+//! from 2⁵³ up the shortest digits can stop short of the exact value
+//! (2⁶⁰ prints as `1152921504606847000`). Every other finite number is
+//! formatted by `Display` directly into the output. Indentation is sliced
+//! from a static run of spaces. `tests::oracle` pins the output byte for
+//! byte to a reference renderer that formats every number on its own.
 
+use std::fmt::Write as _;
+
+use crate::float::exact_eq;
 use crate::{LdpError, Result};
 
 /// A JSON value.
@@ -144,21 +164,58 @@ impl Json {
     }
 }
 
+/// Integer-valued numbers below this magnitude take the digit-writer path
+/// of [`render_number`]; see the module docs for why it matches `Display`.
+const EXACT_INTEGER_BOUND: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// 64 spaces: the indentation of 32 nesting levels, sliced per line.
+const SPACES: &str = "                                                                ";
+
 fn newline_indent(out: &mut String, indent: usize) {
     out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
+    let mut width = 2 * indent;
+    while width > SPACES.len() {
+        out.push_str(SPACES);
+        width -= SPACES.len();
     }
+    out.push_str(&SPACES[..width]);
 }
 
 fn render_number(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // Rust's `Display` for f64 emits the shortest round-tripping
-        // decimal form, which is valid JSON.
-        out.push_str(&format!("{v}"));
-    } else {
+    if !v.is_finite() {
         out.push_str("null");
+        return;
     }
+    if v.abs() < EXACT_INTEGER_BOUND {
+        // |v| < 2⁵³ fits an i64, and the cast truncates toward zero, so
+        // `v` is an integer exactly when it survives the round trip.
+        let n = v as i64;
+        if exact_eq(n as f64, v) && !(n == 0 && v.is_sign_negative()) {
+            write_integer(n, out);
+            return;
+        }
+    }
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Appends `n` in decimal: the digits are formed right to left in a
+/// stack buffer wide enough for any `i64`, then copied in one go.
+fn write_integer(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut rest = n.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -170,7 +227,9 @@ fn render_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
@@ -224,9 +283,16 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number span");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err_at(start, "malformed number"))
+    let value = text
+        .parse::<f64>()
+        .map_err(|_| err_at(start, "malformed number"))?;
+    // `str::parse` rounds a literal beyond f64's range (`1e400`) to ±∞,
+    // which would break `Json::Num`'s finite invariant and render back as
+    // `null`.
+    if !value.is_finite() {
+        return Err(err_at(start, "number out of f64 range"));
+    }
+    Ok(Json::Num(value))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
@@ -635,5 +701,272 @@ mod tests {
     #[test]
     fn write_atomic_rejects_pathless_targets() {
         assert!(write_atomic(std::path::Path::new("/"), "x").is_err());
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_at_their_offset() {
+        // `str::parse` rounds these to ±∞; `Json::Num` must stay finite.
+        for (text, offset) in [("1e400", 0), ("-1e400", 0), ("[1, 2e308]", 4)] {
+            let err = Json::parse(text).expect_err(text).to_string();
+            assert!(
+                err.contains("out of f64 range") && err.contains(&format!("at byte {offset}")),
+                "{text}: {err}"
+            );
+        }
+        // Underflow rounds to a finite zero, which round-trips.
+        assert_eq!(Json::parse("1e-400").unwrap(), Json::Num(0.0));
+        assert_eq!(
+            Json::parse("1.7976931348623157e308").unwrap(),
+            Json::Num(f64::MAX)
+        );
+    }
+
+    /// Byte-identity oracle for the renderer. `reference` is the renderer
+    /// as it was before the integer fast path: every number is formatted
+    /// into its own `String` by `format!("{v}")`, and indentation is pushed
+    /// two spaces per nesting level.
+    mod oracle {
+        use super::super::*;
+        use super::random_value;
+        use rand::Rng;
+
+        fn reference(value: &Json) -> String {
+            let mut out = String::new();
+            reference_into(value, &mut out, 0);
+            out.push('\n');
+            out
+        }
+
+        fn reference_into(value: &Json, out: &mut String, indent: usize) {
+            match value {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(v) => reference_number(*v, out),
+                Json::Str(s) => reference_string(s, out),
+                Json::Arr(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        reference_newline_indent(out, indent + 1);
+                        reference_into(item, out, indent + 1);
+                    }
+                    reference_newline_indent(out, indent);
+                    out.push(']');
+                }
+                Json::Obj(members) => {
+                    if members.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (key, value)) in members.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        reference_newline_indent(out, indent + 1);
+                        reference_string(key, out);
+                        out.push_str(": ");
+                        reference_into(value, out, indent + 1);
+                    }
+                    reference_newline_indent(out, indent);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn reference_newline_indent(out: &mut String, indent: usize) {
+            out.push('\n');
+            for _ in 0..indent {
+                out.push_str("  ");
+            }
+        }
+
+        fn reference_number(v: f64, out: &mut String) {
+            if v.is_finite() {
+                out.push_str(&format!("{v}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+
+        fn reference_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        /// Renders one number both ways; the fast path must print the
+        /// reference's bytes.
+        fn assert_number_matches(v: f64) {
+            let mut fast = String::new();
+            render_number(v, &mut fast);
+            let mut slow = String::new();
+            reference_number(v, &mut slow);
+            assert_eq!(fast, slow, "{v:e} (bits {:#018x})", v.to_bits());
+        }
+
+        const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+        #[test]
+        fn edge_values_render_as_display_prints_them() {
+            let edges = [
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                TWO_53 - 1.0,
+                -(TWO_53 - 1.0),
+                TWO_53,
+                -TWO_53,
+                TWO_53 + 2.0,
+                2f64.powi(60),
+                2f64.powi(63),
+                2f64.powi(64),
+                1e15,
+                1e16,
+                1e21,
+                1e300,
+                f64::MAX,
+                -f64::MAX,
+                f64::MIN_POSITIVE,
+                5e-324,
+                0.1,
+                -2.5,
+                0.5,
+                -0.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            for v in edges {
+                assert_number_matches(v);
+            }
+            // The bytes the fast path has to reproduce, spelled out.
+            for (v, text) in [
+                (-0.0, "-0"),
+                (TWO_53 - 1.0, "9007199254740991"),
+                (-(TWO_53 - 1.0), "-9007199254740991"),
+                (2f64.powi(60), "1152921504606847000"),
+                (f64::NAN, "null"),
+            ] {
+                assert_eq!(Json::Num(v).render(), format!("{text}\n"), "{v:e}");
+            }
+        }
+
+        #[test]
+        fn random_bit_patterns_match_the_reference() {
+            let mut rng = crate::rng::rng_from_seed(0x0B17_5EED);
+            let mut finite = 0;
+            while finite < 120_000 {
+                let v = f64::from_bits(rng.gen());
+                if v.is_finite() {
+                    assert_number_matches(v);
+                    finite += 1;
+                }
+            }
+        }
+
+        #[test]
+        fn random_integers_match_the_reference() {
+            let mut rng = crate::rng::rng_from_seed(0x1_4753);
+            let bound = 1i64 << 53;
+            for _ in 0..100_000 {
+                assert_number_matches(rng.gen_range(-bound..=bound) as f64);
+            }
+            // Integers of every magnitude up to 2⁶⁴, so both sides of the
+            // 2⁵³ bound are dense.
+            for _ in 0..100_000 {
+                let shift = rng.gen_range(0..64);
+                let magnitude = (rng.gen::<u64>() >> shift) as f64;
+                assert_number_matches(if rng.gen() { magnitude } else { -magnitude });
+            }
+        }
+
+        #[test]
+        fn random_trees_match_the_reference() {
+            // The same seeded trees as `random_nested_values_roundtrip`.
+            let mut rng = crate::rng::rng_from_seed(0x15_0B);
+            for case in 0..512 {
+                let value = random_value(&mut rng, 4);
+                assert_eq!(value.render(), reference(&value), "case {case}");
+            }
+        }
+
+        #[test]
+        fn indentation_deeper_than_the_static_run_matches() {
+            let mut value = Json::Arr(vec![Json::Num(7.0), Json::Str("leaf".into())]);
+            for depth in 0..45 {
+                value = Json::Obj(vec![
+                    (format!("level{depth}"), value),
+                    ("n".into(), Json::Num(-0.0)),
+                ]);
+            }
+            assert_eq!(value.render(), reference(&value));
+        }
+
+        /// Documents written by an earlier build of `ldp`, before the
+        /// integer fast path: the two pinned stream checkpoints (see
+        /// `tests/stream_checkpoint.rs`), `ldp stream --shards 4 --epochs 6
+        /// --window sliding:2 --json` and `ldp repro --figure table1 --scale
+        /// small --trials 2 --json`.
+        const REAL_DOCUMENTS: [(&str, &str); 4] = [
+            (
+                "sliding checkpoint",
+                include_str!("../../../tests/fixtures/stream_checkpoint_sliding.json"),
+            ),
+            (
+                "decay checkpoint",
+                include_str!("../../../tests/fixtures/stream_checkpoint_decay.json"),
+            ),
+            (
+                "stream report",
+                include_str!("../../../tests/fixtures/stream_report_sliding.json"),
+            ),
+            (
+                "scenario report",
+                include_str!("../../../tests/fixtures/scenario_report_table1.json"),
+            ),
+        ];
+
+        #[test]
+        fn real_documents_rerender_byte_for_byte() {
+            let goldens =
+                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+            let mut documents: Vec<(String, String)> = REAL_DOCUMENTS
+                .iter()
+                .map(|(name, text)| ((*name).to_string(), (*text).to_string()))
+                .collect();
+            for entry in std::fs::read_dir(&goldens).expect("tests/golden exists") {
+                let path = entry.expect("readable entry").path();
+                let text = std::fs::read_to_string(&path).expect("readable golden");
+                documents.push((path.display().to_string(), text));
+            }
+            assert!(documents.len() > REAL_DOCUMENTS.len(), "no goldens read");
+            for (name, text) in documents {
+                let value = Json::parse(&text).expect("parses");
+                assert_eq!(
+                    reference(&value),
+                    text,
+                    "{name}: the reference reproduces the file"
+                );
+                assert_eq!(value.render(), text, "{name}: render reproduces the file");
+            }
+        }
     }
 }

@@ -250,11 +250,12 @@ fn floats_field(json: &Json, key: &str, len: usize) -> Result<Vec<f64>> {
         .collect()
 }
 
+/// A finite, non-negative number: a decayed report mass or an MSE.
 fn nonneg_f64_field(json: &Json, key: &str) -> Result<f64> {
     let x = f64_field(json, key)?;
     if !(x.is_finite() && x >= 0.0) {
         return Err(LdpError::invalid(format!(
-            "checkpoint: '{key}' = {x} is not a non-negative mass"
+            "checkpoint: '{key}' = {x} is not finite and non-negative"
         )));
     }
     Ok(x)
@@ -466,9 +467,11 @@ impl StreamEngine {
                     genuine_users: usize_field(p, "genuine_users")?,
                     malicious_users: usize_field(p, "malicious_users")?,
                     reports_seen: usize_field(p, "reports_seen")?,
-                    mse_before: f64_field(p, "mse_before")?,
-                    mse_recovered: f64_field(p, "mse_recovered")?,
-                    mse_genuine: f64_field(p, "mse_genuine")?,
+                    // Checked here, not just by the parser, so an
+                    // infinite or NaN MSE never resumes from any source.
+                    mse_before: nonneg_f64_field(p, "mse_before")?,
+                    mse_recovered: nonneg_f64_field(p, "mse_recovered")?,
+                    mse_genuine: nonneg_f64_field(p, "mse_genuine")?,
                 })
             })
             .collect::<Result<_>>()?;
@@ -771,6 +774,43 @@ mod tests {
                 "accepted checkpoint with {label}"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_trajectory_mses_are_rejected() {
+        let mut engine = StreamEngine::new(tiny_spec()).unwrap();
+        engine.step().unwrap();
+        engine.step().unwrap();
+        let good = engine.to_checkpoint();
+        for key in ["mse_before", "mse_recovered", "mse_genuine"] {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+                let Json::Obj(mut members) = good.clone() else {
+                    unreachable!()
+                };
+                if let Some((_, Json::Arr(points))) =
+                    members.iter_mut().find(|(k, _)| k == "trajectory")
+                {
+                    let Json::Obj(point) = &mut points[0] else {
+                        unreachable!()
+                    };
+                    point
+                        .iter_mut()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| *v = Json::Num(bad))
+                        .expect("key present");
+                }
+                assert!(
+                    StreamEngine::from_checkpoint(&Json::Obj(members)).is_err(),
+                    "accepted {key} = {bad}"
+                );
+            }
+        }
+        // The same edit made to the file: the literal no longer parses.
+        let text = good.render();
+        let at = text.find("\"mse_before\": ").expect("a trajectory point") + 14;
+        let end = at + text[at..].find(',').expect("more members follow");
+        let edited = format!("{}1e400{}", &text[..at], &text[end..]);
+        assert!(Json::parse(&edited).is_err(), "1e400 parsed");
     }
 
     #[test]
