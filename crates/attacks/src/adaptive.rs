@@ -289,8 +289,9 @@ mod tests {
         // collides with t under H (probability q = 1/g each), so the true
         // malicious frequency sum is (1 − q)/(p − q) — *not* the paper's
         // Eq. (21) constant. LDPRecover nevertheless uses Eq. (21); the
-        // discrepancy is absorbed by the norm-sub refinement (see
-        // DESIGN.md §6 and the `solvers` ablation bench).
+        // discrepancy is absorbed by the norm-sub refinement (Ablation 1 of
+        // `ldp repro --figure ablations` compares it with the exact
+        // `MaliciousSumModel::CollisionAware`).
         let domain = Domain::new(24).unwrap();
         let mut rng = rng_from_seed(4);
         let aa = AdaptiveAttack::random(domain, &mut rng);

@@ -6,7 +6,7 @@
 //! instantiated fresh for every trial from the trial's RNG stream, exactly
 //! as the paper's evaluation re-randomizes across its 10 trials.
 
-use ldp_common::Domain;
+use ldp_common::{Domain, LdpError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -54,12 +54,38 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
+    /// Checks the structural parameters against the domain: exactly the
+    /// kinds [`AttackKind::instantiate`] accepts pass.
+    ///
+    /// # Errors
+    /// [`LdpError::InvalidParameter`] when `h`/`r` lies outside `1..=d`
+    /// or there are no attackers.
+    pub fn validate(&self, domain: Domain) -> Result<()> {
+        let d = domain.size();
+        match *self {
+            AttackKind::Manip { h: n }
+            | AttackKind::Mga { r: n }
+            | AttackKind::MgaSampled { r: n }
+            | AttackKind::MgaIpa { r: n }
+                if !(1..=d).contains(&n) =>
+            {
+                Err(LdpError::invalid(format!(
+                    "{} attack needs 1 to d = {d} items, got {n}",
+                    self.label()
+                )))
+            }
+            AttackKind::MultiAdaptive { attackers: 0 } => Err(LdpError::invalid(
+                "MUL-AA attack needs at least one attacker",
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Instantiates the attack's per-trial randomized state.
     ///
     /// # Panics
-    /// Panics when structural parameters are out of range for the domain
-    /// (`h`/`r` of 0 or exceeding `d`, zero attackers) — configuration bugs,
-    /// not runtime conditions.
+    /// Panics when [`AttackKind::validate`] rejects the kind for the
+    /// domain — configuration bugs, not runtime conditions.
     pub fn instantiate<R: Rng + ?Sized>(
         &self,
         domain: Domain,
@@ -137,6 +163,29 @@ mod tests {
                 assert_eq!(reports.len(), 25, "{kind:?} under {proto_kind:?}");
             }
             assert_eq!(kind.is_targeted(), attack.targets().is_some());
+        }
+    }
+
+    #[test]
+    fn validate_accepts_exactly_what_instantiate_accepts() {
+        let domain = Domain::new(32).unwrap();
+        let d = domain.size();
+        // Every parameterized kind at the boundaries 0, 1, d and d + 1.
+        let mut cases = Vec::new();
+        for n in [0, 1, d, d + 1] {
+            let in_domain = (1..=d).contains(&n);
+            cases.push((AttackKind::Manip { h: n }, in_domain));
+            cases.push((AttackKind::Mga { r: n }, in_domain));
+            cases.push((AttackKind::MgaSampled { r: n }, in_domain));
+            cases.push((AttackKind::MgaIpa { r: n }, in_domain));
+            cases.push((AttackKind::MultiAdaptive { attackers: n }, n >= 1));
+        }
+        for (kind, valid) in cases {
+            assert_eq!(kind.validate(domain).is_ok(), valid, "{kind:?}");
+            let instantiated = std::panic::catch_unwind(|| {
+                kind.instantiate(domain, &mut rng_from_seed(4));
+            });
+            assert_eq!(instantiated.is_ok(), valid, "{kind:?} instantiate");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Criterion ablation: the paper's norm-sub KKT solver vs the exact
 //! sort-based simplex projection vs the biased clip+normalize baseline
-//! (the `PostProcess` ablation called out in DESIGN.md §5).
+//! (the cost side of the `PostProcess` ablation; Ablation 2 of
+//! `ldp repro --figure ablations` measures the accuracy side).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ldp_common::rng::rng_from_seed;

@@ -1,7 +1,7 @@
 //! Workspace-wide error type.
 //!
-//! Hand-rolled (no `thiserror`) to keep the dependency footprint at the
-//! approved list; see DESIGN.md §3.
+//! Hand-rolled (no `thiserror`): the workspace builds offline against
+//! four vendored stand-ins only (README, "Vendored dependencies").
 
 use std::fmt;
 

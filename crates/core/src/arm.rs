@@ -12,7 +12,7 @@
 //! only ever sees the trait.
 //!
 //! * [`DefenseArm`] — the object-safe trait: `name`, [`ArmRequirements`]
-//!   (does the arm consume raw reports? identified targets? randomness?),
+//!   (does the arm consume raw reports? identified targets?),
 //!   and `run` over an [`ArmContext`].
 //! * [`ArmContext`] — everything the server side has at recovery time:
 //!   the poisoned frequency estimate, protocol parameters, optionally the
@@ -46,7 +46,7 @@
 //!         "clip"
 //!     }
 //!     fn requirements(&self) -> ArmRequirements {
-//!         ArmRequirements::default() // frequencies only: no reports/targets/rng
+//!         ArmRequirements::default() // frequencies only: no reports/targets
 //!     }
 //!     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
 //!         let frequencies = ldprecover::solve::clip_normalize(ctx.poisoned);
@@ -84,9 +84,8 @@ use crate::solve::PostProcess;
 ///
 /// The scheduler uses these flags *before* running anything: arms that
 /// need raw reports force per-user aggregation (and are ineligible in
-/// count-only settings like the streaming engine), arms that need targets
-/// trigger the target-identification step, and arms that need randomness
-/// are the only ones allowed to advance the trial RNG.
+/// count-only settings like the streaming engine), and arms that need
+/// targets trigger the target-identification step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArmRequirements {
     /// The arm consumes the retained per-user [`Report`]s (e.g. report
@@ -96,8 +95,6 @@ pub struct ArmRequirements {
     /// The arm consumes an identified target set (the partial-knowledge
     /// scenario of paper §V-D).
     pub needs_targets: bool,
-    /// The arm draws from the trial RNG (e.g. subset sampling).
-    pub needs_rng: bool,
 }
 
 /// Everything the server side has at recovery time — the input of every
@@ -370,22 +367,18 @@ impl ArmKind {
             ArmKind::Recover | ArmKind::NormSub | ArmKind::BaseCut => ArmRequirements {
                 needs_reports: false,
                 needs_targets: false,
-                needs_rng: false,
             },
             ArmKind::RecoverStar => ArmRequirements {
                 needs_reports: false,
                 needs_targets: true,
-                needs_rng: false,
             },
             ArmKind::Detection => ArmRequirements {
                 needs_reports: true,
                 needs_targets: true,
-                needs_rng: false,
             },
             ArmKind::Kmeans | ArmKind::RecoverKm => ArmRequirements {
                 needs_reports: true,
                 needs_targets: false,
-                needs_rng: true,
             },
         }
     }
@@ -502,11 +495,6 @@ impl ArmSet {
     /// (triggers the identification step).
     pub fn needs_targets(&self) -> bool {
         self.kinds.iter().any(|k| k.requirements().needs_targets)
-    }
-
-    /// Whether any selected arm draws from the trial RNG.
-    pub fn needs_rng(&self) -> bool {
-        self.kinds.iter().any(|k| k.requirements().needs_rng)
     }
 
     /// Instantiates the executable arms, in canonical order.
@@ -844,13 +832,13 @@ mod tests {
     #[test]
     fn requirement_rollups() {
         let set = ArmSet::new([ArmKind::Recover, ArmKind::NormSub]);
-        assert!(!set.needs_reports() && !set.needs_targets() && !set.needs_rng());
+        assert!(!set.needs_reports() && !set.needs_targets());
         let set = ArmSet::new([ArmKind::Recover, ArmKind::RecoverStar]);
         assert!(set.needs_targets() && !set.needs_reports());
         let set = ArmSet::new([ArmKind::Detection]);
         assert!(set.needs_reports() && set.needs_targets());
         let set = ArmSet::new([ArmKind::RecoverKm]);
-        assert!(set.needs_reports() && set.needs_rng());
+        assert!(set.needs_reports() && !set.needs_targets());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   uniformly over the targets.
 //!
 //! [`MaliciousSumModel`] additionally offers a collision-aware OLH variant
-//! (an extension beyond the paper — see DESIGN.md §6): OLH clean encodings
-//! also support hash-colliding items, making the true sum `(1−q)/(p−q)`.
+//! (an extension beyond the paper; Ablation 1 of `ldp repro --figure
+//! ablations` compares it with Eq. 21): OLH clean encodings also support
+//! hash-colliding items, making the true sum `(1−q)/(p−q)`.
 
 use ldp_common::{LdpError, Result};
 use ldp_protocols::PureParams;

@@ -8,9 +8,9 @@
 //! City populations are classically Zipf-distributed with exponent ≈ 1;
 //! fire-unit workloads are flatter (dispatch spreads load), hence the
 //! smaller exponent. LDPRecover's behaviour depends on `(d, n, ε, β, η)`
-//! and the broad frequency shape only — see DESIGN.md §3 for the full
-//! substitution argument and `Dataset::from_item_file` for plugging in the
-//! real extracts.
+//! and the broad frequency shape only, so a stand-in that matches those
+//! preserves which method wins and by how much; `Dataset::from_item_file`
+//! plugs in the real extracts.
 
 use ldp_common::float::exact_eq;
 use ldp_common::sampling::sample_multinomial;

@@ -12,9 +12,11 @@
 //! Neither raw extract ships with this reproduction, so [`corpus`] provides
 //! synthetic stand-ins with the *same* domain sizes, user counts, and
 //! heavy-tailed shapes (city populations ≈ Zipf(1.05); unit IDs flatter,
-//! ≈ Zipf(0.75)); see DESIGN.md §3 for why this preserves the paper's
-//! phenomena. [`dataset::Dataset::from_item_file`] loads the real extracts
-//! (one item index per line) if you have them.
+//! ≈ Zipf(0.75)). That preserves the paper's phenomena because
+//! LDPRecover's behaviour depends on `(d, n, ε, β, η)` and the broad
+//! frequency shape only (see [`corpus`]).
+//! [`dataset::Dataset::from_item_file`] loads the real extracts (one item
+//! index per line) if you have them.
 
 pub mod corpus;
 pub mod dataset;

@@ -2,7 +2,7 @@
 // Fixture: P01 cross-file — the caller looks pure; the impurity lives
 // in another file, two hops down the call graph. Also the pessimism
 // case: a workspace-rooted path that resolves to nothing is treated as
-// impure at the call site (waivable per edge, never silently trusted).
+// impure at the call site (never silently trusted).
 //@ pure-roots: compute_delta opaque_root
 pub mod util;
 

@@ -9,9 +9,9 @@
 //! crate makes the classic regressions *statically* impossible instead
 //! of hoping a test notices. It is a hand-rolled lexer ([`lexer`]) plus
 //! two analysis stages — token-local rules ([`rules`]) and a cross-file
-//! stage ([`tree`] → [`symbols`] → [`callgraph`] → [`passes`]) — plus
-//! waiver bookkeeping ([`waivers`]). No dependencies, no registry, no
-//! nightly; same vendored ethos as the workspace's hand-rolled JSON layer.
+//! stage ([`tree`] → [`symbols`] → [`callgraph`] → [`passes`]). No
+//! dependencies, no registry, no nightly, no configuration file; same
+//! vendored ethos as the workspace's hand-rolled JSON layer.
 //!
 //! # Rule catalog
 //!
@@ -26,7 +26,7 @@
 //! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order); stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs` |
 //! | H01 | every crate root carries `#![forbid(unsafe_code)]` | the workspace is pure safe Rust; `forbid` makes that a compile error, this rule makes *removing the forbid* a lint error | — |
 //! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI and bench binaries own the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, `crates/bench`, tests, examples |
-//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see `[[pure_root]]`) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure, waivable per edge via `[[edge_waiver]]` | test regions; bins/benches/tests never enter the graph |
+//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see [`passes::PURE_ROOTS`]) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure | test regions; bins/benches/tests never enter the graph |
 //! | P02 | **RNG stream discipline** | (a) one RNG drawn from in two argument positions of one call, or feeding two calls, in a single statement depends on evaluation order — `f(rng.draw(), rng.draw())` works until a refactor reorders, splits, or lifts the draws and silently reshuffles the consumed stream; bind them to sequential `let`s or derive independent streams via `derive_seed2`; (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, `crates/bench`, binary targets |
 //!
 //! Run `ldp-lint --explain <RULE>` for the full rationale plus the
@@ -45,16 +45,14 @@
 //! are skipped, field-closure calls are invisible, and macro bodies are
 //! not expanded.
 //!
-//! # Waivers
+//! # No suppressions
 //!
-//! `lint_waivers.toml` at the workspace root grants per-file-per-rule
-//! suppressions; each needs a `justification` and an `expires_pr` (see
-//! [`waivers`]). The same file declares the P01 configuration:
-//! `[[pure_root]]` entries (empty = the built-in
-//! [`passes::DEFAULT_PURE_ROOTS`]) and `[[edge_waiver]]` per-edge
-//! suppressions with the same freshness contract. `--check-waivers`
-//! fails on stale or unused entries of either kind, so waived debt
-//! cannot silently outlive its excuse.
+//! The configuration is fixed: the rules, their file-class exemptions
+//! (the catalog's last column) and the P01 root list
+//! [`passes::PURE_ROOTS`] are code. There is no suppression file and no
+//! per-finding opt-out, so every finding is fixed at the source. A root
+//! that matches no library function is a hard error rather than a
+//! silently empty pass.
 //!
 //! # Golden drift
 //!
@@ -74,9 +72,9 @@
 //! The lexer has no type information. D01 tracks only file-local
 //! bindings; D03 only fires when one operand is a float literal or an
 //! `as f64`/`as f32` cast; the RNG heuristic is the binding name. False
-//! negatives are possible; false positives are rare and waivable. The
-//! point is to catch the classic regression shapes cheaply and offline,
-//! not to re-implement rustc.
+//! negatives are possible; false positives are rare, and are fixed in
+//! the code like any other finding. The point is to catch the classic
+//! regression shapes cheaply and offline, not to re-implement rustc.
 
 pub mod callgraph;
 pub mod goldens;
@@ -85,34 +83,28 @@ pub mod passes;
 pub mod rules;
 pub mod symbols;
 pub mod tree;
-pub mod waivers;
 
 pub use goldens::{bless_goldens, check_goldens, GOLDEN_DIRS, GOLDEN_MANIFEST};
 pub use rules::{lint_file, FileClass, Finding, RuleId};
-pub use waivers::{
-    apply_waivers, check_edge_waivers, check_waivers, current_pr_from_changes, parse_config,
-    parse_waivers, render_waivers, EdgeWaiver, LintConfig, Waiver,
-};
 
 use std::path::{Path, PathBuf};
 
-/// A fatal lint-pass error (I/O, waiver-file syntax, or pass
-/// configuration) — distinct from findings, which are diagnostics about
-/// the code under analysis.
+/// A fatal lint-pass error (I/O, or a pure root the workspace lacks) —
+/// distinct from findings, which are diagnostics about the code under
+/// analysis.
 #[derive(Debug)]
 pub enum LintError {
     /// Reading the tree or a file failed.
     Io(String),
-    /// `lint_waivers.toml` is malformed, or a pass's configuration
-    /// (e.g. a pure root) does not match the workspace.
-    Waivers(String),
+    /// A P01 pure root matches no library function in the workspace.
+    Roots(String),
 }
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
-            LintError::Waivers(m) => write!(f, "config error: {m}"),
+            LintError::Roots(m) => write!(f, "root error: {m}"),
         }
     }
 }
@@ -130,13 +122,8 @@ pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "vendor"];
 /// Everything one workspace scan produced.
 #[derive(Debug)]
 pub struct LintReport {
-    /// Findings no waiver covered, in (path, line, col) order.
+    /// Every finding, in (path, line, col) order.
     pub findings: Vec<Finding>,
-    /// Findings a waiver suppressed, with the waiver's index.
-    pub suppressed: Vec<(Finding, usize)>,
-    /// Per-`[[edge_waiver]]` "suppressed something this run" flags,
-    /// index-aligned with [`LintConfig::edge_waivers`].
-    pub edge_waivers_used: Vec<bool>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -176,21 +163,18 @@ fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
 
 /// Runs both analysis stages over in-memory `(rel_path, source)` pairs:
 /// the token-local rules per file, then the cross-file P01/P02 passes
-/// over the symbol table + call graph. `pure_roots` is the *effective*
-/// root list (empty = P01 traverses nothing; [`lint_workspace`] applies
-/// the [`passes::DEFAULT_PURE_ROOTS`] fallback before calling this).
-/// `crate_idents` maps `crates/<dir>` directory names to lib idents
-/// (see [`crate_ident_map`]); `root_ident` names the workspace-root
-/// package. Returns unwaived findings (sorted by path/line/col) plus
-/// the per-edge-waiver used flags. Errors when a pure root matches
-/// nothing.
+/// over the symbol table + call graph. `roots` are the P01 roots (empty
+/// = P01 traverses nothing; [`lint_workspace`] passes
+/// [`passes::PURE_ROOTS`]). `crate_idents` maps `crates/<dir>` directory
+/// names to lib idents (see [`crate_ident_map`]); `root_ident` names the
+/// workspace-root package. Returns the findings sorted by
+/// path/line/col. Errors when a root matches nothing.
 pub fn analyze_files(
     files: &[(String, String)],
-    pure_roots: &[String],
-    edge_waivers: &[EdgeWaiver],
+    roots: &[&str],
     crate_idents: &[(String, String)],
     root_ident: &str,
-) -> Result<(Vec<Finding>, Vec<bool>), String> {
+) -> Result<Vec<Finding>, String> {
     let mut sources = Vec::with_capacity(files.len());
     let mut all: Vec<Finding> = Vec::new();
     for (rel, src) in files {
@@ -200,8 +184,7 @@ pub fn analyze_files(
     }
     let ws = symbols::Workspace::build(sources, crate_idents, root_ident);
     let cg = callgraph::CallGraph::build(&ws);
-    let (pass_findings, edge_used) = passes::run_passes(&ws, &cg, pure_roots, edge_waivers)?;
-    for pf in pass_findings {
+    for pf in passes::run_passes(&ws, &cg, roots)? {
         let file = &ws.files[pf.file];
         let tok = &file.toks[pf.tok];
         let (_, src) = &files[pf.file];
@@ -222,13 +205,12 @@ pub fn analyze_files(
     all.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    Ok((all, edge_used))
+    Ok(all)
 }
 
-/// Runs the full catalog (both stages) over the workspace at `root`,
-/// applying the waivers in `config`. Findings come back sorted by
-/// path/line/col.
-pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, LintError> {
+/// Runs the full catalog (both stages) over the workspace at `root`.
+/// Findings come back sorted by path/line/col.
+pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
     let paths = collect_files(root)?;
     let mut files = Vec::with_capacity(paths.len());
     for file in &paths {
@@ -238,28 +220,10 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<LintReport, Li
     }
     let crate_idents = crate_ident_map(root);
     let root_ident = root_package_ident(root);
-    let default_roots: Vec<String> = passes::DEFAULT_PURE_ROOTS
-        .iter()
-        .map(|r| (*r).to_string())
-        .collect();
-    let pure_roots = if config.pure_roots.is_empty() {
-        &default_roots
-    } else {
-        &config.pure_roots
-    };
-    let (all, edge_waivers_used) = analyze_files(
-        &files,
-        pure_roots,
-        &config.edge_waivers,
-        &crate_idents,
-        &root_ident,
-    )
-    .map_err(LintError::Waivers)?;
-    let (findings, suppressed) = waivers::apply_waivers(all, &config.waivers);
+    let findings = analyze_files(&files, &passes::PURE_ROOTS, &crate_idents, &root_ident)
+        .map_err(LintError::Roots)?;
     Ok(LintReport {
         findings,
-        suppressed,
-        edge_waivers_used,
         files_scanned: files.len(),
     })
 }
@@ -328,25 +292,6 @@ fn manifest_lib_ident(manifest: &str) -> Option<String> {
         }
     }
     lib_name.or(package_name).map(|n| n.replace('-', "_"))
-}
-
-/// Loads the full `lint_waivers.toml` config from the workspace root; a
-/// missing file means "all defaults", a malformed one is a hard error.
-pub fn load_config(path: &Path) -> Result<LintConfig, LintError> {
-    if !path.exists() {
-        return Ok(LintConfig::default());
-    }
-    let content = std::fs::read_to_string(path)
-        .map_err(|e| LintError::Io(format!("{}: {e}", path.display())))?;
-    waivers::parse_config(&content)
-        .map_err(|(line, msg)| LintError::Waivers(format!("{}:{line}: {msg}", path.display())))
-}
-
-/// Reads the in-flight PR number from `<root>/CHANGES.md` (see
-/// [`waivers::current_pr_from_changes`]); `None` when undeterminable.
-pub fn discover_current_pr(root: &Path) -> Option<u32> {
-    let content = std::fs::read_to_string(root.join("CHANGES.md")).ok()?;
-    waivers::current_pr_from_changes(&content)
 }
 
 /// Workspace-relative forward-slash path (falls back to the full path

@@ -1,16 +1,15 @@
 //! Cross-file analysis passes over the call graph: P01 transitive
 //! purity and P02 RNG stream discipline.
 //!
-//! **P01 — unit purity.** Every function reachable from the declared
-//! pure roots (default: [`DEFAULT_PURE_ROOTS`], overridable via
-//! `[[pure_root]]` in `lint_waivers.toml`) must be transitively free of
-//! ambient state: entropy sources, wall-clock reads, environment reads,
-//! `static mut`, and reads of interior-mutable statics. Calls the graph
-//! could not resolve to workspace code ([`Callee::Opaque`]) are treated
-//! pessimistically as impure — the pass would rather demand an
-//! `[[edge_waiver]]` than silently trust an unresolved path. External
-//! callees (std, vendored crates) are trusted: the D02-class sources
-//! they could smuggle in are matched by name at every call site anyway.
+//! **P01 — unit purity.** Every function reachable from the pure roots
+//! ([`PURE_ROOTS`]) must be transitively free of ambient state: entropy
+//! sources, wall-clock reads, environment reads, `static mut`, and reads
+//! of interior-mutable statics. Calls the graph could not resolve to
+//! workspace code ([`Callee::Opaque`]) are treated pessimistically as
+//! impure — the pass would rather demand a simpler call path than
+//! silently trust an unresolved one. External callees (std, vendored
+//! crates) are trusted: the D02-class sources they could smuggle in are
+//! matched by name at every call site anyway.
 //!
 //! **P02 — RNG stream discipline.** Three shapes that leave every draw
 //! *defined* today but one refactor away from reshuffling the stream:
@@ -28,16 +27,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{CallGraph, CallSite, Callee};
+use crate::callgraph::{CallGraph, Callee};
 use crate::lexer::TokKind;
 use crate::rules::RuleId;
 use crate::symbols::Workspace;
-use crate::waivers::EdgeWaiver;
 
-/// The built-in pure-root list, used when `lint_waivers.toml` declares
-/// no `[[pure_root]]` entries: the determinism-critical entry points
-/// whose whole call closure the golden gates depend on.
-pub const DEFAULT_PURE_ROOTS: [&str; 9] = [
+/// The P01 roots: the determinism-critical entry points whose whole
+/// call closure the golden gates depend on.
+pub const PURE_ROOTS: [&str; 9] = [
     "attack_from_json",
     "attack_to_json",
     "from_checkpoint",
@@ -80,22 +77,19 @@ pub struct PassFinding {
     pub message: String,
 }
 
-/// Runs both cross-file passes. Returns the findings plus a per-entry
-/// "was used" flag for `edge_waivers` (feeding `--check-waivers`).
-/// Errors when a declared pure root matches no library function — a
-/// misspelled root would otherwise silently disable the pass.
+/// Runs both cross-file passes with `roots` as the P01 roots. Errors
+/// when a root matches no library function — a misspelled root would
+/// otherwise silently disable the pass.
 pub fn run_passes(
     ws: &Workspace,
     cg: &CallGraph,
-    pure_roots: &[String],
-    edge_waivers: &[EdgeWaiver],
-) -> Result<(Vec<PassFinding>, Vec<bool>), String> {
+    roots: &[&str],
+) -> Result<Vec<PassFinding>, String> {
     let mut findings = Vec::new();
-    let mut used = vec![false; edge_waivers.len()];
-    p01_purity(ws, cg, pure_roots, edge_waivers, &mut findings, &mut used)?;
+    p01_purity(ws, cg, roots, &mut findings)?;
     p02_stream_discipline(ws, cg, &mut findings);
     findings.sort_by_key(|f| (f.file, f.tok, f.rule));
-    Ok((findings, used))
+    Ok(findings)
 }
 
 /// True when `fns[i]` may serve as a pure root / traversal node: live
@@ -120,46 +114,18 @@ fn fn_matches(ws: &Workspace, i: usize, pattern: &str) -> bool {
     qual == pattern || qual.ends_with(&format!("::{pattern}"))
 }
 
-/// Does `pattern` name this call's display path?
-fn display_matches(display: &str, pattern: &str) -> bool {
-    display == pattern || display.ends_with(&format!("::{pattern}"))
-}
-
-/// Finds the first edge waiver covering `caller → call`, if any.
-fn edge_waiver_for(
-    ws: &Workspace,
-    edge_waivers: &[EdgeWaiver],
-    caller: usize,
-    call: &CallSite,
-) -> Option<usize> {
-    edge_waivers.iter().position(|w| {
-        if !fn_matches(ws, caller, &w.caller) {
-            return false;
-        }
-        match &call.callee {
-            Callee::Resolved(v) => {
-                v.iter().any(|&c| fn_matches(ws, c, &w.callee))
-                    || display_matches(&call.display, &w.callee)
-            }
-            _ => display_matches(&call.display, &w.callee),
-        }
-    })
-}
-
 /// P01: breadth-first reachability from the pure roots, flagging direct
 /// impurities inside reached bodies and opaque call edges.
 fn p01_purity(
     ws: &Workspace,
     cg: &CallGraph,
-    pure_roots: &[String],
-    edge_waivers: &[EdgeWaiver],
+    roots: &[&str],
     findings: &mut Vec<PassFinding>,
-    used: &mut [bool],
 ) -> Result<(), String> {
     let mut visited = vec![false; ws.fns.len()];
     let mut pred: Vec<Option<usize>> = vec![None; ws.fns.len()];
     let mut queue: Vec<usize> = Vec::new();
-    for root in pure_roots {
+    for &root in roots {
         let mut any = false;
         for (i, seen) in visited.iter_mut().enumerate() {
             if library_fn(ws, i) && fn_matches(ws, i, root) {
@@ -172,8 +138,8 @@ fn p01_purity(
         }
         if !any {
             return Err(format!(
-                "[P01] pure root `{root}` matches no library function — fix the \
-                 [[pure_root]] entry in lint_waivers.toml (or the default root list)"
+                "[P01] pure root `{root}` matches no library function — update the \
+                 root list (`passes::PURE_ROOTS` for the workspace scan)"
             ));
         }
     }
@@ -194,10 +160,6 @@ fn p01_purity(
             });
         }
         for call in &cg.calls[u] {
-            if let Some(wi) = edge_waiver_for(ws, edge_waivers, u, call) {
-                used[wi] = true;
-                continue;
-            }
             match &call.callee {
                 Callee::Opaque => findings.push(PassFinding {
                     file: ws.fns[u].file,
@@ -206,7 +168,7 @@ fn p01_purity(
                     message: format!(
                         "call to `{}` from `{}` did not resolve to workspace code — \
                          P01 treats unresolved calls as impure ({}); simplify the \
-                         path or add an [[edge_waiver]] with a justification",
+                         path so it resolves",
                         call.display,
                         ws.fns[u].qual(),
                         chain_text(ws, &pred, u)
@@ -625,41 +587,23 @@ mod tests {
     use crate::callgraph::CallGraph;
     use crate::symbols::SourceFile;
 
-    /// `(rule id, message)` pairs plus the per-edge-waiver "used" flags.
-    type Analyzed = (Vec<(String, String)>, Vec<bool>);
-
-    fn analyze(
-        files: &[(&str, &str)],
-        roots: &[&str],
-        edge_waivers: &[EdgeWaiver],
-    ) -> Result<Analyzed, String> {
+    /// `(rule id, message)` pairs.
+    fn analyze(files: &[(&str, &str)], roots: &[&str]) -> Result<Vec<(String, String)>, String> {
         let sources = files
             .iter()
             .map(|(p, s)| SourceFile::new(p, s))
             .collect::<Vec<_>>();
         let ws = Workspace::build(sources, &[], "rootcrate");
         let cg = CallGraph::build(&ws);
-        let owned: Vec<String> = roots.iter().map(|r| (*r).to_string()).collect();
-        let (found, used) = run_passes(&ws, &cg, &owned, edge_waivers)?;
-        let rendered = found
+        Ok(run_passes(&ws, &cg, roots)?
             .into_iter()
             .map(|f| (f.rule.id().to_string(), f.message))
-            .collect();
-        Ok((rendered, used))
-    }
-
-    fn edge(caller: &str, callee: &str) -> EdgeWaiver {
-        EdgeWaiver {
-            caller: caller.to_string(),
-            callee: callee.to_string(),
-            justification: "test".to_string(),
-            expires_pr: 99,
-        }
+            .collect())
     }
 
     #[test]
     fn transitive_env_read_is_found_across_files_with_chain() {
-        let (found, _) = analyze(
+        let found = analyze(
             &[
                 (
                     "crates/app/src/lib.rs",
@@ -673,7 +617,6 @@ mod tests {
                 ),
             ],
             &["entry"],
-            &[],
         )
         .expect("roots resolve");
         assert_eq!(found.len(), 1, "{found:?}");
@@ -689,47 +632,37 @@ mod tests {
     }
 
     #[test]
-    fn opaque_callee_is_pessimistic_and_edge_waivable() {
+    fn opaque_callee_is_pessimistic() {
         let files = [(
             "crates/app/src/lib.rs",
             "pub fn entry() { crate::missing::helper(); }\n",
         )];
-        let (found, _) = analyze(&files, &["entry"], &[]).expect("roots resolve");
+        let found = analyze(&files, &["entry"]).expect("roots resolve");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].1.contains("did not resolve"), "{}", found[0].1);
-        // The same edge, waived: no finding, and the waiver is marked used.
-        let waiver = [edge("entry", "crate::missing::helper")];
-        let (found, used) = analyze(&files, &["entry"], &waiver).expect("roots resolve");
-        assert!(found.is_empty(), "{found:?}");
-        assert_eq!(used, [true]);
     }
 
     #[test]
-    fn edge_waiver_cuts_traversal_into_impure_callee() {
+    fn traversal_reaches_impure_callee() {
         let files = [(
             "crates/app/src/lib.rs",
             "pub fn entry() { telemetry(); }\n\
              fn telemetry() { let _ = std::time::Instant::now(); }\n",
         )];
-        let (found, _) = analyze(&files, &["entry"], &[]).expect("roots resolve");
+        let found = analyze(&files, &["entry"]).expect("roots resolve");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].1.contains("Instant::now"));
-        let waiver = [edge("entry", "telemetry")];
-        let (found, used) = analyze(&files, &["entry"], &waiver).expect("roots resolve");
-        assert!(found.is_empty(), "{found:?}");
-        assert_eq!(used, [true]);
     }
 
     #[test]
     fn mut_static_reads_and_declarations_are_impure() {
-        let (found, _) = analyze(
+        let found = analyze(
             &[(
                 "crates/app/src/lib.rs",
                 "static SEQ: std::sync::atomic::AtomicU64 = z();\n\
                  pub fn entry() -> u64 { SEQ.fetch_add(1, O) }\n",
             )],
             &["entry"],
-            &[],
         )
         .expect("roots resolve");
         assert_eq!(found.len(), 1, "{found:?}");
@@ -741,7 +674,6 @@ mod tests {
         let err = analyze(
             &[("crates/app/src/lib.rs", "pub fn entry() {}\n")],
             &["no_such_fn"],
-            &[],
         )
         .expect_err("misspelled root must not silently disable the pass");
         assert!(err.contains("no_such_fn"), "{err}");
@@ -749,19 +681,18 @@ mod tests {
 
     #[test]
     fn p02a_two_draws_one_statement_fire_sequential_lets_do_not() {
-        let (found, _) = analyze(
+        let found = analyze(
             &[(
                 "crates/app/src/lib.rs",
                 "pub fn two(rng: &mut R) -> u64 { rng.next_u64() + rng.next_u64() }\n",
             )],
-            &[],
             &[],
         )
         .expect("no roots needed");
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].0, "P02");
         assert!(found[0].1.contains("2 separate calls"), "{}", found[0].1);
-        let (clean, _) = analyze(
+        let clean = analyze(
             &[(
                 "crates/app/src/lib.rs",
                 "pub fn two(rng: &mut R) -> u64 {\n\
@@ -771,7 +702,6 @@ mod tests {
                  }\n",
             )],
             &[],
-            &[],
         )
         .expect("no roots needed");
         assert!(clean.is_empty(), "{clean:?}");
@@ -779,7 +709,7 @@ mod tests {
 
     /// P02 findings of one library file.
     fn p02_on(path: &str, src: &str) -> Vec<String> {
-        let (found, _) = analyze(&[(path, src)], &[], &[]).expect("no roots needed");
+        let found = analyze(&[(path, src)], &[]).expect("no roots needed");
         found.into_iter().map(|(_, message)| message).collect()
     }
 
@@ -863,10 +793,10 @@ mod tests {
     #[test]
     fn p02b_clone_fires_outside_blessed_file_only() {
         let src = "pub fn f(rng: &mut R) -> R { rng.clone() }\n";
-        let (found, _) = analyze(&[("crates/app/src/lib.rs", src)], &[], &[]).expect("ok");
+        let found = analyze(&[("crates/app/src/lib.rs", src)], &[]).expect("ok");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].1.contains("forks an RNG stream"));
-        let (blessed, _) = analyze(&[("crates/sim/src/runner.rs", src)], &[], &[]).expect("ok");
+        let blessed = analyze(&[("crates/sim/src/runner.rs", src)], &[]).expect("ok");
         assert!(blessed.is_empty(), "{blessed:?}");
     }
 
@@ -876,7 +806,7 @@ mod tests {
                             map_trials(8, 2, |trial| dist.sample(&mut rng))\n\
                         }\n\
                         pub fn map_trials(n: usize, t: usize, run: F) -> V { v }\n";
-        let (found, _) = analyze(&[("crates/app/src/lib.rs", captured)], &[], &[]).expect("ok");
+        let found = analyze(&[("crates/app/src/lib.rs", captured)], &[]).expect("ok");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].1.contains("captures RNG `rng`"), "{}", found[0].1);
         let sanctioned = "pub fn f() -> V {\n\
@@ -889,7 +819,7 @@ mod tests {
                               })\n\
                           }\n\
                           pub fn map_trials(n: usize, t: usize, run: F) -> V { v }\n";
-        let (clean, _) = analyze(&[("crates/app/src/lib.rs", sanctioned)], &[], &[]).expect("ok");
+        let clean = analyze(&[("crates/app/src/lib.rs", sanctioned)], &[]).expect("ok");
         assert!(clean.is_empty(), "{clean:?}");
     }
 }

@@ -53,7 +53,7 @@ impl RuleId {
         RuleId::P02,
     ];
 
-    /// The stable id string (`"D01"`, …) used in output and waivers.
+    /// The stable id string (`"D01"`, …) used in output and fixture markers.
     pub fn id(self) -> &'static str {
         match self {
             RuleId::D01 => "D01",
@@ -151,12 +151,14 @@ impl RuleId {
                  interleaves nondeterministically under parallel trials."
             }
             RuleId::P01 => {
-                "The cross-file purity pass: every function reachable from the declared \
-                 pure roots (shard_epoch_delta, run_experiment, checkpoint encode/decode — \
-                 see [[pure_root]] in lint_waivers.toml) must be transitively free of \
-                 D02-class ambient sources, environment reads, and interior-mutable \
-                 statics. Calls the conservative call graph cannot resolve are treated as \
-                 impure; suppress a single edge with [[edge_waiver]] + justification."
+                "The cross-file purity pass: every function reachable from the pure roots \
+                 (shard_epoch_delta, run_experiment, checkpoint encode/decode — the fixed \
+                 list passes::PURE_ROOTS) must be transitively free of D02-class ambient \
+                 sources, environment reads, and interior-mutable statics. Calls the \
+                 conservative call graph cannot resolve are treated as impure. Nothing can \
+                 be suppressed: move the impure read out of the closure (wall-clock \
+                 timing belongs in the binaries) or simplify the call path so it \
+                 resolves."
             }
             RuleId::P02 => {
                 "RNG stream discipline across the call graph: (a) one RNG drawn from in two \

@@ -90,12 +90,12 @@ fn fixture_units(kind: &str) -> Vec<Unit> {
 }
 
 /// Extracts `//@ pure-roots: a b c` directives from every file of a unit.
-fn pure_roots(unit: &Unit) -> Vec<String> {
+fn pure_roots(unit: &Unit) -> Vec<&str> {
     let mut roots = Vec::new();
     for (_, src) in &unit.files {
         for line in src.lines() {
             if let Some(rest) = line.trim().strip_prefix("//@ pure-roots:") {
-                roots.extend(rest.split_whitespace().map(str::to_string));
+                roots.extend(rest.split_whitespace());
             }
         }
     }
@@ -104,10 +104,8 @@ fn pure_roots(unit: &Unit) -> Vec<String> {
 
 /// Runs both analysis stages on one unit.
 fn analyze_unit(unit: &Unit) -> Vec<ldp_lint::Finding> {
-    let roots = pure_roots(unit);
-    let (findings, _) = analyze_files(&unit.files, &roots, &[], &[], "fixroot")
-        .expect("fixture pure roots must resolve");
-    findings
+    analyze_files(&unit.files, &pure_roots(unit), &[], "fixroot")
+        .expect("fixture pure roots must resolve")
 }
 
 /// Parses `//~ <ID> [<ID>…]` markers: (file label, 1-based line, rule id).

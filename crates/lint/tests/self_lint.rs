@@ -1,14 +1,12 @@
 //! Self-lint: plain `cargo test` runs the full rule catalog — both the
 //! token-local rules and the cross-file P01/P02 passes — over the live
 //! workspace, so a determinism/hygiene regression fails the tier-1 gate
-//! locally. CI's `ldp-lint --deny --check-waivers` step is the same
-//! check with a nicer log.
+//! locally. CI's `ldp-lint --deny` step is the same check with a nicer
+//! log.
 
 use std::path::{Path, PathBuf};
 
-use ldp_lint::{
-    check_edge_waivers, check_waivers, discover_current_pr, lint_workspace, load_config, LintReport,
-};
+use ldp_lint::lint_workspace;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -17,16 +15,9 @@ fn workspace_root() -> PathBuf {
         .expect("crates/lint/../.. is the workspace root")
 }
 
-fn live_report(root: &Path) -> (ldp_lint::LintConfig, LintReport) {
-    let config = load_config(&root.join("lint_waivers.toml")).expect("waiver file parses");
-    let report = lint_workspace(root, &config).expect("workspace scan succeeds");
-    (config, report)
-}
-
 #[test]
-fn workspace_lints_clean_with_fresh_waivers() {
-    let root = workspace_root();
-    let (config, report) = live_report(&root);
+fn workspace_lints_clean() {
+    let report = lint_workspace(&workspace_root()).expect("workspace scan succeeds");
     assert!(
         report.files_scanned > 100,
         "suspiciously few files scanned ({}) — walker broke?",
@@ -34,29 +25,13 @@ fn workspace_lints_clean_with_fresh_waivers() {
     );
     assert!(
         report.findings.is_empty(),
-        "unwaived lint findings:\n{}",
+        "lint findings:\n{}",
         report
             .findings
             .iter()
             .map(ldp_lint::Finding::render)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    let current_pr = discover_current_pr(&root);
-    assert!(
-        current_pr.is_some(),
-        "CHANGES.md must yield a current PR number for waiver expiry"
-    );
-    let mut errors = check_waivers(&config.waivers, &report.suppressed, current_pr);
-    errors.extend(check_edge_waivers(
-        &config.edge_waivers,
-        &report.edge_waivers_used,
-        current_pr,
-    ));
-    assert!(
-        errors.is_empty(),
-        "waiver check failed:\n{}",
-        errors.join("\n")
     );
 }
 

@@ -22,7 +22,7 @@ use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::{DatasetKind, ScalePreset};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::scenario::{catalog, run_scenario, RunScale, ScaleSpec};
-use ldp_sim::stream::{StreamEngine, StreamSpec, WindowMode};
+use ldp_sim::stream::{check_count_only, StreamEngine, StreamSpec, WindowMode};
 use ldp_sim::table::{fmt_mean, fmt_stat};
 use ldp_sim::{
     run_experiment, AggregationMode, ExperimentConfig, PipelineOptions, Table, DEFAULT_SEED,
@@ -447,7 +447,11 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
                 args.suspend_after =
                     Some(parse_num(&value("--suspend-after")?, "--suspend-after")?);
             }
-            "--arms" => args.arms = Some(ArmSet::parse(&value("--arms")?)?),
+            "--arms" => {
+                let arms = ArmSet::parse(&value("--arms")?)?;
+                check_count_only(&arms)?;
+                args.arms = Some(arms);
+            }
             "--json" => args.json = Some(value("--json")?.into()),
             "--csv" => args.csv = true,
             "--help" | "-h" => {
@@ -1064,6 +1068,10 @@ mod tests {
         );
         let resumed = parse_stream(&["--resume", "c.json", "--arms", "recover"]).unwrap();
         assert!(resumed.arms.is_some(), "--arms is not a spec flag");
+        // Streams keep counts only, so report-consuming arms fail at parse.
+        for arms in ["detection", "recover,kmeans", "recover-km"] {
+            assert!(parse_stream(&["--arms", arms]).is_err(), "{arms}");
+        }
     }
 
     #[test]

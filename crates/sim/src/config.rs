@@ -61,8 +61,9 @@ impl ExperimentConfig {
     /// Validates the numeric ranges.
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] for out-of-range ε, β, η, scale, or a
-    /// zero trial count.
+    /// [`LdpError::InvalidParameter`] for out-of-range ε, β, η, scale, a
+    /// zero trial count, or attack parameters the dataset's domain cannot
+    /// hold (see [`AttackKind::validate`]).
     pub fn validate(&self) -> Result<()> {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
@@ -89,6 +90,9 @@ impl ExperimentConfig {
             return Err(LdpError::invalid(
                 "beta > 0 requires an attack; set beta = 0 for the unpoisoned baseline",
             ));
+        }
+        if let Some(attack) = self.attack {
+            attack.validate(self.dataset.domain())?;
         }
         Ok(())
     }
@@ -282,6 +286,13 @@ mod tests {
             |c: &mut ExperimentConfig| c.scale = 0.0,
             |c: &mut ExperimentConfig| c.scale = 1.2,
             |c: &mut ExperimentConfig| c.attack = None, // beta stays 0.05
+            |c: &mut ExperimentConfig| c.attack = Some(AttackKind::Mga { r: 0 }),
+            |c: &mut ExperimentConfig| c.attack = Some(AttackKind::Manip { h: 0 }),
+            |c: &mut ExperimentConfig| c.attack = Some(AttackKind::MultiAdaptive { attackers: 0 }),
+            |c: &mut ExperimentConfig| {
+                c.dataset = DatasetKind::Fire;
+                c.attack = Some(AttackKind::Mga { r: 491 }); // d = 490
+            },
         ] {
             let mut c = base();
             mutate(&mut c);

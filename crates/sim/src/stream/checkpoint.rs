@@ -693,6 +693,12 @@ mod tests {
                 .map(|(_, v)| *v = value)
                 .expect("key present");
         };
+        let with_attack = |attack| {
+            spec_to_json(&StreamSpec {
+                attack: Some(attack),
+                ..tiny_spec()
+            })
+        };
 
         for (label, bad) in [
             (
@@ -719,6 +725,21 @@ mod tests {
             (
                 "trajectory length mismatch",
                 corrupt(&|m| set(m, "trajectory", Json::Arr(vec![]))),
+            ),
+            (
+                "zero attack targets",
+                corrupt(&|m| set(m, "spec", with_attack(AttackKind::Mga { r: 0 }))),
+            ),
+            (
+                "more attack targets than items",
+                corrupt(&|m| set(m, "spec", with_attack(AttackKind::Manip { h: 1 << 20 }))),
+            ),
+            (
+                "zero attackers",
+                corrupt(&|m| {
+                    let attack = AttackKind::MultiAdaptive { attackers: 0 };
+                    set(m, "spec", with_attack(attack));
+                }),
             ),
         ] {
             assert!(

@@ -28,8 +28,9 @@
 //!   [`StreamEngine::arm_snapshot`]: an arm's
 //!   [`ArmRequirements::needs_reports`](ldprecover::ArmRequirements)
 //!   decides its eligibility — streaming never materializes per-user
-//!   reports, so report-consuming arms (detection, k-means) are rejected
-//!   with a clear error rather than silently skipped.
+//!   reports, so [`check_count_only`] rejects report-consuming arms
+//!   (detection, k-means) with a clear error rather than silently
+//!   skipping them.
 //! * **Checkpoints** — the whole engine state round-trips through the
 //!   shared JSON value layer ([`ldp_common::json`], see
 //!   [`checkpoint`](self)); because all randomness is derived per
@@ -145,8 +146,9 @@ impl StreamSpec {
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] for out-of-range ε/β/η, zero shards
-    /// or epochs, an epoch too small to give every shard a user, or
-    /// β > 0 without an attack.
+    /// or epochs, an epoch too small to give every shard a user, β > 0
+    /// without an attack, or attack parameters the dataset's domain
+    /// cannot hold (see [`AttackKind::validate`]).
     pub fn validate(&self) -> Result<()> {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
@@ -164,6 +166,9 @@ impl StreamSpec {
             return Err(LdpError::invalid(
                 "beta > 0 requires an attack; set beta = 0 for a clean stream",
             ));
+        }
+        if let Some(attack) = self.attack {
+            attack.validate(self.domain())?;
         }
         if self.shards == 0 {
             return Err(LdpError::invalid("shards must be ≥ 1"));
@@ -202,6 +207,29 @@ impl StreamSpec {
     /// The item domain of the spec's workload.
     pub fn domain(&self) -> Domain {
         self.dataset.domain()
+    }
+}
+
+/// Checks that every arm in `arms` runs on counts alone, the only state
+/// the streaming engine keeps. The CLI calls this while parsing, so an
+/// ineligible `--arms` fails before the first epoch.
+///
+/// # Errors
+/// [`LdpError::InvalidParameter`] naming the first report-consuming arm
+/// and listing the count-only ones.
+pub fn check_count_only(arms: &ArmSet) -> Result<()> {
+    match arms.kinds().iter().find(|k| k.requirements().needs_reports) {
+        None => Ok(()),
+        Some(kind) => Err(LdpError::invalid(format!(
+            "arm '{kind}' consumes per-user reports; the streaming engine \
+             aggregates counts only (count-only arms: {})",
+            ArmKind::ALL
+                .into_iter()
+                .filter(|k| !k.requirements().needs_reports)
+                .map(|k| k.name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        ))),
     }
 }
 
@@ -601,24 +629,11 @@ impl StreamEngine {
     /// produce identical snapshots.
     ///
     /// # Errors
-    /// [`LdpError::EmptyInput`] before the first epoch;
-    /// [`LdpError::InvalidParameter`] for report-consuming arms;
-    /// otherwise propagates arm failures.
+    /// [`LdpError::InvalidParameter`] for report-consuming arms (see
+    /// [`check_count_only`]); [`LdpError::EmptyInput`] before the first
+    /// epoch; otherwise propagates arm failures.
     pub fn arm_snapshot(&self, arms: &ArmSet) -> Result<Vec<(String, ArmOutput)>> {
-        for &kind in arms.kinds() {
-            if kind.requirements().needs_reports {
-                return Err(LdpError::invalid(format!(
-                    "arm '{kind}' consumes per-user reports; the streaming engine \
-                     aggregates counts only (count-only arms: {})",
-                    ArmKind::ALL
-                        .into_iter()
-                        .filter(|k| !k.requirements().needs_reports)
-                        .map(|k| k.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )));
-            }
-        }
+        check_count_only(arms)?;
         Ok(self.run_arms(arms.clone())?.arms)
     }
 
@@ -722,6 +737,13 @@ mod tests {
             |s: &mut StreamSpec| s.epochs = 0,
             |s: &mut StreamSpec| s.users_per_epoch = 2, // < shards
             |s: &mut StreamSpec| s.attack = None,       // beta stays 0.05
+            |s: &mut StreamSpec| s.attack = Some(AttackKind::Mga { r: 0 }),
+            |s: &mut StreamSpec| s.attack = Some(AttackKind::Manip { h: 0 }),
+            |s: &mut StreamSpec| s.attack = Some(AttackKind::MultiAdaptive { attackers: 0 }),
+            |s: &mut StreamSpec| {
+                s.dataset = DatasetKind::Fire;
+                s.attack = Some(AttackKind::MgaIpa { r: 491 }); // d = 490
+            },
         ] {
             let mut s = tiny_spec();
             mutate(&mut s);

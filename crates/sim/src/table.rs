@@ -1,8 +1,8 @@
 //! Fixed-width text tables and CSV output for the experiment binaries.
 //!
-//! Hand-rolled (no external table/serialization-format crates — see the
-//! dependency policy in DESIGN.md §3): the binaries print the same rows and
-//! series the paper's tables and figures report, plus optional CSV for
+//! Hand-rolled (no external table/serialization-format crates — see
+//! "Vendored dependencies" in the README): the binaries print the same rows
+//! and series the paper's tables and figures report, plus optional CSV for
 //! downstream plotting.
 
 /// A simple column-aligned table builder.

@@ -242,6 +242,92 @@ fn output_flags_into_missing_directories_fail_before_any_work() {
 
 #[test]
 #[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_stream_rejects_report_consuming_arms_before_any_work() {
+    // Streams keep counts only. Asking for a report-consuming arm must
+    // fail at parse time, not after every epoch has run and checkpointed.
+    let dir = std::env::temp_dir().join("ldprecover-stream-arms-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("c.json");
+    let _ = std::fs::remove_file(&ckpt);
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args(["stream", "--epochs", "2", "--arms", "recover,detection"])
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .output()
+        .expect("spawn ldp stream");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("InvalidParameter") && stderr.contains("detection"),
+        "expected a typed arm error, got:\n{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "no epoch may run");
+    assert!(!ckpt.exists(), "no checkpoint may be written");
+}
+
+/// Asserts that `ldp <args>` exits 1 with an `InvalidParameter` error.
+fn assert_invalid_parameter(args: &[&str]) {
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args(args)
+        .output()
+        .expect("spawn ldp");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "ldp {args:?}:\n{stderr}");
+    assert!(
+        stderr.contains("InvalidParameter"),
+        "ldp {args:?}:\n{stderr}"
+    );
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn out_of_range_attack_parameters_fail_with_invalid_parameter() {
+    for attack in [
+        ["--attack", "mga", "--targets", "0"].as_slice(),
+        ["--dataset", "fire", "--attack", "mga", "--targets", "491"].as_slice(), // d = 490
+        ["--attack", "manip", "--targets", "0"].as_slice(),
+        ["--attack", "multi", "--attackers", "0"].as_slice(),
+    ] {
+        assert_invalid_parameter(attack);
+        assert_invalid_parameter(&[["stream"].as_slice(), attack].concat());
+    }
+
+    // A suspended checkpoint hand-edited to zero targets fails on restore.
+    let dir = std::env::temp_dir().join("ldprecover-attack-params-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("c.json");
+    let made = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args([
+            "stream",
+            "--attack",
+            "mga",
+            "--targets",
+            "5",
+            "--epochs",
+            "2",
+        ])
+        .args([
+            "--users-per-epoch",
+            "200",
+            "--suspend-after",
+            "1",
+            "--checkpoint",
+        ])
+        .arg(&ckpt)
+        .output()
+        .expect("spawn ldp stream (checkpoint)");
+    assert!(made.status.success());
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    assert!(
+        text.contains("\"r\": 5"),
+        "checkpoint stores the target count"
+    );
+    std::fs::write(&ckpt, text.replace("\"r\": 5", "\"r\": 0")).unwrap();
+    assert_invalid_parameter(&["stream", "--resume", ckpt.to_str().unwrap()]);
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
 fn ldp_stream_resume_diffs_conflicting_spec_flags() {
     // Spec flags alongside --resume are legal when they agree with the
     // checkpoint; a disagreement fails fast with a field-by-field diff

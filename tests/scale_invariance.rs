@@ -1,6 +1,7 @@
-//! Validates the harness's `--scale` substitution argument (DESIGN.md §3):
-//! shrinking the population inflates MSE uniformly (∝ 1/n) across methods,
-//! so *who wins* is preserved at any scale.
+//! Validates the harness's `--scale` substitution argument (README,
+//! "Reproducing the paper", scale presets): shrinking the population
+//! inflates MSE uniformly (∝ 1/n) across methods, so *who wins* is
+//! preserved at any scale.
 
 use ldp_attacks::AttackKind;
 use ldp_datasets::DatasetKind;
