@@ -37,9 +37,14 @@ fn bench_recover(c: &mut Criterion) {
         });
 
         let targets: Vec<usize> = (0..10.min(d)).collect();
-        let star = LdpRecover::new(0.2).unwrap().with_targets(targets);
         group.bench_with_input(BenchmarkId::new("partial_knowledge", d), &d, |b, _| {
-            b.iter(|| black_box(star.recover(&poisoned, params).unwrap()));
+            b.iter(|| {
+                black_box(
+                    recover
+                        .recover_with_targets(&poisoned, params, &targets)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();

@@ -1,19 +1,19 @@
-//! The open defense-arm API: a first-class, object-safe trait for
-//! recovery/defense methods, plus the string-keyed registry the simulation
-//! and CLI layers drive.
+//! The defense arms the evaluation compares, and the string-keyed registry
+//! the simulation and CLI layers select them through.
 //!
-//! LDPRecover's evaluation is fundamentally a *comparison of defenses* —
-//! LDPRecover, LDPRecover\*, report-filtering detection (Cao et al.),
-//! k-means subset clustering (Du et al.), and plain normalization
-//! baselines. Historically each of those was a hard-coded field threaded
-//! by hand through every simulation layer; this module inverts the
-//! dependency: a defense is **data** ([`ArmKind`] in the registry, a
-//! [`DefenseArm`] implementation for the algorithm), and the pipeline
-//! only ever sees the trait.
+//! LDPRecover's evaluation is a *comparison of defenses*: LDPRecover and
+//! LDPRecover\* (§V), report-filtering detection (Cao et al.), k-means
+//! subset clustering (Du et al.) with LDPRecover-KM (§VII-B), and two
+//! plain normalization baselines. The set is closed: [`ArmKind`] names
+//! every arm, and [`Arm::run`] dispatches on it.
 //!
-//! * [`DefenseArm`] — the object-safe trait: `name`, [`ArmRequirements`]
-//!   (does the arm consume raw reports? identified targets?),
-//!   and `run` over an [`ArmContext`].
+//! * [`ArmKind`] / [`ArmSet`] — the registry (`ArmKind::parse`,
+//!   `ArmSet::parse`) behind `ldp --arms recover,detection,norm-sub` and
+//!   the scenario catalog's arm grids. Each kind declares what it consumes
+//!   beyond the poisoned estimate ([`ArmKind::needs_reports`],
+//!   [`ArmKind::needs_targets`]).
+//! * [`Arm`] — one executable step of an [`ArmSet`], built by
+//!   [`ArmSet::build`]; the two k-means kinds share one step.
 //! * [`ArmContext`] — everything the server side has at recovery time:
 //!   the poisoned frequency estimate, protocol parameters, optionally the
 //!   retained per-user reports, the protocol instance, and an identified
@@ -23,53 +23,6 @@
 //!   statistical degeneracy* ([`ArmOutcome::Degenerate`]) that callers
 //!   skip without failing the trial. Real errors (shape mismatches, bad
 //!   configuration) stay `Err` and propagate.
-//! * [`ArmKind`] / [`ArmSet`] — the string-keyed registry
-//!   (`ArmKind::parse`, `ArmSet::parse`) behind `ldp --arms
-//!   recover,detection,norm-sub` and the scenario catalog's arm grids.
-//!
-//! # Adding your own arm
-//!
-//! A new defense is one trait impl plus a registry line — no simulation
-//! internals involved:
-//!
-//! ```
-//! use ldp_common::{Domain, Result};
-//! use ldp_protocols::PureParams;
-//! use ldprecover::arm::{ArmContext, ArmOutcome, ArmOutput, ArmRequirements, DefenseArm};
-//! use rand::RngCore;
-//!
-//! /// A toy defense: trust the poisoned estimate, clip + renormalize.
-//! struct ClipArm;
-//!
-//! impl DefenseArm for ClipArm {
-//!     fn name(&self) -> &str {
-//!         "clip"
-//!     }
-//!     fn requirements(&self) -> ArmRequirements {
-//!         ArmRequirements::default() // frequencies only: no reports/targets
-//!     }
-//!     fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-//!         let frequencies = ldprecover::solve::clip_normalize(ctx.poisoned);
-//!         Ok(ArmOutcome::single("clip", ArmOutput::frequencies_only(frequencies)))
-//!     }
-//! }
-//!
-//! let domain = Domain::new(4).unwrap();
-//! let params = PureParams::new(0.5, 1.0 / 6.0, domain).unwrap();
-//! let poisoned = vec![0.55, 0.30, 0.18, -0.03];
-//! let ctx = ArmContext::new(&poisoned, params, 0.2);
-//! let mut rng = ldp_common::rng::rng_from_seed(1);
-//! match ClipArm.run(&ctx, &mut rng).unwrap() {
-//!     ArmOutcome::Outputs(outputs) => {
-//!         assert_eq!(outputs[0].0, "clip");
-//!         assert!((outputs[0].1.frequencies.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-//!     }
-//!     ArmOutcome::Degenerate { .. } => unreachable!("clip never degenerates"),
-//! }
-//! ```
-//!
-//! To make it selectable end to end, add an `ArmKind` variant with a name
-//! and metric key, and a line in [`ArmSet::build`].
 
 use ldp_common::{LdpError, Result};
 use ldp_protocols::{AnyProtocol, PureParams, Report};
@@ -80,30 +33,14 @@ use crate::malicious::MaliciousSumModel;
 use crate::recover::LdpRecover;
 use crate::solve::PostProcess;
 
-/// What an arm consumes beyond the poisoned frequency estimate.
-///
-/// The scheduler uses these flags *before* running anything: arms that
-/// need raw reports force per-user aggregation (and are ineligible in
-/// count-only settings like the streaming engine), and arms that need
-/// targets trigger the target-identification step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArmRequirements {
-    /// The arm consumes the retained per-user [`Report`]s (e.g. report
-    /// filtering, subset clustering). Incompatible with batched/count-only
-    /// aggregation, which never materializes reports.
-    pub needs_reports: bool,
-    /// The arm consumes an identified target set (the partial-knowledge
-    /// scenario of paper §V-D).
-    pub needs_targets: bool,
-}
-
 /// Everything the server side has at recovery time — the input of every
-/// [`DefenseArm::run`].
+/// [`Arm::run`].
 ///
 /// Only `poisoned`, `params`, and `eta` always exist; the rest depends on
 /// the aggregation mode (reports), the attack (targets), and the caller.
-/// Arms must check their own [`ArmRequirements`] against what is present
-/// and return a clear error when a hard requirement is missing.
+/// An arm whose declared inputs ([`ArmKind::needs_reports`]) are missing
+/// returns a clear error; one that lacks an identified target set
+/// degenerates instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ArmContext<'a> {
     /// The poisoned aggregated frequency estimate `f̃_Z` (debiased).
@@ -214,7 +151,7 @@ impl ArmOutput {
     }
 }
 
-/// What one [`DefenseArm::run`] yields.
+/// What one [`Arm::run`] yields.
 ///
 /// Arms usually emit a single output keyed by their metric key; families
 /// that share one expensive pass (the k-means defenses, where one
@@ -250,32 +187,7 @@ impl ArmOutcome {
     }
 }
 
-/// A recovery/defense method, as the evaluation pipeline sees it.
-///
-/// Object-safe by construction (`&mut dyn RngCore`): the pipeline holds
-/// `Box<dyn DefenseArm>` and never matches on concrete types. See the
-/// [module docs](self) for a worked "add your own arm" example.
-pub trait DefenseArm: Send + Sync {
-    /// The registry/CLI name (e.g. `"recover-star"`).
-    fn name(&self) -> &str;
-
-    /// What this arm consumes beyond the poisoned estimate.
-    fn requirements(&self) -> ArmRequirements;
-
-    /// Runs the defense on one trial's context.
-    ///
-    /// # Errors
-    /// Real failures only (shape mismatches, missing hard requirements,
-    /// numerical breakdown); documented small-sample degeneracies return
-    /// `Ok(ArmOutcome::Degenerate { .. })` instead.
-    fn run(&self, ctx: &ArmContext<'_>, rng: &mut dyn RngCore) -> Result<ArmOutcome>;
-}
-
-// ---------------------------------------------------------------------------
-// The registry.
-// ---------------------------------------------------------------------------
-
-/// The string-keyed registry of shipped defense arms.
+/// The string-keyed registry of defense arms.
 ///
 /// | kind | name (CLI) | metric key | knowledge assumed | reports? |
 /// |------|------------|------------|-------------------|----------|
@@ -291,8 +203,13 @@ pub enum ArmKind {
     /// LDPRecover proper (paper Algorithm 1, no attack knowledge).
     Recover,
     /// LDPRecover\* (partial knowledge: identified target set).
+    /// Degenerates when no target set exists — e.g. an unpoisoned trial,
+    /// where there is nothing to know.
     RecoverStar,
-    /// The report-filtering detection baseline (Cao et al.).
+    /// The report-filtering detection baseline (Cao et al.): remove
+    /// reports whose target support is implausible for a genuine user,
+    /// re-estimate from survivors. Degenerates only when no target set
+    /// exists or every report is flagged.
     Detection,
     /// The k-means subset-clustering defense (Du et al., Fig. 9).
     Kmeans,
@@ -360,27 +277,22 @@ impl ArmKind {
         }
     }
 
-    /// The arm's static requirements (what [`DefenseArm::requirements`]
-    /// reports for the shipped implementation).
-    pub const fn requirements(self) -> ArmRequirements {
-        match self {
-            ArmKind::Recover | ArmKind::NormSub | ArmKind::BaseCut => ArmRequirements {
-                needs_reports: false,
-                needs_targets: false,
-            },
-            ArmKind::RecoverStar => ArmRequirements {
-                needs_reports: false,
-                needs_targets: true,
-            },
-            ArmKind::Detection => ArmRequirements {
-                needs_reports: true,
-                needs_targets: true,
-            },
-            ArmKind::Kmeans | ArmKind::RecoverKm => ArmRequirements {
-                needs_reports: true,
-                needs_targets: false,
-            },
-        }
+    /// Whether the arm consumes the retained per-user [`Report`]s and the
+    /// protocol instance (report filtering, subset clustering). Such arms
+    /// force per-user aggregation and are ineligible in count-only
+    /// settings like the streaming engine.
+    pub const fn needs_reports(self) -> bool {
+        matches!(
+            self,
+            ArmKind::Detection | ArmKind::Kmeans | ArmKind::RecoverKm
+        )
+    }
+
+    /// Whether the arm consumes an identified target set (the
+    /// partial-knowledge scenario of paper §V-D); selecting one triggers
+    /// the target-identification step.
+    pub const fn needs_targets(self) -> bool {
+        matches!(self, ArmKind::RecoverStar | ArmKind::Detection)
     }
 
     /// Parses a registry name (case-insensitive; `_` and `-` are
@@ -488,44 +400,31 @@ impl ArmSet {
     /// Whether any selected arm consumes raw reports (forces per-user
     /// aggregation).
     pub fn needs_reports(&self) -> bool {
-        self.kinds.iter().any(|k| k.requirements().needs_reports)
+        self.kinds.iter().any(|k| k.needs_reports())
     }
 
     /// Whether any selected arm consumes an identified target set
     /// (triggers the identification step).
     pub fn needs_targets(&self) -> bool {
-        self.kinds.iter().any(|k| k.requirements().needs_targets)
+        self.kinds.iter().any(|k| k.needs_targets())
     }
 
-    /// Instantiates the executable arms, in canonical order.
+    /// The executable steps, in canonical order.
     ///
-    /// The two k-means kinds fuse into one [`DefenseArm`] so a set
-    /// containing both pays for (and draws RNG for) exactly one
-    /// clustering pass — the historical behaviour of the closed pipeline,
-    /// which the differential goldens pin bit-for-bit.
-    pub fn build(&self, kmeans: &KMeansDefense) -> Vec<Box<dyn DefenseArm>> {
-        let mut arms: Vec<Box<dyn DefenseArm>> = Vec::new();
-        let mut kmeans_done = false;
-        for &kind in &self.kinds {
-            match kind {
-                ArmKind::Recover => arms.push(Box::new(RecoverArm)),
-                ArmKind::RecoverStar => arms.push(Box::new(RecoverStarArm)),
-                ArmKind::Detection => arms.push(Box::new(DetectionArm)),
-                ArmKind::Kmeans | ArmKind::RecoverKm => {
-                    if !kmeans_done {
-                        kmeans_done = true;
-                        arms.push(Box::new(KMeansFamilyArm {
-                            defense: *kmeans,
-                            emit_kmeans: self.contains(ArmKind::Kmeans),
-                            emit_recover_km: self.contains(ArmKind::RecoverKm),
-                        }));
-                    }
-                }
-                ArmKind::NormSub => arms.push(Box::new(NormSubArm)),
-                ArmKind::BaseCut => arms.push(Box::new(BaseCutArm)),
-            }
-        }
-        arms
+    /// The two k-means kinds fuse into one step so a set containing both
+    /// pays for (and draws RNG for) exactly one clustering pass — the
+    /// historical behaviour the differential goldens pin bit-for-bit.
+    pub fn build(&self, kmeans: &KMeansDefense) -> Vec<Arm> {
+        let fused = self.contains(ArmKind::Kmeans) && self.contains(ArmKind::RecoverKm);
+        self.kinds
+            .iter()
+            .filter(|&&kind| !(fused && kind == ArmKind::RecoverKm))
+            .map(|&kind| Arm {
+                kind,
+                kmeans: *kmeans,
+                emit_recover_km: fused && kind == ArmKind::Kmeans,
+            })
+            .collect()
     }
 }
 
@@ -536,233 +435,137 @@ impl std::fmt::Display for ArmSet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The shipped arm implementations.
-// ---------------------------------------------------------------------------
+/// Why a target-consuming arm degenerates without an identified target set.
+const NO_TARGETS: &str =
+    "no identified target set (unpoisoned trial or identification unavailable)";
 
-/// LDPRecover proper: no attack knowledge (paper Algorithm 1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverArm;
-
-impl DefenseArm for RecoverArm {
-    fn name(&self) -> &str {
-        ArmKind::Recover.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Recover.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        let outcome = ctx.recoverer()?.recover(ctx.poisoned, ctx.params)?;
-        Ok(ArmOutcome::single(
-            ArmKind::Recover.metric_key(),
-            ArmOutput {
-                frequencies: outcome.frequencies,
-                malicious_estimate: Some(outcome.malicious_estimate),
-                track_fg: true,
-            },
-        ))
-    }
-}
-
-/// LDPRecover\*: the partial-knowledge scenario over the context's
-/// identified target set. Degenerates (rather than failing) when no target
-/// set exists — e.g. an unpoisoned trial, where there is nothing to know.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverStarArm;
-
-impl DefenseArm for RecoverStarArm {
-    fn name(&self) -> &str {
-        ArmKind::RecoverStar.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::RecoverStar.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        let Some(targets) = ctx.targets else {
-            return Ok(ArmOutcome::degenerate(
-                "no identified target set (unpoisoned trial or identification unavailable)",
-            ));
-        };
-        let outcome = ctx
-            .recoverer()?
-            .recover_with_targets(ctx.poisoned, ctx.params, targets)?;
-        Ok(ArmOutcome::single(
-            ArmKind::RecoverStar.metric_key(),
-            ArmOutput {
-                frequencies: outcome.frequencies,
-                malicious_estimate: Some(outcome.malicious_estimate),
-                track_fg: true,
-            },
-        ))
-    }
-}
-
-/// The report-filtering detection baseline: remove reports whose target
-/// support is implausible for a genuine user, re-estimate from survivors.
-///
-/// Degenerates only on the two documented small-sample cases (no target
-/// set identified; every report flagged); every other failure — shape
-/// mismatch, invalid target set — is a real error and propagates.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DetectionArm;
-
-impl DefenseArm for DetectionArm {
-    fn name(&self) -> &str {
-        ArmKind::Detection.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Detection.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        let Some(targets) = ctx.targets else {
-            return Ok(ArmOutcome::degenerate(
-                "no identified target set (unpoisoned trial or identification unavailable)",
-            ));
-        };
-        let protocol = ctx.protocol.ok_or_else(|| {
-            LdpError::invalid("the detection arm needs the protocol instance in its context")
-        })?;
-        let reports = ctx.reports.ok_or_else(|| {
-            LdpError::invalid(
-                "the detection arm consumes raw reports; aggregate per-user (or Auto)",
-            )
-        })?;
-        let detection = crate::detection::Detection::new(targets.to_vec())?;
-        let mask = detection.keep_mask(protocol, reports);
-        if !mask.iter().any(|&keep| keep) {
-            return Ok(ArmOutcome::degenerate(
-                "every report was flagged as malicious (small-sample degeneracy)",
-            ));
-        }
-        let frequencies =
-            crate::detection::Detection::estimate_from_mask(protocol, reports, &mask)?;
-        Ok(ArmOutcome::single(
-            ArmKind::Detection.metric_key(),
-            ArmOutput::frequencies_only(frequencies),
-        ))
-    }
-}
-
-/// The k-means family: subset clustering (Du et al.) and its LDPRecover
-/// integration, fused so one clustering pass serves both outputs.
-///
-/// The internal malicious *direction* (the centroid difference) is a
-/// normalized heuristic, not an estimate of the true aggregated `f̃_Y`,
-/// so neither output exposes a malicious-estimate side channel; and FG is
-/// not tracked — these are the paper's input-poisoning (Fig. 9) arms,
-/// evaluated on MSE.
+/// One executable step of an [`ArmSet`]: a registry kind plus the
+/// configuration its run needs. Built by [`ArmSet::build`].
 #[derive(Debug, Clone, Copy)]
-pub struct KMeansFamilyArm {
-    /// Clustering configuration (subset count, sample rate).
-    pub defense: KMeansDefense,
-    /// Emit the plain k-means estimate (metric key `kmeans`).
-    pub emit_kmeans: bool,
-    /// Emit LDPRecover-KM (metric key `recover_km`).
-    pub emit_recover_km: bool,
+pub struct Arm {
+    kind: ArmKind,
+    kmeans: KMeansDefense,
+    /// A `Kmeans` step that also emits LDPRecover-KM from the same
+    /// clustering pass (both k-means kinds selected).
+    emit_recover_km: bool,
 }
 
-impl DefenseArm for KMeansFamilyArm {
-    fn name(&self) -> &str {
-        if self.emit_kmeans {
-            ArmKind::Kmeans.name()
-        } else {
-            ArmKind::RecoverKm.name()
-        }
+impl Arm {
+    /// The registry/CLI name of the step's kind (a fused k-means step is
+    /// named `kmeans`).
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
     }
 
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::Kmeans.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        let protocol = ctx.protocol.ok_or_else(|| {
-            LdpError::invalid("the k-means arms need the protocol instance in their context")
-        })?;
-        let reports = ctx.reports.ok_or_else(|| {
-            LdpError::invalid("the k-means arms consume raw reports; aggregate per-user (or Auto)")
-        })?;
-        let outcome = self.defense.run(protocol, reports, rng)?;
-        let recover_km = if self.emit_recover_km {
-            let recovered = KMeansDefense::recover_from_outcome(&ctx.recoverer()?, &outcome)?;
-            Some(recovered.frequencies)
-        } else {
-            None
-        };
-        let mut outputs = Vec::new();
-        if self.emit_kmeans {
-            outputs.push((
-                ArmKind::Kmeans.metric_key().to_string(),
-                ArmOutput {
-                    frequencies: outcome.genuine_estimate,
-                    malicious_estimate: None,
-                    track_fg: false,
-                },
-            ));
-        }
-        if let Some(frequencies) = recover_km {
-            outputs.push((
-                ArmKind::RecoverKm.metric_key().to_string(),
-                ArmOutput {
+    /// Runs the defense on one trial's context.
+    ///
+    /// Only the k-means step draws from `rng`; every other arm leaves it
+    /// untouched.
+    ///
+    /// # Errors
+    /// Real failures only (shape mismatches, missing protocol or reports
+    /// for a report-consuming arm, numerical breakdown); documented
+    /// small-sample degeneracies return `Ok(ArmOutcome::Degenerate { .. })`
+    /// instead.
+    pub fn run(&self, ctx: &ArmContext<'_>, rng: &mut dyn RngCore) -> Result<ArmOutcome> {
+        match self.kind {
+            ArmKind::Recover | ArmKind::RecoverStar => {
+                let outcome = match (self.kind, ctx.targets) {
+                    (ArmKind::Recover, _) => ctx.recoverer()?.recover(ctx.poisoned, ctx.params)?,
+                    (_, Some(targets)) => {
+                        ctx.recoverer()?
+                            .recover_with_targets(ctx.poisoned, ctx.params, targets)?
+                    }
+                    (_, None) => return Ok(ArmOutcome::degenerate(NO_TARGETS)),
+                };
+                Ok(ArmOutcome::single(
+                    self.kind.metric_key(),
+                    ArmOutput {
+                        frequencies: outcome.frequencies,
+                        malicious_estimate: Some(outcome.malicious_estimate),
+                        track_fg: true,
+                    },
+                ))
+            }
+            ArmKind::Detection => {
+                let Some(targets) = ctx.targets else {
+                    return Ok(ArmOutcome::degenerate(NO_TARGETS));
+                };
+                let protocol = ctx.protocol.ok_or_else(|| {
+                    LdpError::invalid(
+                        "the detection arm needs the protocol instance in its context",
+                    )
+                })?;
+                let reports = ctx.reports.ok_or_else(|| {
+                    LdpError::invalid(
+                        "the detection arm consumes raw reports; aggregate per-user (or Auto)",
+                    )
+                })?;
+                let detection = crate::detection::Detection::new(targets.to_vec())?;
+                let mask = detection.keep_mask(protocol, reports);
+                if !mask.iter().any(|&keep| keep) {
+                    return Ok(ArmOutcome::degenerate(
+                        "every report was flagged as malicious (small-sample degeneracy)",
+                    ));
+                }
+                let frequencies =
+                    crate::detection::Detection::estimate_from_mask(protocol, reports, &mask)?;
+                Ok(ArmOutcome::single(
+                    ArmKind::Detection.metric_key(),
+                    ArmOutput::frequencies_only(frequencies),
+                ))
+            }
+            ArmKind::Kmeans | ArmKind::RecoverKm => {
+                let protocol = ctx.protocol.ok_or_else(|| {
+                    LdpError::invalid(
+                        "the k-means arms need the protocol instance in their context",
+                    )
+                })?;
+                let reports = ctx.reports.ok_or_else(|| {
+                    LdpError::invalid(
+                        "the k-means arms consume raw reports; aggregate per-user (or Auto)",
+                    )
+                })?;
+                let outcome = self.kmeans.run(protocol, reports, rng)?;
+                // The centroid difference is a heuristic direction, not an
+                // estimate of `f̃_Y`, and these Fig. 9 arms are scored on
+                // MSE: no malicious side channel, no FG.
+                let mse_only = |frequencies| ArmOutput {
                     frequencies,
                     malicious_estimate: None,
                     track_fg: false,
-                },
-            ));
+                };
+                let recover_km = if self.kind == ArmKind::RecoverKm || self.emit_recover_km {
+                    let recovered =
+                        KMeansDefense::recover_from_outcome(&ctx.recoverer()?, &outcome)?;
+                    Some(recovered.frequencies)
+                } else {
+                    None
+                };
+                let mut outputs = Vec::new();
+                if self.kind == ArmKind::Kmeans {
+                    outputs.push((
+                        ArmKind::Kmeans.metric_key().to_string(),
+                        mse_only(outcome.genuine_estimate),
+                    ));
+                }
+                if let Some(frequencies) = recover_km {
+                    outputs.push((
+                        ArmKind::RecoverKm.metric_key().to_string(),
+                        mse_only(frequencies),
+                    ));
+                }
+                Ok(ArmOutcome::Outputs(outputs))
+            }
+            ArmKind::NormSub => Ok(ArmOutcome::single(
+                ArmKind::NormSub.metric_key(),
+                ArmOutput::frequencies_only(PostProcess::NormSub.apply(ctx.poisoned)?),
+            )),
+            ArmKind::BaseCut => Ok(ArmOutcome::single(
+                ArmKind::BaseCut.metric_key(),
+                ArmOutput::frequencies_only(PostProcess::BaseCut.apply(ctx.poisoned)?),
+            )),
         }
-        Ok(ArmOutcome::Outputs(outputs))
-    }
-}
-
-/// Standalone norm-sub: Algorithm 1's refinement applied directly to the
-/// poisoned estimate, with no malicious-frequency learning at all — the
-/// "just project back to the simplex" baseline latent in
-/// [`crate::solve::norm_sub`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NormSubArm;
-
-impl DefenseArm for NormSubArm {
-    fn name(&self) -> &str {
-        ArmKind::NormSub.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::NormSub.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        Ok(ArmOutcome::single(
-            ArmKind::NormSub.metric_key(),
-            ArmOutput::frequencies_only(PostProcess::NormSub.apply(ctx.poisoned)?),
-        ))
-    }
-}
-
-/// Standalone Base-Cut (Wang et al., NDSS 2020): zero every estimate below
-/// the uniform level `1/d`, renormalize — the sparsity-inducing baseline
-/// latent in [`crate::solve::base_cut`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaseCutArm;
-
-impl DefenseArm for BaseCutArm {
-    fn name(&self) -> &str {
-        ArmKind::BaseCut.name()
-    }
-
-    fn requirements(&self) -> ArmRequirements {
-        ArmKind::BaseCut.requirements()
-    }
-
-    fn run(&self, ctx: &ArmContext<'_>, _rng: &mut dyn RngCore) -> Result<ArmOutcome> {
-        Ok(ArmOutcome::single(
-            ArmKind::BaseCut.metric_key(),
-            ArmOutput::frequencies_only(PostProcess::BaseCut.apply(ctx.poisoned)?),
-        ))
     }
 }
 
@@ -778,6 +581,11 @@ mod tests {
         let e = eps.exp();
         let denom = d as f64 - 1.0 + e;
         PureParams::new(e / denom, 1.0 / denom, Domain::new(d).unwrap()).unwrap()
+    }
+
+    /// The single step `build` makes for one kind.
+    fn arm(kind: ArmKind) -> Arm {
+        ArmSet::new([kind]).build(&KMeansDefense::default())[0]
     }
 
     fn outputs(outcome: ArmOutcome) -> Vec<(String, ArmOutput)> {
@@ -842,10 +650,49 @@ mod tests {
     }
 
     #[test]
+    fn declared_inputs_match_what_run_uses() {
+        let domain = Domain::new(12).unwrap();
+        let protocol = ProtocolKind::Oue.build(0.5, domain).unwrap();
+        let mut rng = rng_from_seed(8);
+        let reports: Vec<Report> = (0..600)
+            .map(|i| protocol.perturb(i % 12, &mut rng))
+            .collect();
+        let mut acc = CountAccumulator::new(domain);
+        acc.add_all(&protocol, &reports);
+        let poisoned = acc.frequencies(protocol.params()).unwrap();
+        let targets = [3usize, 7];
+        for kind in ArmKind::ALL {
+            // (a) Counts and targets only: exactly the count-only arms run.
+            let counts_only =
+                ArmContext::new(&poisoned, protocol.params(), 0.2).with_targets(&targets);
+            let mut rng = rng_from_seed(9);
+            let result = arm(kind).run(&counts_only, &mut rng);
+            assert_eq!(result.is_ok(), !kind.needs_reports(), "{kind}");
+            // (b) ... and they draw nothing from the RNG.
+            if !kind.needs_reports() {
+                assert_eq!(rng.next_u64(), rng_from_seed(9).next_u64(), "{kind}");
+            }
+            // (c) Protocol and reports but no targets: exactly the
+            // target-consuming arms degenerate.
+            let no_targets = ArmContext::new(&poisoned, protocol.params(), 0.2)
+                .with_protocol(&protocol)
+                .with_reports(&reports);
+            let outcome = arm(kind).run(&no_targets, &mut rng_from_seed(10));
+            assert_eq!(
+                matches!(outcome, Ok(ArmOutcome::Degenerate { .. })),
+                kind.needs_targets(),
+                "{kind}"
+            );
+            assert!(outcome.is_ok(), "{kind}");
+        }
+    }
+
+    #[test]
     fn kmeans_kinds_fuse_into_one_executable() {
         let both = ArmSet::new([ArmKind::Recover, ArmKind::Kmeans, ArmKind::RecoverKm]);
         let arms = both.build(&KMeansDefense::default());
         assert_eq!(arms.len(), 2, "recover + one fused k-means family");
+        assert_eq!(arms[1].name(), "kmeans");
         let only_km = ArmSet::new([ArmKind::RecoverKm]).build(&KMeansDefense::default());
         assert_eq!(only_km.len(), 1);
         assert_eq!(only_km[0].name(), "recover-km");
@@ -857,7 +704,7 @@ mod tests {
         let poisoned = vec![0.4, 0.25, 0.2, 0.1, 0.05, -0.02];
         let ctx = ArmContext::new(&poisoned, params, 0.2);
         let mut rng = rng_from_seed(1);
-        let outs = outputs(RecoverArm.run(&ctx, &mut rng).unwrap());
+        let outs = outputs(arm(ArmKind::Recover).run(&ctx, &mut rng).unwrap());
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, "recover");
         let direct = LdpRecover::new(0.2)
@@ -879,16 +726,15 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let ctx = ArmContext::new(&poisoned, params, 0.2);
         assert!(matches!(
-            RecoverStarArm.run(&ctx, &mut rng).unwrap(),
+            arm(ArmKind::RecoverStar).run(&ctx, &mut rng).unwrap(),
             ArmOutcome::Degenerate { .. }
         ));
         let targets = [1usize, 4];
         let ctx = ctx.with_targets(&targets);
-        let outs = outputs(RecoverStarArm.run(&ctx, &mut rng).unwrap());
+        let outs = outputs(arm(ArmKind::RecoverStar).run(&ctx, &mut rng).unwrap());
         let direct = LdpRecover::new(0.2)
             .unwrap()
-            .with_targets(targets.to_vec())
-            .recover(&poisoned, params)
+            .recover_with_targets(&poisoned, params, &targets)
             .unwrap();
         assert_eq!(outs[0].0, "star");
         assert_eq!(outs[0].1.frequencies, direct.frequencies);
@@ -908,14 +754,14 @@ mod tests {
             .with_reports(&reports)
             .with_targets(&targets);
         assert!(matches!(
-            DetectionArm.run(&ctx, &mut rng).unwrap(),
+            arm(ArmKind::Detection).run(&ctx, &mut rng).unwrap(),
             ArmOutcome::Degenerate { .. }
         ));
         // Missing reports with targets present → a real error.
         let ctx = ArmContext::new(&poisoned, protocol.params(), 0.2)
             .with_protocol(&protocol)
             .with_targets(&targets);
-        assert!(DetectionArm.run(&ctx, &mut rng).is_err());
+        assert!(arm(ArmKind::Detection).run(&ctx, &mut rng).is_err());
         // Survivors exist → a real estimate, identical to Detection::recover.
         let targets = [0usize];
         let reports = vec![Report::Grr(0), Report::Grr(3), Report::Grr(2)];
@@ -923,7 +769,7 @@ mod tests {
             .with_protocol(&protocol)
             .with_reports(&reports)
             .with_targets(&targets);
-        let outs = outputs(DetectionArm.run(&ctx, &mut rng).unwrap());
+        let outs = outputs(arm(ArmKind::Detection).run(&ctx, &mut rng).unwrap());
         let direct = crate::detection::Detection::new(targets.to_vec())
             .unwrap()
             .recover(&protocol, &reports)
@@ -951,23 +797,18 @@ mod tests {
         let ctx = ArmContext::new(&poisoned, protocol.params(), 0.1)
             .with_protocol(&protocol)
             .with_reports(&reports);
-        let arm = KMeansFamilyArm {
-            defense: KMeansDefense::new(10, 0.3).unwrap(),
-            emit_kmeans: true,
-            emit_recover_km: true,
-        };
+        let defense = KMeansDefense::new(10, 0.3).unwrap();
+        let fused = ArmSet::new([ArmKind::Kmeans, ArmKind::RecoverKm]).build(&defense);
+        assert_eq!(fused.len(), 1);
         let mut rng_a = rng_from_seed(5);
-        let outs = outputs(arm.run(&ctx, &mut rng_a).unwrap());
+        let outs = outputs(fused[0].run(&ctx, &mut rng_a).unwrap());
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].0, "kmeans");
         assert_eq!(outs[1].0, "recover_km");
         assert!(is_probability_vector(&outs[1].1.frequencies, 1e-9));
         assert!(!outs[0].1.track_fg && !outs[1].1.track_fg);
         // Same seed, kmeans-only: identical clustering, identical estimate.
-        let solo = KMeansFamilyArm {
-            emit_recover_km: false,
-            ..arm
-        };
+        let solo = ArmSet::new([ArmKind::Kmeans]).build(&defense)[0];
         let mut rng_b = rng_from_seed(5);
         let solo_outs = outputs(solo.run(&ctx, &mut rng_b).unwrap());
         assert_eq!(solo_outs.len(), 1);
@@ -980,15 +821,15 @@ mod tests {
         let poisoned = vec![0.6, -0.2, 0.5, 0.3, -0.05];
         let ctx = ArmContext::new(&poisoned, params, 0.2);
         let mut rng = rng_from_seed(6);
-        let ns = outputs(NormSubArm.run(&ctx, &mut rng).unwrap());
+        let ns = outputs(arm(ArmKind::NormSub).run(&ctx, &mut rng).unwrap());
         assert_eq!(ns[0].0, "norm_sub");
         assert_eq!(ns[0].1.frequencies, crate::solve::norm_sub(&poisoned));
-        let bc = outputs(BaseCutArm.run(&ctx, &mut rng).unwrap());
+        let bc = outputs(arm(ArmKind::BaseCut).run(&ctx, &mut rng).unwrap());
         assert_eq!(bc[0].0, "base_cut");
         assert_eq!(bc[0].1.frequencies, crate::solve::base_cut(&poisoned));
         // Non-finite input is a real error, never a silent degrade.
         let bad = vec![f64::NAN; 5];
         let ctx = ArmContext::new(&bad, params, 0.2);
-        assert!(NormSubArm.run(&ctx, &mut rng).is_err());
+        assert!(arm(ArmKind::NormSub).run(&ctx, &mut rng).is_err());
     }
 }

@@ -166,26 +166,11 @@ impl KMeansDefense {
         })
     }
 
-    /// LDPRecover-KM: learn the malicious frequency vector from the cluster
-    /// structure and run the genuine frequency estimator + refinement on
-    /// the full poisoned estimate.
-    ///
-    /// # Errors
-    /// Propagates defense and recovery failures.
-    pub fn recover_km<R: Rng + ?Sized>(
-        &self,
-        recover: &LdpRecover,
-        protocol: &AnyProtocol,
-        reports: &[Report],
-        rng: &mut R,
-    ) -> Result<RecoveryOutcome> {
-        let outcome = self.run(protocol, reports, rng)?;
-        Self::recover_from_outcome(recover, &outcome)
-    }
-
-    /// LDPRecover-KM from an already-computed defense outcome (lets callers
-    /// that also report the plain k-means estimate pay for one clustering
-    /// pass, not two).
+    /// LDPRecover-KM: learn the malicious frequency vector from the
+    /// cluster structure of a [`KMeansDefense::run`] outcome and run the
+    /// genuine frequency estimator + refinement on the full poisoned
+    /// estimate. One clustering pass serves both the plain k-means estimate
+    /// and this one.
     ///
     /// The poisoned estimate is the outcome's
     /// [`poisoned_estimate`](KMeansOutcome::poisoned_estimate), the total
@@ -683,10 +668,11 @@ mod tests {
                         // Same RNG draws consumed.
                         assert_eq!(rng.next_u64(), reference_rng.next_u64(), "{case}");
 
-                        // LDPRecover-KM through the fused entry point.
-                        let km = defense
-                            .recover_km(&recover, &protocol, &reports, &mut rng_from_seed(7))
+                        // LDPRecover-KM from the single-pass outcome.
+                        let outcome = defense
+                            .run(&protocol, &reports, &mut rng_from_seed(7))
                             .unwrap();
+                        let km = KMeansDefense::recover_from_outcome(&recover, &outcome).unwrap();
                         let reference_km = KMeansDefense::recover_from_outcome(
                             &recover,
                             &reference_run(&defense, &protocol, &reports, &mut rng_from_seed(7)),
@@ -724,9 +710,8 @@ mod tests {
         }
         let defense = KMeansDefense::new(10, 0.3).unwrap();
         let recover = LdpRecover::new(0.1).unwrap();
-        let out = defense
-            .recover_km(&recover, &proto, &reports, &mut rng)
-            .unwrap();
+        let outcome = defense.run(&proto, &reports, &mut rng).unwrap();
+        let out = KMeansDefense::recover_from_outcome(&recover, &outcome).unwrap();
         assert!(ldp_common::vecmath::is_probability_vector(
             &out.frequencies,
             1e-9

@@ -25,13 +25,12 @@
 //! (target identification for the partial-knowledge arm), and [`theory`]
 //! (the Berry–Esseen approximation-error bounds of Theorems 4–5).
 //!
-//! All of these defenses are exposed through one open surface: the
-//! [`arm`] module's object-safe [`DefenseArm`] trait and its string-keyed
-//! [`ArmKind`]/[`ArmSet`] registry. Downstream evaluation layers (the
-//! `ldp-sim` pipeline, the `ldp` CLI) select defenses by name
-//! (`recover,detection,norm-sub`) and never hard-code one; adding a
-//! defense is one trait impl plus a registry line (see the worked
-//! example in the [`arm`] module docs).
+//! All of these defenses, plus two plain normalization baselines, are
+//! selected through one closed registry: the [`arm`] module's
+//! [`ArmKind`]/[`ArmSet`], whose [`Arm`] steps dispatch on the kind.
+//! Downstream evaluation layers (the `ldp-sim` pipeline, the `ldp` CLI)
+//! select defenses by name (`recover,detection,norm-sub`) and never
+//! hard-code one.
 //!
 //! # Example
 //!
@@ -62,10 +61,10 @@ pub mod recover;
 pub mod solve;
 pub mod theory;
 
-pub use arm::{ArmContext, ArmKind, ArmOutcome, ArmOutput, ArmRequirements, ArmSet, DefenseArm};
+pub use arm::{Arm, ArmContext, ArmKind, ArmOutcome, ArmOutput, ArmSet};
 pub use detection::Detection;
 pub use kmeans::{KMeansDefense, KMeansOutcome};
 pub use malicious::MaliciousSumModel;
 pub use outlier::{top_k_increase, MovingAverageDetector};
-pub use recover::{Knowledge, LdpRecover, RecoveryOutcome};
+pub use recover::{LdpRecover, RecoveryOutcome};
 pub use solve::PostProcess;

@@ -3,9 +3,12 @@
 //! Composes the three steps: malicious frequency learning (Step 2, from
 //! the protocol constants alone or from the known target set), the genuine
 //! frequency estimator (Step 1), and the constraint-inference refinement
-//! (Step 3). [`LdpRecover`] is the configuration object; [`RecoveryOutcome`]
-//! retains every intermediate artifact the paper's evaluation measures
-//! (recovered frequencies for Fig. 3/5/6, malicious estimates for Fig. 7).
+//! (Step 3). [`LdpRecover`] is the configuration object, with one entry
+//! point per knowledge scenario of §V-D: [`LdpRecover::recover`] (none)
+//! and [`LdpRecover::recover_with_targets`] (the target set, LDPRecover\*).
+//! [`RecoveryOutcome`] retains every intermediate artifact the paper's
+//! evaluation measures (recovered frequencies for Fig. 3/5/6, malicious
+//! estimates for Fig. 7).
 
 use ldp_common::{LdpError, Result};
 use ldp_protocols::PureParams;
@@ -15,25 +18,13 @@ use crate::estimator::{check_eta, genuine_estimate};
 use crate::malicious::{partial_knowledge_estimate, MaliciousSumModel};
 use crate::solve::PostProcess;
 
-/// What the server knows about the attack (paper §V-D).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Knowledge {
-    /// Non-knowledge scenario: LDPRecover proper.
-    #[default]
-    None,
-    /// Partial-knowledge scenario: the attacker-selected items are known
-    /// (LDPRecover\* in the paper's figures).
-    Targets(Vec<usize>),
-}
-
 /// Configured frequency-recovery method.
 ///
 /// Defaults follow the paper's evaluation: `η = 0.2`, Eq. (21) malicious
-/// sum, norm-sub refinement, no attack knowledge.
+/// sum, norm-sub refinement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LdpRecover {
     eta: f64,
-    knowledge: Knowledge,
     sum_model: MaliciousSumModel,
     post_process: PostProcess,
     /// Minimum `|D₁|/d` before the non-knowledge spread falls back to
@@ -67,18 +58,10 @@ impl LdpRecover {
         check_eta(eta)?;
         Ok(Self {
             eta,
-            knowledge: Knowledge::None,
             sum_model: MaliciousSumModel::Paper,
             post_process: PostProcess::NormSub,
             d1_fallback_fraction: 0.0,
         })
-    }
-
-    /// Switches to the partial-knowledge scenario (LDPRecover\*) with the
-    /// given target set.
-    pub fn with_targets(mut self, targets: Vec<usize>) -> Self {
-        self.knowledge = Knowledge::Targets(targets);
-        self
     }
 
     /// Overrides the malicious-sum model (ablation; see
@@ -124,25 +107,19 @@ impl LdpRecover {
         })
     }
 
-    /// Runs LDPRecover / LDPRecover\* on the poisoned frequency vector.
+    /// Runs LDPRecover on the poisoned frequency vector: the non-knowledge
+    /// scenario.
     ///
     /// # Errors
     /// * [`LdpError::DomainMismatch`] when `poisoned.len() != d`.
     /// * [`LdpError::EmptyInput`] for an empty input.
-    /// * Propagates target validation in the partial-knowledge scenario.
     pub fn recover(&self, poisoned: &[f64], params: PureParams) -> Result<RecoveryOutcome> {
-        let targets = match &self.knowledge {
-            Knowledge::None => None,
-            Knowledge::Targets(targets) => Some(targets.as_slice()),
-        };
-        self.recover_inner(poisoned, params, targets)
+        self.recover_inner(poisoned, params, None)
     }
 
-    /// Runs the partial-knowledge scenario (LDPRecover\*) over a borrowed
-    /// target set, overriding [`LdpRecover::knowledge`] for this call —
-    /// the per-trial entry point of the star defense arm, which would
-    /// otherwise have to clone the whole configuration and the targets
-    /// just to thread them through [`Knowledge::Targets`].
+    /// Runs LDPRecover\* on the poisoned frequency vector: the
+    /// partial-knowledge scenario, where the attacker-selected items
+    /// `targets` are known.
     ///
     /// # Errors
     /// Everything [`LdpRecover::recover`] rejects, plus target validation.
@@ -187,34 +164,9 @@ impl LdpRecover {
         })
     }
 
-    /// Runs recovery directly on raw aggregated support counts — the
-    /// online entry point of the streaming ingestion engine, which holds
-    /// its state as merged count accumulators and re-recovers at every
-    /// epoch boundary without ever materializing a frequency snapshot
-    /// itself. Exactly equivalent to debiasing (`C(v)` → `f̃(v)`, paper
-    /// Eq. (11) divided by `N`) followed by [`LdpRecover::recover`].
-    ///
-    /// # Errors
-    /// Propagates debias validation (shape mismatch, zero reports) and
-    /// everything [`LdpRecover::recover`] rejects.
-    pub fn recover_from_counts(
-        &self,
-        counts: &[u64],
-        reports: usize,
-        params: PureParams,
-    ) -> Result<RecoveryOutcome> {
-        let poisoned = params.debias_frequencies(counts, reports)?;
-        self.recover(&poisoned, params)
-    }
-
     /// The assumed ratio `η`.
     pub fn eta(&self) -> f64 {
         self.eta
-    }
-
-    /// The configured knowledge scenario.
-    pub fn knowledge(&self) -> &Knowledge {
-        &self.knowledge
     }
 }
 
@@ -278,11 +230,9 @@ mod tests {
     fn partial_knowledge_uses_target_model() {
         let params = grr_params(10, 0.5);
         let poisoned = vec![0.08; 10];
-        let targets = vec![1usize, 4];
-        let out = LdpRecover::new(0.2)
-            .unwrap()
-            .with_targets(targets.clone())
-            .recover(&poisoned, params)
+        let recover = LdpRecover::new(0.2).unwrap();
+        let out = recover
+            .recover_with_targets(&poisoned, params, &[1, 4])
             .unwrap();
         // Targets carry the positive malicious share, so their recovered
         // frequencies must be *reduced* relative to non-targets.
@@ -290,27 +240,10 @@ mod tests {
         assert!(out.frequencies[4] < out.frequencies[0]);
         assert!(matches!(out.malicious_estimate[1], x if x > 0.0));
         assert!(matches!(out.malicious_estimate[0], x if x < 0.0));
-    }
-
-    #[test]
-    fn borrowed_targets_entry_point_matches_owned_knowledge() {
-        let params = grr_params(10, 0.5);
-        let poisoned = vec![0.08; 10];
-        let targets = vec![1usize, 4];
-        let base = LdpRecover::new(0.2).unwrap();
-        let borrowed = base
-            .recover_with_targets(&poisoned, params, &targets)
-            .unwrap();
-        let owned = base
-            .clone()
-            .with_targets(targets)
-            .recover(&poisoned, params)
-            .unwrap();
-        assert_eq!(borrowed, owned, "the two entry points must agree bitwise");
-        // The base configuration is untouched (no knowledge accrued).
-        assert_eq!(base.knowledge(), &Knowledge::None);
-        // Target validation still applies.
-        assert!(base.recover_with_targets(&poisoned, params, &[99]).is_err());
+        // Target validation applies.
+        assert!(recover
+            .recover_with_targets(&poisoned, params, &[99])
+            .is_err());
     }
 
     #[test]
@@ -325,27 +258,6 @@ mod tests {
         assert!((out.estimated_genuine[0] - 0.25).abs() < 1e-12);
         assert!((out.estimated_genuine[1] - 0.75).abs() < 1e-12);
         assert!(is_probability_vector(&out.frequencies, 1e-9));
-    }
-
-    #[test]
-    fn recover_from_counts_is_debias_then_recover() {
-        let params = grr_params(5, 0.5);
-        let counts = [40u64, 25, 20, 10, 5];
-        let reports = 100usize;
-        let rec = LdpRecover::new(0.2).unwrap();
-        let via_counts = rec.recover_from_counts(&counts, reports, params).unwrap();
-        let debias = params.debias_frequencies(&counts, reports).unwrap();
-        let via_freqs = rec.recover(&debias, params).unwrap();
-        assert_eq!(
-            via_counts, via_freqs,
-            "the two entry points must agree bitwise"
-        );
-        assert!(is_probability_vector(&via_counts.frequencies, 1e-9));
-        // Shape and emptiness validation propagate from the debias step.
-        assert!(rec
-            .recover_from_counts(&counts[..3], reports, params)
-            .is_err());
-        assert!(rec.recover_from_counts(&counts, 0, params).is_err());
     }
 
     #[test]

@@ -105,13 +105,7 @@ fn parse_args<I: Iterator<Item = String>>(mut iter: I) -> Result<Args> {
                 .ok_or_else(|| LdpError::invalid(format!("{name} requires a value")))
         };
         match flag.as_str() {
-            "--dataset" => {
-                args.dataset = match value("--dataset")?.to_ascii_lowercase().as_str() {
-                    "ipums" => DatasetKind::Ipums,
-                    "fire" => DatasetKind::Fire,
-                    other => return Err(LdpError::invalid(format!("unknown dataset '{other}'"))),
-                };
-            }
+            "--dataset" => args.dataset = DatasetKind::parse(&value("--dataset")?)?,
             "--protocol" => args.protocol = ProtocolKind::parse(&value("--protocol")?)?,
             "--attack" => {
                 attack_name = value("--attack")?.to_ascii_lowercase();
@@ -625,8 +619,8 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
         );
     }
 
-    // Optional open-registry evaluation of the final merged state: any
-    // count-only arm set, eligibility decided by declared requirements.
+    // Optional evaluation of the final merged state: any count-only arm
+    // set, eligibility decided by each kind's declared inputs.
     let arm_outputs = match &args.arms {
         Some(arms) if engine.epochs_done() > 0 => Some(engine.arm_snapshot(arms)?),
         Some(_) => {
@@ -645,6 +639,12 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
             .map(|&c| c as f64 / total as f64)
             .collect()
     });
+    if let (Some(arms), Some(outputs)) = (&args.arms, &arm_outputs) {
+        // The snapshot is one trial.
+        note_missing_arms(arms, 1, |kind| {
+            usize::from(outputs.iter().any(|(key, _)| key == kind.metric_key()))
+        });
+    }
     if let (Some(outputs), Some(truth)) = (&arm_outputs, &truth) {
         let mut arm_table = Table::new(["arm", "MSE (final state)"]);
         for (key, output) in outputs {
@@ -748,8 +748,9 @@ fn main() -> Result<()> {
         options.arms
     );
 
-    // One column per arm that ran, derived from the open result surface —
-    // the table grows with `--arms`, no per-defense code here.
+    // One column per arm that produced an estimate, derived from the
+    // result's arm list — the table grows with `--arms`, no per-defense
+    // code here.
     let mut header = vec!["metric".to_string(), "before".to_string()];
     header.extend(result.arms.iter().map(|(key, _)| arm_column_label(key)));
     let mut table = Table::new(header);
@@ -770,11 +771,33 @@ fn main() -> Result<()> {
         "\nnoise floor (genuine estimate MSE): {}",
         fmt_mean(&result.mse_genuine)
     );
+    note_missing_arms(&options.arms, result.mse_before.count, |kind| {
+        result
+            .arm(kind.metric_key())
+            .and_then(|arm| arm.mse)
+            .map_or(0, |mse| mse.count)
+    });
     Ok(())
 }
 
+/// Prints one stderr note per selected arm that produced fewer estimates
+/// than there were trials. A documented degeneracy (no identified target
+/// set, every report flagged) skips the arm for that trial, and the table
+/// or JSON block would otherwise just lack its column.
+fn note_missing_arms(arms: &ArmSet, trials: usize, produced: impl Fn(ArmKind) -> usize) {
+    for &kind in arms.kinds() {
+        let missing = trials.saturating_sub(produced(kind));
+        if missing > 0 {
+            eprintln!(
+                "note: {kind} produced no estimate in {missing} of {trials} trials \
+                 (documented degeneracy)"
+            );
+        }
+    }
+}
+
 /// Column label for an arm's metric key: the registry's display label
-/// (`LDPRecover*`), falling back to the key for out-of-registry arms.
+/// (`LDPRecover*`), or the key itself when no kind has it.
 fn arm_column_label(metric_key: &str) -> String {
     ArmKind::ALL
         .into_iter()

@@ -185,9 +185,9 @@ impl std::fmt::Display for AggregationMode {
 
 /// Which defense arms a pipeline run executes, plus the knobs they share.
 ///
-/// The arm selection is an open, registry-driven [`ArmSet`] — adding a
-/// defense to the comparison is a registry name, never a new boolean
-/// field (see `ldprecover::arm`).
+/// The arm selection is a registry-driven [`ArmSet`]: a defense joins the
+/// comparison by its registry name, never through a boolean field (see
+/// `ldprecover::arm`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOptions {
     /// The defense arms to run, in canonical registry order.

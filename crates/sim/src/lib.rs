@@ -10,10 +10,10 @@
 //!    ([`config::AggregationMode`]) that samples support counts directly,
 //! 3. craft malicious reports with the configured poisoning attack,
 //! 4. aggregate genuine / malicious / poisoned frequency estimates,
-//! 5. run the selected defense arms through the open
-//!    [`ldprecover::DefenseArm`] registry (`recover`, `recover-star`,
-//!    `detection`, `kmeans`, `recover-km`, `norm-sub`, `base-cut`, and
-//!    anything added to it — arms are data, never hard-coded fields),
+//! 5. run the selected defense arms of the [`ldprecover::ArmKind`]
+//!    registry (`recover`, `recover-star`, `detection`, `kmeans`,
+//!    `recover-km`, `norm-sub`, `base-cut`) — an [`ArmSet`] selects them
+//!    by name, never through hard-coded fields,
 //! 6. score everything with the paper's metrics (MSE, Eq. 36; FG, Eq. 37),
 //!    with per-arm statistics derived generically (`mse_{arm}`,
 //!    `fg_{arm}`, `malicious_mse_{arm}`).
@@ -44,7 +44,7 @@ pub mod stream;
 pub mod table;
 
 pub use config::{AggregationMode, ExperimentConfig, PipelineOptions, DEFAULT_SEED};
-pub use ldprecover::{ArmKind, ArmSet, DefenseArm};
+pub use ldprecover::{ArmKind, ArmSet};
 pub use metrics::{frequency_gain, top_k_recall, Stats};
 pub use pipeline::{TrialAggregates, TrialArena, TrialResult};
 pub use runner::{run_eta_sweep, run_experiment, ArmStats, ExperimentResult};

@@ -182,7 +182,7 @@ impl TrialAggregates {
 }
 /// Everything a trial produces, ready for metric extraction.
 ///
-/// Defense outputs are open data: one `(metric key, output)` entry per
+/// Defense outputs are a list, not fields: one `(metric key, output)` entry per
 /// arm that ran and produced an estimate ([`ArmOutcome::Degenerate`] arms
 /// land in [`TrialResult::degenerate`] instead). The typed accessors
 /// ([`TrialResult::recovered`], [`TrialResult::detection`], …) preserve
@@ -420,8 +420,8 @@ fn finish_aggregation(
 
 /// Runs the selected defense arms on an aggregation.
 ///
-/// Arms execute in canonical registry order through the open
-/// [`ldprecover::DefenseArm`] surface; a documented statistical
+/// Arms execute in canonical registry order as the steps of
+/// [`ldprecover::ArmSet::build`]; a documented statistical
 /// degeneracy ([`ArmOutcome::Degenerate`], e.g. the detection baseline
 /// flagging every report) skips that arm for the trial, while every real
 /// error propagates and fails the trial.

@@ -1083,11 +1083,11 @@ fn stream_windowed() -> Scenario {
     }
 }
 
-/// The open-registry comparison grid: every count-only arm — including
-/// the normalization baselines that exist purely as `DefenseArm` impls +
-/// registry entries — side by side on the paper's default cell, across
-/// protocols and the two attack families. This is the scenario that keeps
-/// the open arm surface exercised by the nightly statistical gates.
+/// The arm-registry comparison grid: every count-only arm — including
+/// the normalization baselines the paper does not evaluate — side by side
+/// on the paper's default cell, across protocols and the two attack
+/// families. This is the scenario that keeps every count-only arm
+/// exercised by the nightly statistical gates.
 fn defense_arms() -> Scenario {
     /// The count-only arm grid of this scenario (report-free, so every
     /// cell rides the batched aggregation path).
@@ -1229,7 +1229,7 @@ mod tests {
         assert_eq!(scenario("stream_online").unwrap().cells.len(), 6);
         // Windowed streaming: 3 protocols × {sliding:2, decay:0.75}.
         assert_eq!(scenario("stream_windowed").unwrap().cells.len(), 6);
-        // Open arm registry: 3 protocols × {MGA, AA} comparison cells.
+        // Arm registry: 3 protocols × {MGA, AA} comparison cells.
         assert_eq!(scenario("defense_arms").unwrap().cells.len(), 6);
     }
 

@@ -14,8 +14,6 @@ use ldp_datasets::{DatasetKind, ScalePreset};
 use rand::rngs::SmallRng;
 
 use crate::config::{ExperimentConfig, PipelineOptions, DEFAULT_SEED};
-use crate::metrics::Stats;
-use crate::runner::ExperimentResult;
 
 /// One figure/table of the reproduction, fully described as data.
 pub struct Scenario {
@@ -55,7 +53,8 @@ impl Cell {
     }
 
     /// A custom cell: `run(trial, ctx)` produces named metric values; the
-    /// engine fans trials out and folds each metric into a [`Stats`].
+    /// engine fans trials out and folds each metric into a
+    /// [`Stats`](crate::metrics::Stats).
     pub fn custom<F>(id: impl Into<String>, run: F) -> Self
     where
         F: Fn(usize, &CellCtx) -> Result<Vec<(&'static str, f64)>> + Send + Sync + 'static,
@@ -304,10 +303,10 @@ impl Entry {
 
 /// A named metric of a cell.
 ///
-/// Arm metrics are open, keyed by the registry's metric key
-/// ([`ldprecover::ArmKind::metric_key`]): selecting a new defense arm in
-/// a cell automatically makes its `mse_{key}` / `fg_{key}` /
-/// `malicious_mse_{key}` metrics addressable here — no enum edit needed.
+/// Arm metrics are keyed by the registry's metric key
+/// ([`ldprecover::ArmKind::metric_key`]): selecting a defense arm in a
+/// cell makes its `mse_{key}` / `fg_{key}` / `malicious_mse_{key}`
+/// metrics addressable here, with no per-arm variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// MSE of the genuine (unpoisoned) estimate — the LDP noise floor.
@@ -355,20 +354,6 @@ impl Metric {
             Metric::FgArm(key) => format!("fg_{key}"),
             Metric::MalMseArm(key) => format!("malicious_mse_{key}"),
             Metric::Custom(name) => (*name).to_string(),
-        }
-    }
-
-    /// Extracts the metric from an experiment result (`None` when the run
-    /// did not produce it, e.g. FG for untargeted attacks).
-    pub fn extract(&self, result: &ExperimentResult) -> Option<Stats> {
-        match self {
-            Metric::MseGenuine => Some(result.mse_genuine),
-            Metric::MseBefore => Some(result.mse_before),
-            Metric::FgBefore => result.fg_before,
-            Metric::MseArm(key) => result.arm(key).and_then(|a| a.mse),
-            Metric::FgArm(key) => result.arm(key).and_then(|a| a.fg),
-            Metric::MalMseArm(key) => result.arm(key).and_then(|a| a.malicious_mse),
-            Metric::Custom(_) => None,
         }
     }
 }

@@ -26,11 +26,10 @@
 //!   recovery-accuracy-vs-reports-seen trajectory. Any *count-only* arm
 //!   set can be evaluated on the same state via
 //!   [`StreamEngine::arm_snapshot`]: an arm's
-//!   [`ArmRequirements::needs_reports`](ldprecover::ArmRequirements)
-//!   decides its eligibility — streaming never materializes per-user
-//!   reports, so [`check_count_only`] rejects report-consuming arms
-//!   (detection, k-means) with a clear error rather than silently
-//!   skipping them.
+//!   [`ArmKind::needs_reports`] decides its eligibility — streaming never
+//!   materializes per-user reports, so [`check_count_only`] rejects
+//!   report-consuming arms (detection, k-means) with a clear error rather
+//!   than silently skipping them.
 //! * **Checkpoints** — the whole engine state round-trips through the
 //!   shared JSON value layer ([`ldp_common::json`], see
 //!   [`checkpoint`](self)); because all randomness is derived per
@@ -75,7 +74,8 @@ use crate::pipeline::{
 use crate::runner::{map_trials, thread_count};
 
 /// Domain-separation salt for the (inert) RNG stream handed to snapshot
-/// arms — count-only arms never draw, but the trait contract requires
+/// arms — count-only arms never draw (`declared_inputs_match_what_run_uses`
+/// in `ldprecover::arm` pins this), but [`ldprecover::Arm::run`] takes
 /// one, and a derived stream keeps any future rng-consuming count-only
 /// arm deterministic per `(seed, epoch)`.
 const ARM_SNAPSHOT_SALT: u64 = 0xA4A5_AA77;
@@ -218,14 +218,14 @@ impl StreamSpec {
 /// [`LdpError::InvalidParameter`] naming the first report-consuming arm
 /// and listing the count-only ones.
 pub fn check_count_only(arms: &ArmSet) -> Result<()> {
-    match arms.kinds().iter().find(|k| k.requirements().needs_reports) {
+    match arms.kinds().iter().find(|k| k.needs_reports()) {
         None => Ok(()),
         Some(kind) => Err(LdpError::invalid(format!(
             "arm '{kind}' consumes per-user reports; the streaming engine \
              aggregates counts only (count-only arms: {})",
             ArmKind::ALL
                 .into_iter()
-                .filter(|k| !k.requirements().needs_reports)
+                .filter(|k| !k.needs_reports())
                 .map(|k| k.name())
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -616,8 +616,8 @@ impl StreamEngine {
     }
 
     /// Runs an arbitrary *count-only* arm set on the current merged state
-    /// — the streaming face of the open defense-arm registry. Eligibility
-    /// is decided by each arm's declared requirements: streaming never
+    /// — the streaming face of the defense-arm registry. Eligibility is
+    /// decided by each arm's declared inputs: streaming never
     /// materializes per-user reports, so a set containing a
     /// report-consuming arm (detection, k-means) is rejected up front.
     /// Partial-knowledge arms get targets identified online via the

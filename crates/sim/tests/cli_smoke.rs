@@ -380,3 +380,80 @@ fn ldp_stream_resume_diffs_conflicting_spec_flags() {
         String::from_utf8_lossy(&agreed.stderr)
     );
 }
+
+/// Runs `ldp <args>`, asserts exit 0, and returns its stderr.
+fn stderr_of_successful_run(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args(args)
+        .output()
+        .expect("spawn ldp");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(output.status.success(), "ldp {args:?}:\n{stderr}");
+    stderr
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn arms_without_an_estimate_are_noted_on_stderr() {
+    // An unpoisoned run has no target set, so LDPRecover* degenerates in
+    // every trial; its missing column must not pass silently.
+    let stderr = stderr_of_successful_run(&[
+        "--attack",
+        "none",
+        "--arms",
+        "recover-star",
+        "--scale",
+        "0.01",
+        "--trials",
+        "2",
+    ]);
+    assert!(
+        stderr.contains(
+            "note: recover-star produced no estimate in 2 of 2 trials (documented degeneracy)"
+        ),
+        "{stderr}"
+    );
+    // The stream snapshot counts as one trial; only the degenerate arm
+    // is named.
+    let stderr = stderr_of_successful_run(&[
+        "stream",
+        "--attack",
+        "none",
+        "--epochs",
+        "2",
+        "--arms",
+        "recover,recover-star,norm-sub",
+    ]);
+    assert!(
+        stderr.contains(
+            "note: recover-star produced no estimate in 1 of 1 trials (documented degeneracy)"
+        ),
+        "{stderr}"
+    );
+    assert_eq!(stderr.matches("note:").count(), 1, "{stderr}");
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn arms_that_all_produce_estimates_print_no_note() {
+    // A targeted attack gives LDPRecover* its oracle target set.
+    let stderr = stderr_of_successful_run(&[
+        "--attack",
+        "mga",
+        "--arms",
+        "recover,recover-star,norm-sub",
+        "--scale",
+        "0.01",
+        "--trials",
+        "2",
+    ]);
+    assert!(!stderr.contains("note:"), "{stderr}");
+    let stderr = stderr_of_successful_run(&[
+        "stream",
+        "--epochs",
+        "2",
+        "--arms",
+        "recover,recover-star,norm-sub",
+    ]);
+    assert!(!stderr.contains("note:"), "{stderr}");
+}

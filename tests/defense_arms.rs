@@ -1,4 +1,4 @@
-//! Property and contract tests for the open defense-arm surface
+//! Property and contract tests for the defense-arm registry
 //! (`ldprecover::arm`): every registered arm, across random protocol ×
 //! attack draws, either produces a valid probability vector or degrades
 //! cleanly to a documented degeneracy — never a silent bad estimate —
@@ -150,7 +150,7 @@ fn arm_set_selection_is_order_and_duplicate_insensitive() {
 
 #[test]
 fn adding_an_arm_does_not_disturb_the_existing_arms_draws() {
-    // The open-surface scheduling contract: selecting an extra
+    // The scheduling contract: selecting an extra
     // rng-independent arm must leave every other arm's output bitwise
     // unchanged (arms run in canonical order; only rng-consuming arms may
     // advance the trial stream).

@@ -23,7 +23,7 @@ fn opt_bits(s: &Option<Stats>) -> Option<(u64, u64, usize)> {
 }
 
 /// Compares every metric of two experiment results bit-for-bit — the
-/// baselines plus the full open arm surface (same arm keys in the same
+/// baselines plus every arm's statistics (same arm keys in the same
 /// order, every per-arm statistic bit-identical).
 fn assert_byte_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
     assert_eq!(

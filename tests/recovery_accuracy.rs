@@ -383,8 +383,7 @@ fn eta_matching_beta_is_near_optimal_in_expectation() {
     let mse_at = |eta: f64| -> f64 {
         let out = ldprecover::LdpRecover::new(eta)
             .unwrap()
-            .with_targets(targets.clone())
-            .recover(&poisoned, params)
+            .recover_with_targets(&poisoned, params, &targets)
             .unwrap();
         ldp_sim::metrics::mse(&out.frequencies, &f_x)
     };

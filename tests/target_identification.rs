@@ -109,16 +109,15 @@ fn identified_targets_feed_recovery_as_well_as_oracle_targets() {
     )
     .unwrap();
 
-    let recover = |targets: Vec<usize>| {
+    let recover = |targets: &[usize]| {
         ldprecover::LdpRecover::new(0.2)
             .unwrap()
-            .with_targets(targets)
-            .recover(&agg.poisoned_freqs, params)
+            .recover_with_targets(&agg.poisoned_freqs, params, targets)
             .unwrap()
             .frequencies
     };
-    let with_oracle = recover(oracle_targets.clone());
-    let with_identified = recover(identified.clone());
+    let with_oracle = recover(&oracle_targets);
+    let with_identified = recover(&identified);
     let mse_oracle = ldp_sim::metrics::mse(&with_oracle, &agg.true_freqs);
     let mse_identified = ldp_sim::metrics::mse(&with_identified, &agg.true_freqs);
     assert!(
