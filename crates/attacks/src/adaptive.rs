@@ -9,10 +9,11 @@
 //! (Eq. (20)/(21)): each crafted report supports, in expectation, one item.
 
 use ldp_common::sampling::{random_distribution, AliasTable};
-use ldp_common::{Domain, Result};
+use ldp_common::{BitVec, Domain, Result};
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
 use rand::{Rng, RngCore};
 
+use crate::mga::pad_unary;
 use crate::traits::PoisoningAttack;
 
 /// An adaptive attack with an explicit attacker-designed distribution.
@@ -97,16 +98,16 @@ impl PoisoningAttack for AdaptiveAttack {
 /// A *camouflaged* adaptive attack (extension beyond the paper; see
 /// EXPERIMENTS.md "AA on unary encodings").
 ///
-/// The plain adaptive attack sends raw clean encodings. For OUE that is a
-/// one-hot vector with a single set bit — far fewer than the
+/// The plain adaptive attack sends raw clean encodings. For OUE and SUE
+/// that is a one-hot vector with a single set bit — far fewer than the
 /// `p + (d−1)q ≈ q·d` bits a genuine perturbed report carries, which (a)
 /// makes the reports trivially distinguishable and (b) *depresses* every
 /// item's debiased frequency rather than promoting the sampled one. The
-/// camouflaged variant pads OUE reports with random extra bits up to the
-/// expected genuine popcount, making each report statistically similar to
-/// a genuine one while still deterministically supporting the sampled item.
-/// GRR and OLH clean encodings are already maximally genuine-looking, so
-/// they are unchanged.
+/// camouflaged variant pads OUE and SUE reports with random extra bits up
+/// to the expected genuine popcount, making each report statistically
+/// similar to a genuine one while still deterministically supporting the
+/// sampled item. GRR, OLH and HR clean encodings are already maximally
+/// genuine-looking, so they are unchanged.
 #[derive(Debug, Clone)]
 pub struct CamouflagedAdaptive {
     inner: AdaptiveAttack,
@@ -137,30 +138,21 @@ impl PoisoningAttack for CamouflagedAdaptive {
     }
 
     fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
-        match protocol {
-            AnyProtocol::Oue(oue) => {
-                let d = oue.domain().size();
-                let popcount = (oue.expected_ones().round() as usize).clamp(1, d);
-                (0..m)
-                    .map(|_| {
-                        let item = self.inner.sampler.sample(rng);
-                        let mut bits = ldp_common::BitVec::zeros(d);
-                        bits.set_one(item);
-                        let mut remaining = popcount - 1;
-                        while remaining > 0 {
-                            let v = rng.gen_range(0..d);
-                            if !bits.get(v) {
-                                bits.set_one(v);
-                                remaining -= 1;
-                            }
-                        }
-                        Report::Oue(bits)
-                    })
-                    .collect()
-            }
-            // GRR / OLH clean encodings are already genuine-shaped.
-            _ => self.inner.craft(protocol, m, rng),
-        }
+        let (d, expected_ones, wrap): (usize, f64, fn(BitVec) -> Report) = match protocol {
+            AnyProtocol::Oue(oue) => (oue.domain().size(), oue.expected_ones(), Report::Oue),
+            AnyProtocol::Sue(sue) => (sue.domain().size(), sue.expected_ones(), Report::Sue),
+            // GRR / OLH / HR clean encodings are already genuine-shaped.
+            _ => return self.inner.craft(protocol, m, rng),
+        };
+        let popcount = (expected_ones.round() as usize).clamp(1, d);
+        (0..m)
+            .map(|_| {
+                let item = self.inner.sampler.sample(rng);
+                let mut bits = BitVec::mask_of(d, &[item]);
+                pad_unary(&mut bits, popcount - 1, rng);
+                wrap(bits)
+            })
+            .collect()
     }
 
     fn targets(&self) -> Option<&[usize]> {
@@ -253,6 +245,76 @@ mod tests {
                     assert_eq!(bits.count_ones(), expected, "genuine-looking popcount");
                 }
                 other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn camouflaged_sue_reports_are_padded_and_support_the_sampled_item() {
+        for (d, eps) in [(64usize, 0.5), (102, 1.6), (490, 0.5), (490, 4.0)] {
+            let domain = Domain::new(d).unwrap();
+            let proto = ProtocolKind::Sue.build(eps, domain).unwrap();
+            let sue = match &proto {
+                ldp_protocols::AnyProtocol::Sue(s) => *s,
+                _ => unreachable!(),
+            };
+            let mut weights = vec![0.0; d];
+            weights[d / 3] = 1.0; // deterministic sampled item
+            let attack = CamouflagedAdaptive::from_distribution(&weights).unwrap();
+            let mut rng = rng_from_seed(d as u64);
+            let expected = sue.expected_ones().round() as usize;
+            for r in attack.craft(&proto, 40, &mut rng) {
+                match r {
+                    Report::Sue(bits) => {
+                        assert!(bits.get(d / 3), "sampled item must be supported");
+                        assert_eq!(bits.count_ones(), expected, "d={d} eps={eps}");
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// AA-C's unary crafting against the branching padding loop it
+    /// replaced (for SUE, that loop at SUE's popcount: the old code left
+    /// SUE unpadded): the same reports and the same next draw.
+    #[test]
+    fn kernel_oracle_camouflaged_unary_padding() {
+        for d in [16usize, 102, 490] {
+            let domain = Domain::new(d).unwrap();
+            let attack = CamouflagedAdaptive::random(domain, &mut rng_from_seed(d as u64));
+            for eps in [0.1, 0.5, 1.6, 4.0] {
+                for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
+                    let proto = kind.build(eps, domain).unwrap();
+                    let expected = match &proto {
+                        ldp_protocols::AnyProtocol::Oue(o) => o.expected_ones(),
+                        ldp_protocols::AnyProtocol::Sue(s) => s.expected_ones(),
+                        _ => unreachable!(),
+                    };
+                    let popcount = (expected.round() as usize).clamp(1, d);
+                    let mut rng = rng_from_seed(d as u64 + 5);
+                    let mut reference = rng_from_seed(d as u64 + 5);
+                    for report in attack.craft(&proto, 40, &mut rng) {
+                        let item = attack.inner.sampler.sample(&mut reference);
+                        let mut want = BitVec::zeros(d);
+                        want.set_one(item);
+                        let mut remaining = popcount - 1;
+                        while remaining > 0 {
+                            let v = reference.gen_range(0..d);
+                            if !want.get(v) {
+                                want.set_one(v);
+                                remaining -= 1;
+                            }
+                        }
+                        match report {
+                            Report::Oue(bits) | Report::Sue(bits) => {
+                                assert_eq!(bits, want, "{kind} d={d} eps={eps}");
+                            }
+                            other => panic!("unexpected {other:?}"),
+                        }
+                    }
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "{kind} d={d}");
+                }
             }
         }
     }

@@ -37,8 +37,9 @@ pub enum AttackKind {
     },
     /// Adaptive attack with a per-trial random designed distribution.
     Adaptive,
-    /// Camouflaged adaptive attack: OUE reports padded to a genuine-looking
-    /// popcount (extension; see `adaptive::CamouflagedAdaptive`).
+    /// Camouflaged adaptive attack: OUE and SUE reports padded to a
+    /// genuine-looking popcount (extension; see
+    /// `adaptive::CamouflagedAdaptive`).
     AdaptiveCamouflaged,
     /// MGA under input poisoning (honest perturbation of target inputs).
     MgaIpa {

@@ -80,61 +80,102 @@ impl Mga {
     }
 
     fn craft_oue(&self, d: usize, expected_ones: f64, rng: &mut dyn RngCore) -> BitVec {
-        let mut bits = BitVec::zeros(d);
-        for &t in &self.targets {
-            bits.set_one(t);
-        }
+        let mut bits = BitVec::mask_of(d, &self.targets);
         if self.pad {
             let l = expected_ones.round() as usize;
             let extra = l.saturating_sub(self.targets.len());
             let non_targets = d - self.targets.len();
-            let extra = extra.min(non_targets);
-            if extra > 0 {
-                // Sample `extra` distinct non-target positions.
-                let mut remaining = extra;
-                while remaining > 0 {
-                    let v = rng.gen_range(0..d);
-                    if !bits.get(v) {
-                        bits.set_one(v);
-                        remaining -= 1;
-                    }
-                }
-            }
+            pad_unary(&mut bits, extra.min(non_targets), rng);
         }
         bits
     }
 
-    fn craft_olh(&self, olh: &Olh, rng: &mut dyn RngCore) -> Report {
+    /// Crafts `m` OLH reports, each the best of `seed_trials` random seeds:
+    /// the bucket that the most targets hash to, ties to the highest
+    /// bucket. One scratch row serves the whole call. While `g ≤ r²` it
+    /// holds the `g` bucket counters and every bucket is scanned (`O(g)`
+    /// per seed); past `r²` it holds the `r` hashed buckets, each counted
+    /// against the others (`O(r²)`; every other bucket is empty and cannot
+    /// win). Neither memory nor the work per seed grows with `g` past `r²`.
+    fn craft_olh(&self, olh: &Olh, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
         let g = olh.range();
-        let mut best_seed = 0u64;
-        let mut best_value = 0u32;
-        let mut best_support = 0usize;
-        let mut bucket = vec![0usize; g as usize];
-        for _ in 0..self.seed_trials {
-            let seed: u64 = rng.gen();
-            let hasher = OlhHash::new(seed, g);
-            bucket.fill(0);
-            for &t in &self.targets {
-                bucket[hasher.hash(t) as usize] += 1;
-            }
-            let (value, &support) = bucket
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .expect("g ≥ 2 buckets");
-            if support > best_support {
-                best_support = support;
-                best_seed = seed;
-                best_value = value as u32;
-                if best_support == self.targets.len() {
-                    break; // cannot do better
+        let r = self.targets.len();
+        if g as usize <= r * r {
+            let mut counts = vec![0usize; g as usize];
+            self.search_seeds(g, m, rng, |hasher| {
+                counts.fill(0);
+                for &t in &self.targets {
+                    counts[hasher.hash(t) as usize] += 1;
                 }
-            }
+                let (value, &support) = counts
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(_, &c)| c)
+                    .expect("g ≥ 2 buckets");
+                (value as u32, support)
+            })
+        } else {
+            let mut buckets = vec![0u32; r];
+            self.search_seeds(g, m, rng, |hasher| {
+                for (bucket, &t) in buckets.iter_mut().zip(&self.targets) {
+                    *bucket = hasher.hash(t);
+                }
+                let mut best = (0, 0); // (support, bucket)
+                for &bucket in &buckets {
+                    let support = buckets.iter().filter(|&&b| b == bucket).count();
+                    best = best.max((support, bucket));
+                }
+                (best.1, best.0)
+            })
         }
-        Report::Olh(ldp_protocols::olh::OlhReport {
-            seed: best_seed,
-            value: best_value,
-        })
+    }
+
+    /// The seed search shared by both counting strategies: `best_bucket`
+    /// maps a hash-family member to its `(bucket, support)` winner.
+    fn search_seeds(
+        &self,
+        g: u32,
+        m: usize,
+        rng: &mut dyn RngCore,
+        mut best_bucket: impl FnMut(OlhHash) -> (u32, usize),
+    ) -> Vec<Report> {
+        (0..m)
+            .map(|_| {
+                let mut best_seed = 0u64;
+                let mut best_value = 0u32;
+                let mut best_support = 0usize;
+                for _ in 0..self.seed_trials {
+                    let seed: u64 = rng.gen();
+                    let (value, support) = best_bucket(OlhHash::new(seed, g));
+                    if support > best_support {
+                        best_support = support;
+                        best_seed = seed;
+                        best_value = value;
+                        if best_support == self.targets.len() {
+                            break; // cannot do better
+                        }
+                    }
+                }
+                Report::Olh(ldp_protocols::olh::OlhReport {
+                    seed: best_seed,
+                    value: best_value,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Sets `extra` more bits of `bits` at uniformly drawn positions, drawing
+/// again on a position already set: the padding of the unary-encoding
+/// attacks (MGA on OUE/SUE, AA-C). Each draw ORs its bit in and counts
+/// it as 0/1, so a re-hit costs no mispredicted branch.
+///
+/// `extra` must not exceed the number of clear bits.
+pub(crate) fn pad_unary(bits: &mut BitVec, extra: usize, rng: &mut dyn RngCore) {
+    let d = bits.len();
+    let mut remaining = extra;
+    while remaining > 0 {
+        remaining -= usize::from(bits.insert(rng.gen_range(0..d)));
     }
 }
 
@@ -158,7 +199,7 @@ impl PoisoningAttack for Mga {
                     .map(|_| Report::Oue(self.craft_oue(d, expected, rng)))
                     .collect()
             }
-            AnyProtocol::Olh(olh) => (0..m).map(|_| self.craft_olh(olh, rng)).collect(),
+            AnyProtocol::Olh(olh) => self.craft_olh(olh, m, rng),
             AnyProtocol::Sue(sue) => {
                 // SUE shares OUE's report shape; pad to SUE's (denser)
                 // expected popcount.
@@ -317,6 +358,177 @@ mod tests {
             avg_support > baseline + 1.0,
             "avg_support={avg_support}, baseline={baseline}"
         );
+    }
+
+    /// OUE/SUE crafting as it was before `pad_unary`: the padding loop
+    /// branches on the old bit.
+    fn craft_oue_by_branch(
+        mga: &Mga,
+        d: usize,
+        expected_ones: f64,
+        rng: &mut dyn RngCore,
+    ) -> BitVec {
+        let mut bits = BitVec::zeros(d);
+        for &t in &mga.targets {
+            bits.set_one(t);
+        }
+        if mga.pad {
+            let l = expected_ones.round() as usize;
+            let extra = l.saturating_sub(mga.targets.len());
+            let non_targets = d - mga.targets.len();
+            let extra = extra.min(non_targets);
+            if extra > 0 {
+                let mut remaining = extra;
+                while remaining > 0 {
+                    let v = rng.gen_range(0..d);
+                    if !bits.get(v) {
+                        bits.set_one(v);
+                        remaining -= 1;
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    /// One OLH report as crafted before the seed-search fix: a `g`-entry
+    /// bucket row per report, cleared and scanned in full for every seed.
+    fn craft_olh_bucket_scan(mga: &Mga, olh: &Olh, rng: &mut dyn RngCore) -> Report {
+        let g = olh.range();
+        let mut best_seed = 0u64;
+        let mut best_value = 0u32;
+        let mut best_support = 0usize;
+        let mut bucket = vec![0usize; g as usize];
+        for _ in 0..mga.seed_trials {
+            let seed: u64 = rng.gen();
+            let hasher = OlhHash::new(seed, g);
+            bucket.fill(0);
+            for &t in &mga.targets {
+                bucket[hasher.hash(t) as usize] += 1;
+            }
+            let (value, &support) = bucket
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &c)| c)
+                .expect("g ≥ 2 buckets");
+            if support > best_support {
+                best_support = support;
+                best_seed = seed;
+                best_value = value as u32;
+                if best_support == mga.targets.len() {
+                    break;
+                }
+            }
+        }
+        Report::Olh(ldp_protocols::olh::OlhReport {
+            seed: best_seed,
+            value: best_value,
+        })
+    }
+
+    /// MGA's OUE and SUE padding against the branching loop it replaced:
+    /// the same reports and the same next draw, padded or not.
+    #[test]
+    fn kernel_oracle_mga_unary_padding() {
+        for d in [16usize, 102, 490] {
+            for r in [1usize, 10, d / 2] {
+                let targets =
+                    Mga::random_targets(domain(d), r, &mut rng_from_seed(d as u64)).targets;
+                for eps in [0.1, 0.5, 1.6, 4.0] {
+                    for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
+                        let proto = kind.build(eps, domain(d)).unwrap();
+                        let expected = match &proto {
+                            AnyProtocol::Oue(o) => o.expected_ones(),
+                            AnyProtocol::Sue(s) => s.expected_ones(),
+                            _ => unreachable!(),
+                        };
+                        for mga in [
+                            Mga::new(targets.clone()),
+                            Mga::new(targets.clone()).without_padding(),
+                        ] {
+                            let mut rng = rng_from_seed(r as u64 + 77);
+                            let mut reference = rng_from_seed(r as u64 + 77);
+                            let got = mga.craft(&proto, 40, &mut rng);
+                            for report in got {
+                                let want = craft_oue_by_branch(&mga, d, expected, &mut reference);
+                                match report {
+                                    Report::Oue(bits) | Report::Sue(bits) => {
+                                        assert_eq!(bits, want, "{kind} d={d} r={r} eps={eps}");
+                                    }
+                                    other => panic!("unexpected {other:?}"),
+                                }
+                            }
+                            assert_eq!(rng.next_u64(), reference.next_u64(), "{kind} d={d} r={r}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The OLH seed search against the full bucket scan it replaced, on
+    /// both sides of g = r² (g ≤ r² scans every bucket, g > r² counts
+    /// only the hashed ones): the same reports and the same next draw.
+    #[test]
+    fn kernel_oracle_mga_olh_seed_search() {
+        for g in [2u32, 3, 6, 1000, 100_000] {
+            let olh = Olh::with_range(0.5, domain(490), g).unwrap();
+            let proto = AnyProtocol::Olh(olh);
+            for r in [1usize, 5, 10, 40] {
+                let mga = Mga::random_targets(domain(490), r, &mut rng_from_seed(r as u64));
+                let m = if g >= 100_000 { 3 } else { 60 };
+                let seed = u64::from(g) * 31 + r as u64;
+                let mut rng = rng_from_seed(seed);
+                let mut reference = rng_from_seed(seed);
+                let got = mga.craft(&proto, m, &mut rng);
+                let want: Vec<Report> = (0..m)
+                    .map(|_| craft_olh_bucket_scan(&mga, &olh, &mut reference))
+                    .collect();
+                assert_eq!(got, want, "g={g} r={r}");
+                assert_eq!(rng.next_u64(), reference.next_u64(), "g={g} r={r}");
+            }
+        }
+    }
+
+    /// At g = 10⁷ the full scan would clear and walk 10⁷ buckets per seed;
+    /// the search instead touches only the r hashed ones. Checked against
+    /// the same rule written over a map: most targets, ties to the
+    /// highest bucket, the first seed that strictly improves.
+    #[test]
+    fn kernel_oracle_mga_olh_seed_search_at_a_huge_range() {
+        let g = 10_000_000u32;
+        let olh = Olh::with_range(16.0, domain(490), g).unwrap();
+        let proto = AnyProtocol::Olh(olh);
+        let mga = Mga::random_targets(domain(490), 10, &mut rng_from_seed(8));
+        let mut rng = rng_from_seed(9);
+        let mut reference = rng_from_seed(9);
+        for report in mga.craft(&proto, 200, &mut rng) {
+            let mut best = (0usize, 0u64, 0u32);
+            for _ in 0..mga.seed_trials {
+                let seed: u64 = reference.gen();
+                let hasher = OlhHash::new(seed, g);
+                let mut buckets = std::collections::BTreeMap::new();
+                for &t in &mga.targets {
+                    *buckets.entry(hasher.hash(t)).or_insert(0usize) += 1;
+                }
+                let (&value, &support) = buckets
+                    .iter()
+                    .max_by_key(|&(&value, &support)| (support, value))
+                    .unwrap();
+                if support > best.0 {
+                    best = (support, seed, value);
+                    if support == mga.targets.len() {
+                        break;
+                    }
+                }
+            }
+            let want = Report::Olh(ldp_protocols::olh::OlhReport {
+                seed: best.1,
+                value: best.2,
+            });
+            assert_eq!(report, want);
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! n ≈ 667k) storing reports as `Vec<bool>` would cost 327 MB and thrash the
 //! cache during aggregation. [`BitVec`] packs bits into `u64` blocks (41 MB
 //! for the same workload) and exposes the exact operations the workspace
-//! needs: single-bit set/get, set-bit iteration (aggregation), and masked
+//! needs: single-bit set/get/insert, ranged OR of computed bits
+//! (perturbation), set-bit iteration (aggregation), and masked
 //! intersection counting (the Detection baseline).
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -25,21 +28,31 @@ impl BitVec {
         }
     }
 
-    /// Builds a `len`-bit vector whose bit `i` is `bit(i)`, calling `bit`
+    /// ORs `bit(i)` into bit `i` for every `i` in `range`, calling `bit`
     /// exactly once per index in increasing order. Each result is OR-ed
     /// into its packed word, so a data-dependent bit costs no branch.
+    ///
+    /// # Panics
+    /// Panics if `range` does not lie within `0..len`.
     #[inline]
-    pub fn from_fn(len: usize, mut bit: impl FnMut(usize) -> bool) -> Self {
-        let mut blocks = vec![0u64; len.div_ceil(64)];
-        for (w, block) in blocks.iter_mut().enumerate() {
-            let base = w * 64;
+    pub fn or_range(&mut self, range: Range<usize>, mut bit: impl FnMut(usize) -> bool) {
+        let Range { start, end } = range;
+        assert!(
+            start <= end && end <= self.len,
+            "bit range {start}..{end} out of range {}",
+            self.len
+        );
+        let mut i = start;
+        while i < end {
+            let base = i / 64 * 64;
+            let stop = end.min(base + 64);
             let mut word = 0u64;
-            for offset in 0..(len - base).min(64) {
-                word |= u64::from(bit(base + offset)) << offset;
+            for index in i..stop {
+                word |= u64::from(bit(index)) << (index - base);
             }
-            *block = word;
+            self.blocks[base / 64] |= word;
+            i = stop;
         }
-        Self { blocks, len }
     }
 
     /// Number of bits.
@@ -81,6 +94,18 @@ impl BitVec {
     pub fn set_one(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         self.blocks[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Sets bit `i` to 1 and returns whether it was 0 — the 0/1 a
+    /// rejection sampler counts, without branching on the old bit.
+    #[inline(always)]
+    pub fn insert(&mut self, i: usize) -> bool {
+        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        let mask = 1u64 << (i % 64);
+        let block = &mut self.blocks[i / 64];
+        let was_clear = *block & mask == 0;
+        *block |= mask;
+        was_clear
     }
 
     /// Number of set bits.
@@ -233,19 +258,44 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_sets_exactly_the_requested_bits_in_index_order() {
+    fn or_range_sets_exactly_the_requested_bits_in_index_order() {
         for len in [0usize, 1, 63, 64, 65, 130] {
-            let mut calls = Vec::new();
-            let v = BitVec::from_fn(len, |i| {
-                calls.push(i);
-                i % 3 == 1
-            });
-            assert_eq!(calls, (0..len).collect::<Vec<_>>(), "len={len}");
-            let ones: Vec<usize> = v.iter_ones().collect();
-            let want: Vec<usize> = (0..len).filter(|i| i % 3 == 1).collect();
-            assert_eq!(ones, want, "len={len}");
-            assert_eq!(v, BitVec::mask_of(len, &want), "len={len}");
+            for (start, end) in [(0, len), (0, len / 2), (len / 3, len), (len / 2, len / 2)] {
+                let mut calls = Vec::new();
+                // Bits already set outside (and inside) the range stay set.
+                let kept: Vec<usize> = [0, 64, 129].into_iter().filter(|&i| i < len).collect();
+                let mut v = BitVec::mask_of(len, &kept);
+                v.or_range(start..end, |i| {
+                    calls.push(i);
+                    i % 3 == 1
+                });
+                assert_eq!(calls, (start..end).collect::<Vec<_>>(), "len={len}");
+                let mut want: Vec<usize> = (start..end).filter(|i| i % 3 == 1).collect();
+                want.extend(&kept);
+                want.sort_unstable();
+                want.dedup();
+                let ones: Vec<usize> = v.iter_ones().collect();
+                assert_eq!(ones, want, "len={len} range={start}..{end}");
+                assert_eq!(v, BitVec::mask_of(len, &want), "len={len}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn or_range_past_the_end_panics() {
+        BitVec::zeros(10).or_range(5..11, |_| true);
+    }
+
+    #[test]
+    fn insert_reports_whether_the_bit_was_clear() {
+        let mut v = BitVec::zeros(130);
+        for i in [0usize, 63, 64, 129] {
+            assert!(v.insert(i), "bit {i} was clear");
+            assert!(!v.insert(i), "bit {i} was already set");
+            assert!(v.get(i));
+        }
+        assert_eq!(v, BitVec::mask_of(130, &[0, 63, 64, 129]));
     }
 
     #[test]

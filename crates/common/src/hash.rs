@@ -11,6 +11,12 @@
 //! are hashed as 8-byte little-endian integers — but the full algorithm,
 //! including the ≥ 32-byte stripe loop, is implemented and tested against the
 //! published reference vectors so the hasher is usable as a general substrate.
+//!
+//! The 8-byte hash splits into a half that depends on the item alone
+//! ([`xxh64_item_lane`]) and one that mixes in the seed
+//! ([`xxh64_seed_finish`]), so a batch of OLH reports hashes each item's
+//! half once; [`ResidueTest`] then compares the reduced hash with a
+//! report's value without a 64-bit division.
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -113,16 +119,30 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
 /// Specialization of [`xxh64`] for exactly 8 bytes of input (the LE bytes of
 /// `value`, so reading them back as a LE word is `value` itself). Keeping it
 /// inline and branch-free matters because OLH aggregation performs n × d of
-/// these (≈ 3 × 10⁸ at Fire scale).
+/// these (≈ 3 × 10⁸ at Fire scale). It is [`xxh64_item_lane`] followed by
+/// [`xxh64_seed_finish`].
 #[inline(always)]
 pub fn xxh64_u64(value: u64, seed: u64) -> u64 {
-    let mut h = seed.wrapping_add(PRIME64_5).wrapping_add(8);
-    h ^= xxh64_round(0, value);
-    h = h
-        .rotate_left(27)
-        .wrapping_mul(PRIME64_1)
-        .wrapping_add(PRIME64_4);
-    xxh64_avalanche(h)
+    xxh64_seed_finish(seed, xxh64_item_lane(value))
+}
+
+/// The half of [`xxh64_u64`] that depends on the item alone. A batch of
+/// OLH reports computes it once per item and reuses it for every seed.
+#[inline(always)]
+pub fn xxh64_item_lane(value: u64) -> u64 {
+    xxh64_round(0, value)
+}
+
+/// The seed half of [`xxh64_u64`]:
+/// `xxh64_u64(v, seed) == xxh64_seed_finish(seed, xxh64_item_lane(v))`.
+#[inline(always)]
+pub fn xxh64_seed_finish(seed: u64, lane: u64) -> u64 {
+    let h = seed.wrapping_add(PRIME64_5).wrapping_add(8) ^ lane;
+    xxh64_avalanche(
+        h.rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4),
+    )
 }
 
 /// A member of the OLH hash family: maps items of `D` onto `{0, …, g−1}`.
@@ -162,6 +182,76 @@ impl OlhHash {
     }
 }
 
+/// Decides `h mod g == value` for a fixed `g ≥ 1` with one multiply
+/// instead of a 64-bit division (Hacker's Delight §10-17).
+///
+/// With `g = 2ˢ·o`, `o` odd, `inv = o⁻¹ mod 2⁶⁴` and `L = ⌊(2⁶⁴−1)/g⌋`, a
+/// word `x` is a multiple of `g` iff `(x·inv mod 2⁶⁴) rotated right by s`
+/// is at most `L`. For `value < g`, `h mod g == value` iff `h ≥ value` and
+/// `h − value` is such a multiple; a `value ≥ g` matches no `h`, which
+/// [`ResidueTest::residue`] settles once per value. The OLH support scan
+/// runs this test n × d times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidueTest {
+    g: u64,
+    shift: u32,
+    inverse: u64,
+    limit: u64,
+}
+
+/// A value below a [`ResidueTest`]'s modulus, made by
+/// [`ResidueTest::residue`]: one that some `h mod g` can equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Residue(u64);
+
+impl ResidueTest {
+    /// The test for modulus `g`.
+    ///
+    /// # Panics
+    /// Panics if `g == 0`.
+    pub fn new(g: u32) -> Self {
+        assert!(g >= 1, "the modulus must be positive");
+        let g = u64::from(g);
+        let shift = g.trailing_zeros();
+        let odd = g >> shift;
+        // Newton's iteration doubles the correct low bits of the inverse;
+        // `odd` is its own inverse mod 2³, so five steps reach 2⁶⁴.
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        debug_assert_eq!(odd.wrapping_mul(inverse), 1);
+        Self {
+            g,
+            shift,
+            inverse,
+            limit: u64::MAX / g,
+        }
+    }
+
+    /// `value` as a residue mod `g`, or `None` when `value ≥ g`: then no
+    /// `h` matches it.
+    #[inline(always)]
+    pub fn residue(&self, value: u32) -> Option<Residue> {
+        let value = u64::from(value);
+        (value < self.g).then_some(Residue(value))
+    }
+
+    /// `h mod g == residue`, branch-free. The residue must come from this
+    /// test (or one with the same `g`).
+    #[inline(always)]
+    pub fn matches(&self, h: u64, residue: Residue) -> bool {
+        let Residue(value) = residue;
+        debug_assert!(value < self.g, "residue {value} of another modulus");
+        let multiple = h
+            .wrapping_sub(value)
+            .wrapping_mul(self.inverse)
+            .rotate_right(self.shift)
+            <= self.limit;
+        (h >= value) & multiple
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +288,58 @@ mod tests {
                     xxh64(&value.to_le_bytes(), seed),
                     "value={value}, seed={seed}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_split_composes_to_the_u64_hash() {
+        for value in [0u64, 1, 42, 489, u64::MAX, 0xDEAD_BEEF] {
+            for seed in [0u64, 1, 0xFFFF_FFFF_FFFF_FFFF, 123_456_789] {
+                assert_eq!(
+                    xxh64_seed_finish(seed, xxh64_item_lane(value)),
+                    xxh64(&value.to_le_bytes(), seed),
+                    "value={value}, seed={seed}"
+                );
+            }
+        }
+    }
+
+    /// The residue test against `h % g == value` for every `g` in 2..=300
+    /// (and g = 1 and a few large ones): edge words around 0, `g`, its
+    /// multiples and `u64::MAX`, then random words; every residue, and
+    /// values at and past `g`, which must match nothing.
+    #[test]
+    fn kernel_oracle_residue_test_matches_the_division() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            crate::rng::splitmix64_mix(state)
+        };
+        let moduli = (1u32..=300).chain([1 << 16, 1_000_000, 10_000_019, u32::MAX]);
+        for g in moduli {
+            let test = ResidueTest::new(g);
+            let g64 = u64::from(g);
+            let mut words: Vec<u64> = (0..2 * g64.min(300) + 3).collect();
+            for k in [1u64, 2, 3, u64::MAX / g64 - 1, u64::MAX / g64] {
+                let base = k.wrapping_mul(g64);
+                words.extend([base.wrapping_sub(1), base, base.wrapping_add(1)]);
+            }
+            words.extend((0..3).map(|i| u64::MAX - i));
+            words.extend((0..200).map(|_| next()));
+            let mut values: Vec<u32> = (0..g.min(8)).chain([g / 2, g - 1]).collect();
+            values.extend([g, g.saturating_add(1), u32::MAX]);
+            for &h in &words {
+                values.push((h % g64) as u32);
+                for &value in &values {
+                    let matched = test.residue(value).is_some_and(|r| test.matches(h, r));
+                    assert_eq!(
+                        matched,
+                        h % g64 == u64::from(value),
+                        "g={g} h={h} value={value}"
+                    );
+                }
+                values.pop();
             }
         }
     }

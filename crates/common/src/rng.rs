@@ -12,8 +12,12 @@
 //! and a compare-against-`u64` is several times cheaper than going through
 //! `f64` generation per bit.
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::BitVec;
 
 /// Finalizer of SplitMix64: maps a state to a well-mixed output.
 #[inline]
@@ -101,6 +105,22 @@ impl FastBernoulli {
         }
     }
 
+    /// Draws one sample per index of `range`, in index order, and ORs the
+    /// successes into `bits` — what looping [`Self::sample`] and setting
+    /// each success does, with the threshold matched once instead of per
+    /// bit. At p = 1 it sets the whole range and draws nothing, as
+    /// `sample` does.
+    ///
+    /// # Panics
+    /// Panics if `range` does not lie within `bits`.
+    #[inline]
+    pub fn fill<R: Rng + ?Sized>(&self, bits: &mut BitVec, range: Range<usize>, rng: &mut R) {
+        match self.threshold {
+            Some(t) => bits.or_range(range, |_| rng.next_u64() < t),
+            None => bits.or_range(range, |_| true),
+        }
+    }
+
     /// The success probability this sampler realizes (after quantization).
     pub fn probability(&self) -> f64 {
         match self.threshold {
@@ -178,6 +198,33 @@ mod tests {
             // 5σ tolerance for a binomial proportion.
             let tol = 5.0 * (p * (1.0 - p) / n as f64).sqrt();
             assert!((rate - p).abs() < tol, "p={p}, rate={rate}, tol={tol}");
+        }
+    }
+
+    #[test]
+    fn kernel_oracle_bernoulli_fill_matches_sampling_each_bit() {
+        // One draw per index, in order, as the per-bit `sample` loop; a
+        // certain bit (p = 1) and an empty range draw nothing.
+        for p in [0.0, 0.3, 0.5, 1.0] {
+            let bern = FastBernoulli::new(p);
+            for (len, range) in [(130, 0..130), (130, 3..3), (130, 63..65), (70, 5..69)] {
+                let mut rng = rng_from_seed(11);
+                let mut reference = rng_from_seed(11);
+                let mut filled = BitVec::mask_of(len, &[0]);
+                bern.fill(&mut filled, range.clone(), &mut rng);
+                let mut looped = BitVec::mask_of(len, &[0]);
+                for i in range.clone() {
+                    if bern.sample(&mut reference) {
+                        looped.set_one(i);
+                    }
+                }
+                assert_eq!(filled, looped, "p={p} range={range:?}");
+                assert_eq!(
+                    rng.next_u64(),
+                    reference.next_u64(),
+                    "p={p} range={range:?}"
+                );
+            }
         }
     }
 

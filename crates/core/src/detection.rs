@@ -120,18 +120,29 @@ impl Detection {
     ///
     /// # Errors
     /// [`LdpError::EmptyInput`] when the mask keeps nothing.
+    ///
+    /// # Panics
+    /// Panics if the mask and the reports differ in length.
     pub fn estimate_from_mask(
         protocol: &AnyProtocol,
         reports: &[Report],
         mask: &[bool],
     ) -> Result<Vec<f64>> {
-        let mut acc = ldp_protocols::CountAccumulator::new(protocol.domain());
-        for (report, &keep) in reports.iter().zip(mask) {
-            if keep {
-                acc.add(protocol, report);
-            }
-        }
-        acc.frequencies(protocol.params())
+        Self::fold_kept(protocol, reports, mask).frequencies(protocol.params())
+    }
+
+    /// The support counts of the reports `mask` keeps, folded through the
+    /// protocol's batch kernel (HR's transform, OLH's hash lanes).
+    fn fold_kept(
+        protocol: &AnyProtocol,
+        reports: &[Report],
+        mask: &[bool],
+    ) -> ldp_protocols::CountAccumulator {
+        assert_eq!(mask.len(), reports.len(), "one keep flag per report");
+        let mut counts = vec![0u64; protocol.domain().size()];
+        let kept = reports.iter().zip(mask).filter(|(_, &keep)| keep);
+        protocol.accumulate_reports(kept.clone().map(|(r, _)| r), &mut counts);
+        ldp_protocols::CountAccumulator::from_parts(counts, kept.count())
     }
 
     /// The configured targets.
@@ -248,6 +259,45 @@ mod tests {
                 (gen_kept as f64) > 0.7 * 2000.0,
                 "{kind:?}: kept {gen_kept}/2000 genuine"
             );
+        }
+    }
+
+    /// The batch-kernel fold of the kept reports against folding each kept
+    /// report on its own, for all five protocols, with MGA reports mixed
+    /// into genuine ones and masks that keep all, none, or a scattered part.
+    #[test]
+    fn kernel_oracle_detection_fold_matches_the_per_report_fold() {
+        use ldp_attacks::{Mga, PoisoningAttack};
+        let domain = Domain::new(102).unwrap();
+        for kind in ProtocolKind::EXTENDED {
+            let proto = kind.build(0.5, domain).unwrap();
+            let mut rng = rng_from_seed(21);
+            let targets: Vec<usize> = (20..30).collect();
+            let det = Detection::new(targets.clone()).unwrap();
+            let mut reports: Vec<Report> = (0..1500)
+                .map(|i| proto.perturb(i % 102, &mut rng))
+                .collect();
+            reports.extend(Mga::new(targets).craft(&proto, 200, &mut rng));
+            let n = reports.len();
+            let masks = [
+                det.keep_mask(&proto, &reports),
+                vec![true; n],
+                vec![false; n],
+                (0..n).map(|i| i % 7 != 3).collect(),
+            ];
+            for mask in masks {
+                let mut reference = ldp_protocols::CountAccumulator::new(domain);
+                for (report, &keep) in reports.iter().zip(&mask) {
+                    if keep {
+                        reference.add(&proto, report);
+                    }
+                }
+                assert_eq!(
+                    Detection::fold_kept(&proto, &reports, &mask),
+                    reference,
+                    "{kind}"
+                );
+            }
         }
     }
 

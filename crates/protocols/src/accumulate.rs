@@ -56,7 +56,8 @@ impl CountAccumulator {
     /// Folds a whole slice of reports in through the protocol's batch
     /// kernel ([`LdpFrequencyProtocol::accumulate_all`]) — bitwise
     /// identical to per-report [`CountAccumulator::add`] calls, but HR
-    /// aggregates through one fast Walsh–Hadamard transform.
+    /// aggregates through one fast Walsh–Hadamard transform and OLH
+    /// through per-batch hash lanes.
     pub fn add_batch<P: LdpFrequencyProtocol>(&mut self, protocol: &P, reports: &[P::Report]) {
         protocol.accumulate_all(reports, &mut self.counts);
         self.reports += reports.len();
@@ -148,7 +149,8 @@ mod tests {
     #[test]
     fn add_batch_matches_per_report_adds_for_every_protocol() {
         // The batch kernel contract: bitwise-identical counts to the
-        // per-report loop (HR goes through the FWHT; the rest loop).
+        // per-report loop (HR goes through the FWHT, OLH through its hash
+        // lanes; the rest loop).
         let domain = Domain::new(37).unwrap();
         for kind in ProtocolKind::EXTENDED {
             let p = kind.build(0.7, domain).unwrap();

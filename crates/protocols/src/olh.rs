@@ -8,7 +8,9 @@
 //! `p = e^ε/(e^ε + g − 1)` (true item) and `q = 1/g` (any other item —
 //! uniform hashing).
 
-use ldp_common::hash::OlhHash;
+use ldp_common::hash::{
+    xxh64_item_lane, xxh64_seed_finish, xxh64_u64, OlhHash, Residue, ResidueTest,
+};
 use ldp_common::rng::{uniform_index, FastBernoulli};
 use ldp_common::{Domain, LdpError, Result};
 use rand::Rng;
@@ -35,6 +37,8 @@ pub struct Olh {
     g: u32,
     params: PureParams,
     keep_true: FastBernoulli,
+    /// `hash mod g == value` without a division, for the support scans.
+    residue_test: ResidueTest,
 }
 
 impl Olh {
@@ -73,6 +77,7 @@ impl Olh {
             g,
             params,
             keep_true: FastBernoulli::new(p),
+            residue_test: ResidueTest::new(g),
         })
     }
 
@@ -86,6 +91,51 @@ impl Olh {
     #[inline]
     pub fn hasher(&self, seed: u64) -> OlhHash {
         OlhHash::new(seed, self.g)
+    }
+
+    /// Adds the support counts of a batch of reports: the item half of
+    /// every hash ([`xxh64_item_lane`]) is computed once for the batch,
+    /// so each report pays only the seed half and a multiply-and-compare
+    /// residue test per item. Bitwise identical to looping
+    /// [`LdpFrequencyProtocol::accumulate`]; a report whose value is not
+    /// below `g` supports nothing.
+    ///
+    /// # Panics
+    /// Panics if `counts.len() != d`.
+    pub(crate) fn accumulate_reports<I>(&self, reports: I, counts: &mut [u64])
+    where
+        I: IntoIterator<Item = OlhReport>,
+    {
+        assert_eq!(counts.len(), self.domain.size());
+        let lanes: Vec<u64> = (0..counts.len() as u64).map(xxh64_item_lane).collect();
+        let mut reports = reports
+            .into_iter()
+            .filter_map(|r| Some((r.seed, self.residue_test.residue(r.value)?)));
+        // Two reports per pass share each lane load and count update.
+        while let Some(a) = reports.next() {
+            match reports.next() {
+                Some(b) => self.scan_lanes(&lanes, [a, b], counts),
+                None => self.scan_lanes(&lanes, [a], counts),
+            }
+        }
+    }
+
+    /// Adds the supports of `N` `(seed, residue)` reports over the item
+    /// lanes. Kept out of line so that the scan's registers do not depend
+    /// on the iterator that feeds it.
+    #[inline(never)]
+    fn scan_lanes<const N: usize>(
+        &self,
+        lanes: &[u64],
+        reports: [(u64, Residue); N],
+        counts: &mut [u64],
+    ) {
+        for (c, &lane) in counts.iter_mut().zip(lanes) {
+            for &(seed, residue) in &reports {
+                let h = xxh64_seed_finish(seed, lane);
+                *c += u64::from(self.residue_test.matches(h, residue));
+            }
+        }
     }
 }
 
@@ -142,15 +192,21 @@ impl LdpFrequencyProtocol for Olh {
 
     fn accumulate(&self, report: &OlhReport, counts: &mut [u64]) {
         debug_assert_eq!(counts.len(), self.domain.size());
-        let hasher = self.hasher(report.seed);
+        let Some(residue) = self.residue_test.residue(report.value) else {
+            return; // no hash reduces to a value ≥ g
+        };
         for (v, c) in counts.iter_mut().enumerate() {
             // O(d) hash evaluations per report — n·d total on the per-user
-            // path (the batched λ-split sampler avoids them entirely);
-            // xxh64_u64 keeps it a handful of ns each. A hit has
-            // probability 1/g, so adding the comparison as 0/1 beats a
-            // branch the predictor misses.
-            *c += u64::from(hasher.hash(v) == report.value);
+            // path (the batched λ-split sampler avoids them entirely). A
+            // hit has probability 1/g, so adding the residue test as 0/1
+            // beats a branch the predictor misses.
+            let h = xxh64_u64(v as u64, report.seed);
+            *c += u64::from(self.residue_test.matches(h, residue));
         }
+    }
+
+    fn accumulate_all(&self, reports: &[OlhReport], counts: &mut [u64]) {
+        self.accumulate_reports(reports.iter().copied(), counts);
     }
 
     fn batch_aggregate<R: Rng + ?Sized>(
@@ -240,6 +296,80 @@ mod tests {
         for item in [0usize, 17, 99] {
             let r = o.encode_clean(item, &mut rng);
             assert!(o.supports(&r, item));
+        }
+    }
+
+    /// The per-report scan the residue test replaced: the full hash
+    /// reduced with `%` and compared with the value.
+    fn accumulate_by_division(olh: &Olh, report: &OlhReport, counts: &mut [u64]) {
+        let hasher = olh.hasher(report.seed);
+        for (v, c) in counts.iter_mut().enumerate() {
+            *c += u64::from(hasher.hash(v) == report.value);
+        }
+    }
+
+    /// Per-report `accumulate` and the batch lane kernel against the `% g`
+    /// loop and against per-item `supports`: several g, domains on and off
+    /// a word, random seeds, every value below g and values at and past
+    /// it (which support nothing).
+    #[test]
+    fn kernel_oracle_olh_support_scan() {
+        for g in [2u32, 3, 4, 6, 7, 64, 1000] {
+            for d in [1usize, 2, 65, 102, 490] {
+                let olh = Olh::with_range(0.5, Domain::new(d).unwrap(), g).unwrap();
+                let mut rng = rng_from_seed(u64::from(g) * 7919 + d as u64);
+                let mut reports: Vec<OlhReport> = (0..200)
+                    .map(|_| OlhReport {
+                        seed: rng.gen(),
+                        value: uniform_index(&mut rng, g as usize) as u32,
+                    })
+                    .collect();
+                for value in [g - 1, g, g + 1, u32::MAX] {
+                    reports.push(OlhReport {
+                        seed: rng.gen(),
+                        value,
+                    });
+                }
+                // Reports supporting a known item, so hits are not all chance.
+                for item in [0, d - 1, d / 2] {
+                    reports.push(olh.encode_clean(item, &mut rng));
+                }
+
+                let mut divided = vec![0u64; d];
+                let mut per_report = vec![0u64; d];
+                for r in &reports {
+                    let mut single = vec![0u64; d];
+                    olh.accumulate(r, &mut single);
+                    let supported: Vec<u64> =
+                        (0..d).map(|v| u64::from(olh.supports(r, v))).collect();
+                    assert_eq!(single, supported, "g={g} d={d} report={r:?}");
+                    if r.value >= g {
+                        assert!(single.iter().all(|&c| c == 0), "g={g} report={r:?}");
+                    }
+                    olh.accumulate(r, &mut per_report);
+                    accumulate_by_division(&olh, r, &mut divided);
+                }
+                assert_eq!(per_report, divided, "g={g} d={d}");
+                let mut batched = vec![0u64; d];
+                olh.accumulate_all(&reports, &mut batched);
+                assert_eq!(batched, divided, "g={g} d={d}");
+                // Batches of every parity: the scan takes reports in pairs.
+                for len in [0, 1, 2, 3, 200, 201] {
+                    let mut prefix = vec![0u64; d];
+                    olh.accumulate_all(&reports[..len], &mut prefix);
+                    let mut want = vec![0u64; d];
+                    for r in &reports[..len] {
+                        accumulate_by_division(&olh, r, &mut want);
+                    }
+                    assert_eq!(prefix, want, "g={g} d={d} len={len}");
+                }
+                let any = crate::report::AnyProtocol::Olh(olh);
+                let wrapped: Vec<crate::Report> =
+                    reports.iter().map(|&r| crate::Report::Olh(r)).collect();
+                let mut dispatched = vec![0u64; d];
+                any.accumulate_all(&wrapped, &mut dispatched);
+                assert_eq!(dispatched, divided, "g={g} d={d}");
+            }
         }
     }
 

@@ -55,9 +55,10 @@ impl Oue {
 }
 
 /// Ψ of the unary encodings (OUE, SUE): one Bernoulli draw per bit, in
-/// index order — `one_bit` for the item's own bit, `zero_bit` for every
-/// other. The draws are OR-ed into packed words, so the ~`q·d` set bits
-/// cost no mispredicted branch.
+/// index order — `zero_bit` for the bits before the item's, `one_bit` for
+/// the item's own bit, `zero_bit` for the bits after it. Each stretch
+/// matches its threshold once and ORs its draws into packed words, so the
+/// ~`q·d` set bits cost no mispredicted branch.
 pub(crate) fn perturb_unary<R: Rng + ?Sized>(
     domain: Domain,
     item: usize,
@@ -65,13 +66,12 @@ pub(crate) fn perturb_unary<R: Rng + ?Sized>(
     zero_bit: FastBernoulli,
     rng: &mut R,
 ) -> BitVec {
-    BitVec::from_fn(domain.size(), |v| {
-        if v == item {
-            one_bit.sample(rng)
-        } else {
-            zero_bit.sample(rng)
-        }
-    })
+    let d = domain.size();
+    let mut bits = BitVec::zeros(d);
+    zero_bit.fill(&mut bits, 0..item, rng);
+    one_bit.fill(&mut bits, item..item + 1, rng);
+    zero_bit.fill(&mut bits, item + 1..d, rng);
+    bits
 }
 
 impl LdpFrequencyProtocol for Oue {
@@ -130,6 +130,7 @@ impl LdpFrequencyProtocol for Oue {
 mod tests {
     use super::*;
     use ldp_common::rng::rng_from_seed;
+    use rand::RngCore;
 
     fn oue(eps: f64, d: usize) -> Oue {
         Oue::new(eps, Domain::new(d).unwrap()).unwrap()
@@ -187,32 +188,55 @@ mod tests {
         assert_eq!(counts, vec![1, 0, 0, 1, 0, 0, 0, 1]);
     }
 
+    /// Ψ as it was before the three-stretch split: one closure call per
+    /// bit that branches on `v == item` and matches the sampler's
+    /// threshold, packed word by word.
+    fn perturb_unary_per_index(
+        d: usize,
+        item: usize,
+        one_bit: FastBernoulli,
+        zero_bit: FastBernoulli,
+        rng: &mut impl Rng,
+    ) -> BitVec {
+        let mut bits = BitVec::zeros(d);
+        bits.or_range(0..d, |v| {
+            if v == item {
+                one_bit.sample(rng)
+            } else {
+                zero_bit.sample(rng)
+            }
+        });
+        bits
+    }
+
+    /// The per-bit `set_one` loop, the form Ψ started from.
+    fn per_bit_loop(
+        d: usize,
+        item: usize,
+        one_bit: FastBernoulli,
+        zero_bit: FastBernoulli,
+        rng: &mut impl Rng,
+    ) -> BitVec {
+        let mut bits = BitVec::zeros(d);
+        for v in 0..d {
+            let on = if v == item {
+                one_bit.sample(rng)
+            } else {
+                zero_bit.sample(rng)
+            };
+            if on {
+                bits.set_one(v);
+            }
+        }
+        bits
+    }
+
     #[test]
     fn unary_perturbation_matches_the_per_bit_loop() {
         // The packed-word Ψ must make the same draws in the same order as
         // the per-bit `set_one` loop it replaced, for OUE and SUE
         // probabilities, a certain bit (p = 1 draws nothing), and domains
         // on and off the 64-bit word boundary.
-        fn per_bit_loop(
-            d: usize,
-            item: usize,
-            one_bit: FastBernoulli,
-            zero_bit: FastBernoulli,
-            rng: &mut impl Rng,
-        ) -> BitVec {
-            let mut bits = BitVec::zeros(d);
-            for v in 0..d {
-                let on = if v == item {
-                    one_bit.sample(rng)
-                } else {
-                    zero_bit.sample(rng)
-                };
-                if on {
-                    bits.set_one(v);
-                }
-            }
-            bits
-        }
         for (p, q) in [(0.5, 0.38), (0.62, 0.38), (1.0, 0.1)] {
             let (one_bit, zero_bit) = (FastBernoulli::new(p), FastBernoulli::new(q));
             for d in [1usize, 2, 63, 64, 65, 102, 490] {
@@ -229,6 +253,53 @@ mod tests {
                 assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "p={p} d={d}");
             }
         }
+    }
+
+    /// OUE and SUE `perturb` against the per-index Ψ it replaced, with
+    /// samplers rebuilt from each protocol's (p, q): several ε (SUE's item
+    /// bit is certain, p = 1, at ε = 100), the item at the first and last
+    /// position and on both sides of each word boundary, and the draw
+    /// that follows.
+    #[test]
+    fn kernel_oracle_unary_perturbation() {
+        use crate::report::ProtocolKind;
+        for d in [1usize, 63, 64, 65, 102, 490] {
+            let domain = Domain::new(d).unwrap();
+            let mut items: Vec<usize> = vec![0, d - 1, d / 2];
+            items.extend([62, 63, 64, 65, 127, 128].into_iter().filter(|&i| i < d));
+            for eps in [0.1, 0.5, 1.6, 4.0, 100.0] {
+                for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
+                    let protocol = kind.build(eps, domain).unwrap();
+                    let params = protocol.params();
+                    let one_bit = FastBernoulli::new(params.p());
+                    let zero_bit = FastBernoulli::new(params.q());
+                    let seed = d as u64 * 1000 + (eps * 10.0) as u64;
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    for _ in 0..3 {
+                        for &item in &items {
+                            let want =
+                                perturb_unary_per_index(d, item, one_bit, zero_bit, &mut reference);
+                            let got = match protocol.perturb(item, &mut rng) {
+                                crate::Report::Oue(bits) | crate::Report::Sue(bits) => bits,
+                                other => panic!("unexpected {other:?}"),
+                            };
+                            assert_eq!(got, want, "{kind} eps={eps} d={d} item={item}");
+                        }
+                    }
+                    assert_eq!(
+                        rng.next_u64(),
+                        reference.next_u64(),
+                        "{kind} eps={eps} d={d}: next draw"
+                    );
+                }
+            }
+        }
+        // SUE's item bit at ε = 100 is certain: the sampler's p = 1 arm.
+        let sue = ProtocolKind::Sue
+            .build(100.0, Domain::new(8).unwrap())
+            .unwrap();
+        assert_eq!(FastBernoulli::new(sue.params().p()).probability(), 1.0);
     }
 
     #[test]

@@ -152,6 +152,44 @@ impl AnyProtocol {
         }
     }
 
+    /// Adds the support counts of the reports an iterator yields, through
+    /// the protocol's batch kernel: bitwise what looping
+    /// [`LdpFrequencyProtocol::accumulate`] gives. HR folds through the
+    /// FWHT and OLH through its per-batch hash lanes, each fed an iterator
+    /// so no report is copied; the unary encodings and GRR have no batch
+    /// kernel, so the per-report loop serves. This is
+    /// [`LdpFrequencyProtocol::accumulate_all`] for any subset of a slice,
+    /// such as the reports a keep-mask retains.
+    ///
+    /// # Panics
+    /// Panics on a report of another protocol or if `counts.len() != d`.
+    pub fn accumulate_reports<'a, I>(&self, reports: I, counts: &mut [u64])
+    where
+        I: IntoIterator<Item = &'a Report>,
+    {
+        match self {
+            AnyProtocol::Hr(x) => x.accumulate_columns(
+                reports.into_iter().map(|r| match r {
+                    Report::Hr(c) => *c,
+                    other => self.report_mismatch(other),
+                }),
+                counts,
+            ),
+            AnyProtocol::Olh(x) => x.accumulate_reports(
+                reports.into_iter().map(|r| match r {
+                    Report::Olh(r) => *r,
+                    other => self.report_mismatch(other),
+                }),
+                counts,
+            ),
+            _ => {
+                for r in reports {
+                    self.accumulate(r, counts);
+                }
+            }
+        }
+    }
+
     /// Panics with a clear message when a report of the wrong protocol is
     /// fed in — that is always a harness bug, never a runtime condition.
     #[cold]
@@ -244,22 +282,7 @@ impl LdpFrequencyProtocol for AnyProtocol {
     }
 
     fn accumulate_all(&self, reports: &[Report], counts: &mut [u64]) {
-        // HR gets the FWHT batch kernel; the other protocols' batch
-        // accumulation is the plain loop either way, so the default
-        // suffices (and keeps per-report mismatch checking).
-        if let AnyProtocol::Hr(x) = self {
-            x.accumulate_columns(
-                reports.iter().map(|r| match r {
-                    Report::Hr(c) => *c,
-                    other => self.report_mismatch(other),
-                }),
-                counts,
-            );
-        } else {
-            for r in reports {
-                self.accumulate(r, counts);
-            }
-        }
+        self.accumulate_reports(reports, counts);
     }
 
     fn batch_aggregate<R: Rng + ?Sized>(

@@ -53,10 +53,11 @@ pub trait LdpFrequencyProtocol {
 
     /// Adds a whole slice of reports' support indicators into `counts` —
     /// bitwise identical to looping [`Self::accumulate`], but protocols
-    /// with a transform-domain aggregation override it (HR folds the
-    /// batch through one fast Walsh–Hadamard transform, `O(n + K log K)`
-    /// instead of `O(n·d)`). Consumes no randomness, so swapping a
-    /// per-report loop for this call never perturbs an RNG stream.
+    /// with a batch kernel override it (HR folds the batch through one
+    /// fast Walsh–Hadamard transform, `O(n + K log K)` instead of
+    /// `O(n·d)`; OLH hashes each item's half of the hash once per batch).
+    /// Consumes no randomness, so swapping a per-report loop for this call
+    /// never perturbs an RNG stream.
     ///
     /// # Panics
     /// Panics if `counts.len() != d`.
