@@ -1,27 +1,29 @@
 //! The adaptive attack (paper §V-C): the unifying model LDPRecover learns
 //! against.
 //!
-//! The attacker designs a distribution `P` over the encoded domain and draws
-//! each malicious user's report as the clean encoding of a sample from `P`.
-//! Every known attack is a special case (Manip: uniform on `H`; sampled MGA:
-//! uniform on the target set), which is exactly why LDPRecover can learn the
-//! *sum* of malicious aggregated frequencies without attack knowledge
-//! (Eq. (20)/(21)): each crafted report supports, in expectation, one item.
+//! The attacker designs a distribution `P` over the items and draws each
+//! malicious user's item from it. Every known attack is a special case
+//! (Manip: uniform on `H`; sampled MGA: uniform on the target set), which
+//! is exactly why LDPRecover can learn the *sum* of malicious aggregated
+//! frequencies without attack knowledge (Eq. (20)/(21)): each crafted
+//! report supports, in expectation, one item. A drawn item becomes a
+//! report in one of three ways: its clean encoding ([`AdaptiveAttack::craft`]),
+//! padded on OUE and SUE ([`AdaptiveAttack::craft_camouflaged`]), or run
+//! through Ψ ([`AdaptiveAttack::craft_perturbed`]).
 
-use ldp_common::sampling::{random_distribution, AliasTable};
+use ldp_common::sampling::{random_distribution, sample_distinct, AliasTable};
 use ldp_common::{BitVec, Domain, Result};
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
 use rand::{Rng, RngCore};
 
 use crate::mga::pad_unary;
-use crate::traits::PoisoningAttack;
 
-/// An adaptive attack with an explicit attacker-designed distribution.
+/// An adaptive attack: an attacker-designed distribution `P` over the
+/// items, plus the target set `P` is uniform on, if any.
 #[derive(Debug, Clone)]
 pub struct AdaptiveAttack {
     sampler: AliasTable,
     targets: Option<Vec<usize>>,
-    label: String,
 }
 
 impl AdaptiveAttack {
@@ -34,7 +36,6 @@ impl AdaptiveAttack {
         Ok(Self {
             sampler: AliasTable::new(weights)?,
             targets: None,
-            label: "AA".to_string(),
         })
     }
 
@@ -45,15 +46,14 @@ impl AdaptiveAttack {
         Self {
             sampler: AliasTable::new(&weights).expect("random distribution is valid"),
             targets: None,
-            label: "AA".to_string(),
         }
     }
 
-    /// The uniform-over-targets special case (used by [`crate::MgaSampled`]).
+    /// `P` uniform on `targets`: sampled MGA and MGA-IPA.
     ///
     /// # Panics
     /// Panics if `targets` is empty or contains out-of-domain items.
-    pub fn uniform_over(domain: Domain, targets: Vec<usize>, label: &str) -> Self {
+    pub fn uniform_over(domain: Domain, targets: Vec<usize>) -> Self {
         assert!(!targets.is_empty(), "target set must be non-empty");
         assert!(
             targets.iter().all(|&t| domain.contains(t)),
@@ -66,22 +66,32 @@ impl AdaptiveAttack {
         Self {
             sampler: AliasTable::new(&weights).expect("uniform target weights valid"),
             targets: Some(targets),
-            label: label.to_string(),
         }
+    }
+
+    /// `P` uniform on `r` distinct targets sampled uniformly from the
+    /// domain (the paper's setup; see [`AdaptiveAttack::uniform_over`]).
+    ///
+    /// # Panics
+    /// Panics if `r == 0` or `r > d`.
+    pub fn random_targets<R: Rng + ?Sized>(domain: Domain, r: usize, rng: &mut R) -> Self {
+        assert!(r >= 1 && r <= domain.size(), "need 1 ≤ r ≤ d");
+        Self::uniform_over(domain, sample_distinct(domain.size(), r, rng))
     }
 
     /// The attacker-designed distribution `P` this attack samples from.
     pub fn distribution(&self) -> &[f64] {
         self.sampler.probabilities()
     }
-}
 
-impl PoisoningAttack for AdaptiveAttack {
-    fn name(&self) -> String {
-        self.label.clone()
+    /// The target set `P` is uniform on, if the attack is targeted.
+    pub fn targets(&self) -> Option<&[usize]> {
+        self.targets.as_deref()
     }
 
-    fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    /// Crafts `m` reports, each the clean encoding of an item drawn from
+    /// `P`.
+    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
         (0..m)
             .map(|_| {
                 let item = self.sampler.sample(rng);
@@ -90,64 +100,36 @@ impl PoisoningAttack for AdaptiveAttack {
             .collect()
     }
 
-    fn targets(&self) -> Option<&[usize]> {
-        self.targets.as_deref()
-    }
-}
-
-/// A *camouflaged* adaptive attack (extension beyond the paper; see
-/// EXPERIMENTS.md "AA on unary encodings").
-///
-/// The plain adaptive attack sends raw clean encodings. For OUE and SUE
-/// that is a one-hot vector with a single set bit — far fewer than the
-/// `p + (d−1)q ≈ q·d` bits a genuine perturbed report carries, which (a)
-/// makes the reports trivially distinguishable and (b) *depresses* every
-/// item's debiased frequency rather than promoting the sampled one. The
-/// camouflaged variant pads OUE and SUE reports with random extra bits up
-/// to the expected genuine popcount, making each report statistically
-/// similar to a genuine one while still deterministically supporting the
-/// sampled item. GRR, OLH and HR clean encodings are already maximally
-/// genuine-looking, so they are unchanged.
-#[derive(Debug, Clone)]
-pub struct CamouflagedAdaptive {
-    inner: AdaptiveAttack,
-}
-
-impl CamouflagedAdaptive {
-    /// Camouflaged attack with a per-trial random designed distribution.
-    pub fn random<R: Rng + ?Sized>(domain: Domain, rng: &mut R) -> Self {
-        let mut inner = AdaptiveAttack::random(domain, rng);
-        inner.label = "AA-C".to_string();
-        Self { inner }
-    }
-
-    /// Camouflaged attack over an explicit distribution.
+    /// Crafts `m` *camouflaged* reports (AA-C, an extension beyond the
+    /// paper).
     ///
-    /// # Errors
-    /// Propagates alias-table validation.
-    pub fn from_distribution(weights: &[f64]) -> Result<Self> {
-        let mut inner = AdaptiveAttack::from_distribution(weights)?;
-        inner.label = "AA-C".to_string();
-        Ok(Self { inner })
-    }
-}
-
-impl PoisoningAttack for CamouflagedAdaptive {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    /// The clean encoding on OUE and SUE is a one-hot vector with a single
+    /// set bit — far fewer than the `p + (d−1)q ≈ q·d` bits a genuine
+    /// perturbed report carries, which (a) makes the reports trivially
+    /// distinguishable and (b) *depresses* every item's debiased frequency
+    /// rather than promoting the sampled one (on OUE this drives the
+    /// degeneracy that Ablation 3 of `ldp repro --figure ablations`
+    /// repairs with the D₁ fallback). So each OUE and SUE report is padded
+    /// with random extra bits up to the expected genuine popcount: it
+    /// looks statistically like a genuine report while still
+    /// deterministically supporting the sampled item. GRR, OLH and HR
+    /// clean encodings are already genuine-shaped, so they are sent as
+    /// [`AdaptiveAttack::craft`] sends them.
+    pub fn craft_camouflaged(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Report> {
         let (d, expected_ones, wrap): (usize, f64, fn(BitVec) -> Report) = match protocol {
             AnyProtocol::Oue(oue) => (oue.domain().size(), oue.expected_ones(), Report::Oue),
             AnyProtocol::Sue(sue) => (sue.domain().size(), sue.expected_ones(), Report::Sue),
-            // GRR / OLH / HR clean encodings are already genuine-shaped.
-            _ => return self.inner.craft(protocol, m, rng),
+            _ => return self.craft(protocol, m, rng),
         };
         let popcount = (expected_ones.round() as usize).clamp(1, d);
         (0..m)
             .map(|_| {
-                let item = self.inner.sampler.sample(rng);
+                let item = self.sampler.sample(rng);
                 let mut bits = BitVec::mask_of(d, &[item]);
                 pad_unary(&mut bits, popcount - 1, rng);
                 wrap(bits)
@@ -155,8 +137,24 @@ impl PoisoningAttack for CamouflagedAdaptive {
             .collect()
     }
 
-    fn targets(&self) -> Option<&[usize]> {
-        self.inner.targets()
+    /// Crafts `m` input-poisoning reports (§VII-B): each drawn item goes
+    /// through the genuine perturbation Ψ, as an honest user's would.
+    ///
+    /// The paper shows (Fig. 8) that this is 2–4 orders of magnitude
+    /// weaker than the general attack, and defends against it by pairing
+    /// LDPRecover with the k-means subset defense (Fig. 9).
+    pub fn craft_perturbed(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Report> {
+        (0..m)
+            .map(|_| {
+                let item = self.sampler.sample(rng);
+                protocol.perturb(item, rng)
+            })
+            .collect()
     }
 }
 
@@ -174,7 +172,6 @@ mod tests {
         let sum: f64 = aa.distribution().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(aa.targets().is_none());
-        assert_eq!(aa.name(), "AA");
     }
 
     #[test]
@@ -187,7 +184,7 @@ mod tests {
     #[test]
     fn uniform_over_targets_only_samples_targets() {
         let domain = Domain::new(20).unwrap();
-        let aa = AdaptiveAttack::uniform_over(domain, vec![4, 9, 14], "MGA-S");
+        let aa = AdaptiveAttack::uniform_over(domain, vec![4, 9, 14]);
         let proto = ProtocolKind::Grr.build(0.5, domain).unwrap();
         let mut rng = rng_from_seed(2);
         let reports = aa.craft(&proto, 1000, &mut rng);
@@ -235,10 +232,10 @@ mod tests {
         };
         let mut weights = vec![0.0; 64];
         weights[11] = 1.0; // deterministic sampled item
-        let attack = CamouflagedAdaptive::from_distribution(&weights).unwrap();
+        let attack = AdaptiveAttack::from_distribution(&weights).unwrap();
         let mut rng = rng_from_seed(9);
         let expected = oue.expected_ones().round() as usize;
-        for r in attack.craft(&proto, 40, &mut rng) {
+        for r in attack.craft_camouflaged(&proto, 40, &mut rng) {
             match r {
                 Report::Oue(bits) => {
                     assert!(bits.get(11), "sampled item must be supported");
@@ -260,10 +257,10 @@ mod tests {
             };
             let mut weights = vec![0.0; d];
             weights[d / 3] = 1.0; // deterministic sampled item
-            let attack = CamouflagedAdaptive::from_distribution(&weights).unwrap();
+            let attack = AdaptiveAttack::from_distribution(&weights).unwrap();
             let mut rng = rng_from_seed(d as u64);
             let expected = sue.expected_ones().round() as usize;
-            for r in attack.craft(&proto, 40, &mut rng) {
+            for r in attack.craft_camouflaged(&proto, 40, &mut rng) {
                 match r {
                     Report::Sue(bits) => {
                         assert!(bits.get(d / 3), "sampled item must be supported");
@@ -282,7 +279,7 @@ mod tests {
     fn kernel_oracle_camouflaged_unary_padding() {
         for d in [16usize, 102, 490] {
             let domain = Domain::new(d).unwrap();
-            let attack = CamouflagedAdaptive::random(domain, &mut rng_from_seed(d as u64));
+            let attack = AdaptiveAttack::random(domain, &mut rng_from_seed(d as u64));
             for eps in [0.1, 0.5, 1.6, 4.0] {
                 for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
                     let proto = kind.build(eps, domain).unwrap();
@@ -294,8 +291,8 @@ mod tests {
                     let popcount = (expected.round() as usize).clamp(1, d);
                     let mut rng = rng_from_seed(d as u64 + 5);
                     let mut reference = rng_from_seed(d as u64 + 5);
-                    for report in attack.craft(&proto, 40, &mut rng) {
-                        let item = attack.inner.sampler.sample(&mut reference);
+                    for report in attack.craft_camouflaged(&proto, 40, &mut rng) {
+                        let item = attack.sampler.sample(&mut reference);
                         let mut want = BitVec::zeros(d);
                         want.set_one(item);
                         let mut remaining = popcount - 1;
@@ -325,12 +322,13 @@ mod tests {
         // they carry one set bit instead of the genuine ≈ q·d; the
         // camouflaged variant pads to the genuine popcount, so its malicious
         // frequency sum lands near zero (within popcount-rounding of it) —
-        // the mechanics behind the AA-on-OUE discussion in EXPERIMENTS.md.
+        // the mechanics behind Ablation 3 of `ldp repro --figure
+        // ablations`, which runs AA and AA-C on OUE.
         let domain = Domain::new(64).unwrap();
         let proto = ProtocolKind::Oue.build(0.5, domain).unwrap();
         let mut rng = rng_from_seed(10);
-        let camo = CamouflagedAdaptive::random(domain, &mut rng);
-        let reports = camo.craft(&proto, 20_000, &mut rng);
+        let camo = AdaptiveAttack::random(domain, &mut rng);
+        let reports = camo.craft_camouflaged(&proto, 20_000, &mut rng);
         let mut acc = CountAccumulator::new(domain);
         acc.add_all(&proto, &reports);
         let total: f64 = acc.frequencies(proto.params()).unwrap().iter().sum();
@@ -375,6 +373,55 @@ mod tests {
         assert!(
             (total - paper).abs() > 10.0,
             "paper constant {paper} too close"
+        );
+    }
+
+    #[test]
+    fn ipa_reports_are_perturbed_not_clean() {
+        // For GRR with a single target, clean MGA reports would *all* equal
+        // the target; IPA reports only do so with probability p < 1.
+        let domain = Domain::new(32).unwrap();
+        let proto = ProtocolKind::Grr.build(0.5, domain).unwrap();
+        let ipa = AdaptiveAttack::uniform_over(domain, vec![7]);
+        let mut rng = rng_from_seed(1);
+        let reports = ipa.craft_perturbed(&proto, 2_000, &mut rng);
+        let on_target = reports
+            .iter()
+            .filter(|r| matches!(r, Report::Grr(7)))
+            .count();
+        let p = proto.params().p();
+        let rate = on_target as f64 / 2_000.0;
+        assert!(rate < 0.5, "rate={rate} too high for ε=0.5 GRR");
+        let tol = 5.0 * (p * (1.0 - p) / 2_000.0).sqrt();
+        assert!((rate - p).abs() < tol, "rate={rate}, p={p}");
+    }
+
+    #[test]
+    fn ipa_gain_is_much_weaker_than_general_mga() {
+        // The Fig. 8 phenomenon, in miniature: the raw support count MGA
+        // adds to a target is ~m (every crafted OUE report sets the bit),
+        // while IPA adds only ~m·p.
+        let domain = Domain::new(64).unwrap();
+        let proto = ProtocolKind::Oue.build(0.5, domain).unwrap();
+        let targets = vec![5usize];
+        let m = 4_000;
+        let mut rng = rng_from_seed(2);
+
+        let mga_reports = crate::Mga::new(targets.clone()).craft(&proto, m, &mut rng);
+        let ipa_reports = AdaptiveAttack::uniform_over(domain, targets.clone())
+            .craft_perturbed(&proto, m, &mut rng);
+
+        let count_on = |reports: &[Report]| -> u64 {
+            let mut acc = CountAccumulator::new(domain);
+            acc.add_all(&proto, reports);
+            acc.counts()[5]
+        };
+        let mga_count = count_on(&mga_reports);
+        let ipa_count = count_on(&ipa_reports);
+        assert_eq!(mga_count, m as u64, "precise MGA always sets the bit");
+        assert!(
+            (ipa_count as f64) < 0.6 * m as f64,
+            "IPA count {ipa_count} should be ≈ m/2"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! Serializable attack factory.
+//! Serializable attack factory, and the one table of attack names.
 //!
 //! Experiment configurations (`ldp-sim`) name attacks declaratively; the
 //! randomized per-trial state — which items are targeted, which sub-domain
@@ -11,11 +11,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::AdaptiveAttack;
-use crate::ipa::InputPoisoning;
 use crate::manip::Manip;
-use crate::mga::{Mga, MgaSampled};
-use crate::multi::MultiAttack;
-use crate::traits::PoisoningAttack;
+use crate::mga::Mga;
+use crate::Attack;
 
 /// Declarative description of a poisoning attack (paper §VI-A.3, §VII).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,7 +29,7 @@ pub enum AttackKind {
         r: usize,
     },
     /// The paper's sampling-based MGA simplification with `r` random targets.
-    MgaSampled {
+    SampledMga {
         /// Number of target items.
         r: usize,
     },
@@ -39,7 +37,7 @@ pub enum AttackKind {
     Adaptive,
     /// Camouflaged adaptive attack: OUE and SUE reports padded to a
     /// genuine-looking popcount (extension; see
-    /// `adaptive::CamouflagedAdaptive`).
+    /// [`AdaptiveAttack::craft_camouflaged`]).
     AdaptiveCamouflaged,
     /// MGA under input poisoning (honest perturbation of target inputs).
     MgaIpa {
@@ -55,6 +53,18 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
+    /// Every kind, its parameter zeroed: the list [`AttackKind::from_name`]
+    /// searches.
+    const ALL: [AttackKind; 7] = [
+        AttackKind::Manip { h: 0 },
+        AttackKind::Mga { r: 0 },
+        AttackKind::SampledMga { r: 0 },
+        AttackKind::Adaptive,
+        AttackKind::AdaptiveCamouflaged,
+        AttackKind::MgaIpa { r: 0 },
+        AttackKind::MultiAdaptive { attackers: 0 },
+    ];
+
     /// Checks the structural parameters against the domain: exactly the
     /// kinds [`AttackKind::instantiate`] accepts pass.
     ///
@@ -66,7 +76,7 @@ impl AttackKind {
         match *self {
             AttackKind::Manip { h: n }
             | AttackKind::Mga { r: n }
-            | AttackKind::MgaSampled { r: n }
+            | AttackKind::SampledMga { r: n }
             | AttackKind::MgaIpa { r: n }
                 if !(1..=d).contains(&n) =>
             {
@@ -87,31 +97,79 @@ impl AttackKind {
     /// # Panics
     /// Panics when [`AttackKind::validate`] rejects the kind for the
     /// domain — configuration bugs, not runtime conditions.
-    pub fn instantiate<R: Rng + ?Sized>(
-        &self,
-        domain: Domain,
-        rng: &mut R,
-    ) -> Box<dyn PoisoningAttack + Send + Sync> {
+    pub fn instantiate<R: Rng + ?Sized>(&self, domain: Domain, rng: &mut R) -> Attack {
         match *self {
-            AttackKind::Manip { h } => Box::new(Manip::sample(domain, h, rng)),
-            AttackKind::Mga { r } => Box::new(Mga::random_targets(domain, r, rng)),
-            AttackKind::MgaSampled { r } => Box::new(MgaSampled::random_targets(domain, r, rng)),
-            AttackKind::Adaptive => Box::new(AdaptiveAttack::random(domain, rng)),
-            AttackKind::AdaptiveCamouflaged => {
-                Box::new(crate::adaptive::CamouflagedAdaptive::random(domain, rng))
+            AttackKind::Manip { h } => Attack::Manip(Manip::sample(domain, h, rng)),
+            AttackKind::Mga { r } => Attack::Mga(Mga::random_targets(domain, r, rng)),
+            AttackKind::SampledMga { r } => {
+                Attack::Clean(AdaptiveAttack::random_targets(domain, r, rng))
             }
-            AttackKind::MgaIpa { r } => Box::new(InputPoisoning::random_targets(domain, r, rng)),
+            AttackKind::Adaptive => Attack::Clean(AdaptiveAttack::random(domain, rng)),
+            AttackKind::AdaptiveCamouflaged => {
+                Attack::Camouflaged(AdaptiveAttack::random(domain, rng))
+            }
+            AttackKind::MgaIpa { r } => Attack::Ipa(AdaptiveAttack::random_targets(domain, r, rng)),
             AttackKind::MultiAdaptive { attackers } => {
                 assert!(attackers >= 1, "need at least one attacker");
-                let boxed: Vec<Box<dyn PoisoningAttack + Send + Sync>> = (0..attackers)
-                    .map(|_| {
-                        Box::new(AdaptiveAttack::random(domain, rng))
-                            as Box<dyn PoisoningAttack + Send + Sync>
-                    })
-                    .collect();
-                Box::new(MultiAttack::new(boxed))
+                Attack::Multi(
+                    (0..attackers)
+                        .map(|_| AdaptiveAttack::random(domain, rng))
+                        .collect(),
+                )
             }
         }
+    }
+
+    /// The name the CLI's `--attack` flag and the stream checkpoints use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AttackKind::Manip { .. } => "manip",
+            AttackKind::Mga { .. } => "mga",
+            AttackKind::SampledMga { .. } => "mga-sampled",
+            AttackKind::Adaptive => "aa",
+            AttackKind::AdaptiveCamouflaged => "aa-camo",
+            AttackKind::MgaIpa { .. } => "mga-ipa",
+            AttackKind::MultiAdaptive { .. } => "multi",
+        }
+    }
+
+    /// The kind's one parameter as `(key, value)`, keyed as the stream
+    /// checkpoints store it: `h`, `r` or `attackers`. `None` for the
+    /// parameterless adaptive kinds.
+    pub fn param(&self) -> Option<(&'static str, usize)> {
+        let mut kind = *self;
+        kind.param_slot().map(|(key, value)| (key, *value))
+    }
+
+    fn param_slot(&mut self) -> Option<(&'static str, &mut usize)> {
+        match self {
+            AttackKind::Manip { h } => Some(("h", h)),
+            AttackKind::Mga { r } | AttackKind::SampledMga { r } | AttackKind::MgaIpa { r } => {
+                Some(("r", r))
+            }
+            AttackKind::MultiAdaptive { attackers } => Some(("attackers", attackers)),
+            AttackKind::Adaptive | AttackKind::AdaptiveCamouflaged => None,
+        }
+    }
+
+    /// The kind called `name` ([`AttackKind::name`]), its parameter read
+    /// from `param_by_key` under its [`AttackKind::param`] key. `Ok(None)`
+    /// when no kind has that name; `param_by_key` is called only for a
+    /// parameterized kind.
+    ///
+    /// # Errors
+    /// Whatever `param_by_key` returns.
+    pub fn from_name(
+        name: &str,
+        param_by_key: impl FnOnce(&str) -> Result<usize>,
+    ) -> Result<Option<AttackKind>> {
+        let Some(mut kind) = Self::ALL.into_iter().find(|kind| kind.name() == name) else {
+            return Ok(None);
+        };
+        if let Some((key, value)) = kind.param_slot() {
+            *value = param_by_key(key)?;
+        }
+        Ok(Some(kind))
     }
 
     /// The label the paper's figures use for this attack.
@@ -119,21 +177,12 @@ impl AttackKind {
         match *self {
             AttackKind::Manip { .. } => "Manip".to_string(),
             AttackKind::Mga { .. } => "MGA".to_string(),
-            AttackKind::MgaSampled { .. } => "MGA-S".to_string(),
+            AttackKind::SampledMga { .. } => "MGA-S".to_string(),
             AttackKind::Adaptive => "AA".to_string(),
             AttackKind::AdaptiveCamouflaged => "AA-C".to_string(),
             AttackKind::MgaIpa { .. } => "MGA-IPA".to_string(),
             AttackKind::MultiAdaptive { .. } => "MUL-AA".to_string(),
         }
-    }
-
-    /// Whether the attack has a target set (drives FG measurement and the
-    /// partial-knowledge recovery arm).
-    pub fn is_targeted(&self) -> bool {
-        matches!(
-            self,
-            AttackKind::Mga { .. } | AttackKind::MgaSampled { .. } | AttackKind::MgaIpa { .. }
-        )
     }
 }
 
@@ -149,7 +198,7 @@ mod tests {
         let kinds = [
             AttackKind::Manip { h: 4 },
             AttackKind::Mga { r: 5 },
-            AttackKind::MgaSampled { r: 5 },
+            AttackKind::SampledMga { r: 5 },
             AttackKind::Adaptive,
             AttackKind::AdaptiveCamouflaged,
             AttackKind::MgaIpa { r: 5 },
@@ -163,7 +212,11 @@ mod tests {
                 let reports = attack.craft(&proto, 25, &mut rng);
                 assert_eq!(reports.len(), 25, "{kind:?} under {proto_kind:?}");
             }
-            assert_eq!(kind.is_targeted(), attack.targets().is_some());
+            let targeted = matches!(
+                kind,
+                AttackKind::Mga { .. } | AttackKind::SampledMga { .. } | AttackKind::MgaIpa { .. }
+            );
+            assert_eq!(attack.targets().map(<[usize]>::len), targeted.then_some(5));
         }
     }
 
@@ -177,7 +230,7 @@ mod tests {
             let in_domain = (1..=d).contains(&n);
             cases.push((AttackKind::Manip { h: n }, in_domain));
             cases.push((AttackKind::Mga { r: n }, in_domain));
-            cases.push((AttackKind::MgaSampled { r: n }, in_domain));
+            cases.push((AttackKind::SampledMga { r: n }, in_domain));
             cases.push((AttackKind::MgaIpa { r: n }, in_domain));
             cases.push((AttackKind::MultiAdaptive { attackers: n }, n >= 1));
         }
@@ -197,6 +250,27 @@ mod tests {
         assert_eq!(AttackKind::Adaptive.label(), "AA");
         assert_eq!(AttackKind::MgaIpa { r: 10 }.label(), "MGA-IPA");
         assert_eq!(AttackKind::MultiAdaptive { attackers: 5 }.label(), "MUL-AA");
+    }
+
+    #[test]
+    fn names_are_the_cli_and_checkpoint_names() {
+        // Round trips through `from_name` are pinned by the checkpoint
+        // codec's `attack_kinds_roundtrip` in `ldp-sim`.
+        let names = AttackKind::ALL.map(|kind| kind.name());
+        let expect = [
+            "manip",
+            "mga",
+            "mga-sampled",
+            "aa",
+            "aa-camo",
+            "mga-ipa",
+            "multi",
+        ];
+        assert_eq!(names, expect);
+        assert_eq!(
+            AttackKind::from_name("none", |_| unreachable!()).unwrap(),
+            None
+        );
     }
 
     #[test]

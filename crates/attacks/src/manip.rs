@@ -11,8 +11,6 @@ use ldp_common::Domain;
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
 use rand::{Rng, RngCore};
 
-use crate::traits::PoisoningAttack;
-
 /// Manip: uniform clean encodings over a sampled sub-domain `H ⊆ D`.
 #[derive(Debug, Clone)]
 pub struct Manip {
@@ -42,14 +40,9 @@ impl Manip {
     pub fn subdomain(&self) -> &[usize] {
         &self.subdomain
     }
-}
 
-impl PoisoningAttack for Manip {
-    fn name(&self) -> String {
-        format!("Manip(|H|={})", self.subdomain.len())
-    }
-
-    fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    /// Crafts the reports the `m` malicious users send to the server.
+    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
         (0..m)
             .map(|_| {
                 let item = self.subdomain[rng.gen_range(0..self.subdomain.len())];
@@ -72,7 +65,7 @@ mod tests {
         let attack = Manip::sample(domain, 5, &mut rng);
         assert_eq!(attack.subdomain().len(), 5);
         assert!(attack.subdomain().iter().all(|&v| v < 20));
-        assert!(attack.targets().is_none());
+        assert!(crate::Attack::Manip(attack).targets().is_none());
     }
 
     #[test]
@@ -115,10 +108,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn name_carries_subdomain_size() {
-        assert_eq!(Manip::new(vec![1, 2]).name(), "Manip(|H|=2)");
     }
 }

@@ -14,18 +14,16 @@
 //!   This flavour reproduces the frequency-gain magnitudes of the paper's
 //!   Fig. 4 (e.g. FG ≈ m/(N·(p−q)) ≈ 8 for GRR on IPUMS at β = 0.05).
 //!
-//! * [`MgaSampled`] — the paper's unified-model simplification (§V-C,
+//! * Sampled MGA — the paper's unified-model simplification (§V-C,
 //!   §VI-A.3): malicious reports are clean encodings of uniform samples
-//!   from the target set, i.e. the adaptive attack with `P` uniform on `T`.
+//!   from the target set, i.e. the adaptive attack with `P` uniform on `T`
+//!   ([`AdaptiveAttack::random_targets`](crate::AdaptiveAttack::random_targets)).
 
 use ldp_common::hash::OlhHash;
 use ldp_common::sampling::sample_distinct;
 use ldp_common::{BitVec, Domain};
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Olh, Report};
 use rand::{Rng, RngCore};
-
-use crate::adaptive::AdaptiveAttack;
-use crate::traits::PoisoningAttack;
 
 /// Default number of random seeds the OLH crafting step examines per report.
 pub const DEFAULT_OLH_SEED_TRIALS: usize = 50;
@@ -63,6 +61,11 @@ impl Mga {
         Self::new(sample_distinct(domain.size(), r, rng))
     }
 
+    /// The attacker-chosen target items.
+    pub fn targets(&self) -> &[usize] {
+        &self.targets
+    }
+
     /// Disables OUE popcount padding (ablation: maximal but detectable).
     pub fn without_padding(mut self) -> Self {
         self.pad = false;
@@ -77,6 +80,50 @@ impl Mga {
         assert!(trials >= 1, "seed search needs at least one trial");
         self.seed_trials = trials;
         self
+    }
+
+    /// Crafts the reports the `m` malicious users send to the server.
+    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+        match protocol {
+            AnyProtocol::Grr(_) => (0..m)
+                .map(|_| {
+                    let t = self.targets[rng.gen_range(0..self.targets.len())];
+                    Report::Grr(t as u32)
+                })
+                .collect(),
+            AnyProtocol::Oue(oue) => {
+                let d = oue.domain().size();
+                let expected = oue.expected_ones();
+                (0..m)
+                    .map(|_| Report::Oue(self.craft_oue(d, expected, rng)))
+                    .collect()
+            }
+            AnyProtocol::Olh(olh) => self.craft_olh(olh, m, rng),
+            AnyProtocol::Sue(sue) => {
+                // SUE shares OUE's report shape; pad to SUE's (denser)
+                // expected popcount.
+                let d = sue.domain().size();
+                let expected = sue.expected_ones();
+                (0..m)
+                    .map(|_| Report::Sue(self.craft_oue(d, expected, rng)))
+                    .collect()
+            }
+            AnyProtocol::Hr(hr) => {
+                // Brute-force the column supporting the most targets once
+                // (K ≤ 2d candidates), then send it from every fake user.
+                let best = (0..hr.order())
+                    .max_by_key(|&y| {
+                        self.targets
+                            .iter()
+                            .filter(|&&t| {
+                                ldp_protocols::hadamard::hadamard_positive(hr.row_of(t), y)
+                            })
+                            .count()
+                    })
+                    .expect("K ≥ 2 columns");
+                vec![Report::Hr(best); m]
+            }
+        }
     }
 
     fn craft_oue(&self, d: usize, expected_ones: f64, rng: &mut dyn RngCore) -> BitVec {
@@ -179,105 +226,10 @@ pub(crate) fn pad_unary(bits: &mut BitVec, extra: usize, rng: &mut dyn RngCore) 
     }
 }
 
-impl PoisoningAttack for Mga {
-    fn name(&self) -> String {
-        format!("MGA(r={})", self.targets.len())
-    }
-
-    fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
-        match protocol {
-            AnyProtocol::Grr(_) => (0..m)
-                .map(|_| {
-                    let t = self.targets[rng.gen_range(0..self.targets.len())];
-                    Report::Grr(t as u32)
-                })
-                .collect(),
-            AnyProtocol::Oue(oue) => {
-                let d = oue.domain().size();
-                let expected = oue.expected_ones();
-                (0..m)
-                    .map(|_| Report::Oue(self.craft_oue(d, expected, rng)))
-                    .collect()
-            }
-            AnyProtocol::Olh(olh) => self.craft_olh(olh, m, rng),
-            AnyProtocol::Sue(sue) => {
-                // SUE shares OUE's report shape; pad to SUE's (denser)
-                // expected popcount.
-                let d = sue.domain().size();
-                let expected = sue.expected_ones();
-                (0..m)
-                    .map(|_| Report::Sue(self.craft_oue(d, expected, rng)))
-                    .collect()
-            }
-            AnyProtocol::Hr(hr) => {
-                // Brute-force the column supporting the most targets once
-                // (K ≤ 2d candidates), then send it from every fake user.
-                let best = (0..hr.order())
-                    .max_by_key(|&y| {
-                        self.targets
-                            .iter()
-                            .filter(|&&t| {
-                                ldp_protocols::hadamard::hadamard_positive(hr.row_of(t), y)
-                            })
-                            .count()
-                    })
-                    .expect("K ≥ 2 columns");
-                vec![Report::Hr(best); m]
-            }
-        }
-    }
-
-    fn targets(&self) -> Option<&[usize]> {
-        Some(&self.targets)
-    }
-}
-
-/// The sampling-based MGA simplification used by the paper's unified attack
-/// model: clean encodings of uniform target samples.
-#[derive(Debug, Clone)]
-pub struct MgaSampled {
-    inner: AdaptiveAttack,
-}
-
-impl MgaSampled {
-    /// Builds the sampled MGA for an explicit target set.
-    ///
-    /// # Panics
-    /// Panics if `targets` is empty or out of domain.
-    pub fn new(domain: Domain, targets: Vec<usize>) -> Self {
-        let label = format!("MGA-S(r={})", targets.len());
-        Self {
-            inner: AdaptiveAttack::uniform_over(domain, targets, &label),
-        }
-    }
-
-    /// Samples `r` distinct targets uniformly.
-    ///
-    /// # Panics
-    /// Panics if `r == 0` or `r > d`.
-    pub fn random_targets<R: Rng + ?Sized>(domain: Domain, r: usize, rng: &mut R) -> Self {
-        assert!(r >= 1 && r <= domain.size(), "need 1 ≤ r ≤ d");
-        Self::new(domain, sample_distinct(domain.size(), r, rng))
-    }
-}
-
-impl PoisoningAttack for MgaSampled {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
-        self.inner.craft(protocol, m, rng)
-    }
-
-    fn targets(&self) -> Option<&[usize]> {
-        self.inner.targets()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdaptiveAttack;
     use ldp_common::rng::rng_from_seed;
     use ldp_protocols::{CountAccumulator, ProtocolKind};
 
@@ -559,7 +511,6 @@ mod tests {
 
         let fg: f64 = mga
             .targets()
-            .unwrap()
             .iter()
             .map(|&t| poisoned[t] - genuine[t])
             .sum();
@@ -577,7 +528,7 @@ mod tests {
 
     #[test]
     fn sampled_mga_is_uniform_over_targets() {
-        let mga = MgaSampled::random_targets(domain(50), 5, &mut rng_from_seed(6));
+        let mga = AdaptiveAttack::random_targets(domain(50), 5, &mut rng_from_seed(6));
         let targets = mga.targets().unwrap().to_vec();
         assert_eq!(targets.len(), 5);
         let proto = ProtocolKind::Grr.build(0.5, domain(50)).unwrap();

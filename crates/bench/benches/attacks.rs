@@ -3,7 +3,7 @@
 //! arm pays for a per-report seed search).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ldp_attacks::{AdaptiveAttack, Mga, MgaSampled, PoisoningAttack};
+use ldp_attacks::{AdaptiveAttack, Mga};
 use ldp_common::rng::rng_from_seed;
 use ldp_common::Domain;
 use ldp_protocols::ProtocolKind;
@@ -29,7 +29,7 @@ fn bench_crafting(c: &mut Criterion) {
         });
 
         let mut rng = rng_from_seed(2);
-        let sampled = MgaSampled::random_targets(domain, 10, &mut rng);
+        let sampled = AdaptiveAttack::random_targets(domain, 10, &mut rng);
         group.bench_with_input(
             BenchmarkId::new("mga_sampled", kind.name()),
             &(),

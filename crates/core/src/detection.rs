@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn flags_precise_mga_reports_and_keeps_most_genuine() {
-        use ldp_attacks::{Mga, PoisoningAttack};
+        use ldp_attacks::Mga;
         let domain = Domain::new(102).unwrap();
         let mut rng = rng_from_seed(1);
         for kind in ProtocolKind::ALL {
@@ -267,7 +267,7 @@ mod tests {
     /// into genuine ones and masks that keep all, none, or a scattered part.
     #[test]
     fn kernel_oracle_detection_fold_matches_the_per_report_fold() {
-        use ldp_attacks::{Mga, PoisoningAttack};
+        use ldp_attacks::Mga;
         let domain = Domain::new(102).unwrap();
         for kind in ProtocolKind::EXTENDED {
             let proto = kind.build(0.5, domain).unwrap();

@@ -138,19 +138,23 @@ fn parse_args<I: Iterator<Item = String>>(mut iter: I) -> Result<Args> {
     Ok(args)
 }
 
-/// Maps a CLI attack name (plus the `--targets` / `--attackers`
-/// parameters) to an [`AttackKind`]; `"none"` disables the attack.
+/// Maps a CLI attack name ([`AttackKind::name`]) to an [`AttackKind`]:
+/// `--attackers` sets a `multi` attack's parameter, `--targets` every
+/// other kind's. `"none"` disables the attack.
 fn resolve_attack(name: &str, targets: usize, attackers: usize) -> Result<Option<AttackKind>> {
-    match name {
-        "manip" => Ok(Some(AttackKind::Manip { h: targets })),
-        "mga" => Ok(Some(AttackKind::Mga { r: targets })),
-        "mga-sampled" => Ok(Some(AttackKind::MgaSampled { r: targets })),
-        "aa" => Ok(Some(AttackKind::Adaptive)),
-        "aa-camo" => Ok(Some(AttackKind::AdaptiveCamouflaged)),
-        "mga-ipa" => Ok(Some(AttackKind::MgaIpa { r: targets })),
-        "multi" => Ok(Some(AttackKind::MultiAdaptive { attackers })),
-        "none" => Ok(None),
-        other => Err(LdpError::invalid(format!("unknown attack '{other}'"))),
+    if name == "none" {
+        return Ok(None);
+    }
+    let param = |key: &str| {
+        Ok(if key == "attackers" {
+            attackers
+        } else {
+            targets
+        })
+    };
+    match AttackKind::from_name(name, param)? {
+        None => Err(LdpError::invalid(format!("unknown attack '{name}'"))),
+        kind => Ok(kind),
     }
 }
 
@@ -468,17 +472,16 @@ fn parse_stream_args<I: Iterator<Item = String>>(mut iter: I) -> Result<StreamAr
     Ok(args)
 }
 
-/// The CLI surface form of an attack spec, for --resume diff messages.
+/// The CLI surface form of an attack spec, for --resume diff messages:
+/// the name, then the parameter under its flag's name.
 fn attack_cli_form(attack: Option<AttackKind>) -> String {
-    match attack {
-        None => "none".into(),
-        Some(AttackKind::Manip { h }) => format!("manip (targets {h})"),
-        Some(AttackKind::Mga { r }) => format!("mga (targets {r})"),
-        Some(AttackKind::MgaSampled { r }) => format!("mga-sampled (targets {r})"),
-        Some(AttackKind::Adaptive) => "aa".into(),
-        Some(AttackKind::AdaptiveCamouflaged) => "aa-camo".into(),
-        Some(AttackKind::MgaIpa { r }) => format!("mga-ipa (targets {r})"),
-        Some(AttackKind::MultiAdaptive { attackers }) => format!("multi (attackers {attackers})"),
+    let Some(kind) = attack else {
+        return "none".into();
+    };
+    match kind.param() {
+        None => kind.name().into(),
+        Some(("attackers", n)) => format!("{} (attackers {n})", kind.name()),
+        Some((_, n)) => format!("{} (targets {n})", kind.name()),
     }
 }
 
@@ -632,9 +635,9 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     // Realized ground-truth frequencies of the ingested population, for
     // the arm MSE labels (cheap: no recovery solve involved).
     let truth: Option<Vec<f64>> = arm_outputs.as_ref().map(|_| {
-        let total: u64 = engine.true_counts().iter().sum();
-        engine
-            .true_counts()
+        let population = &engine.totals().population;
+        let total: u64 = population.iter().sum();
+        population
             .iter()
             .map(|&c| c as f64 / total as f64)
             .collect()

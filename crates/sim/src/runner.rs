@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn experiment_summarizes_all_trials() {
-        let config = quick_config(Some(AttackKind::MgaSampled { r: 5 }));
+        let config = quick_config(Some(AttackKind::SampledMga { r: 5 }));
         let options = PipelineOptions::full_comparison();
         let result = run_experiment(&config, &options).unwrap();
         assert_eq!(result.mse_before.count, 3);

@@ -23,6 +23,7 @@ use crate::config::{ExperimentConfig, PipelineOptions};
 use crate::metrics::mse;
 use crate::pipeline::run_aggregation;
 use crate::scenario::spec::{Cell, Entry, GridSpec, Metric, RowSpec, Scenario, StatFormat};
+use crate::stream::WindowMode;
 
 /// The β grid of Figs. 7, 8, 10.
 pub const BETA_GRID_WIDE: [f64; 5] = [0.05, 0.10, 0.15, 0.20, 0.25];
@@ -681,7 +682,7 @@ fn ablations() -> Result<Scenario> {
     // variants support all targets; padding changes the popcount
     // signature, not the r-target one.
     cells.push(Cell::custom("mga-padding", |trial, ctx| {
-        use ldp_attacks::{Mga, PoisoningAttack};
+        use ldp_attacks::Mga;
         let domain = Domain::new(102)?;
         let protocol = ProtocolKind::Oue.build(0.5, domain)?;
         let mut rng = ctx.trial_rng(trial);
@@ -884,32 +885,33 @@ const STREAM_RECOVER_KEYS: [&str; STREAM_EPOCHS] = [
     "mse_recovered_e4",
 ];
 
-fn stream_online() -> Scenario {
+/// The cells and the per-epoch MSE grids (before and after LDPRecover)
+/// the streaming scenarios share: for every protocol × `(label, attack,
+/// window)` variant, one IPUMS stream `{prefix}/{label}-{protocol}` of
+/// [`STREAM_SHARDS`] shards × [`STREAM_EPOCHS`] epochs. `kind` opens the
+/// grid titles.
+fn stream_trajectories(
+    prefix: &str,
+    variants: [(&str, AttackKind, WindowMode); 2],
+    kind: &str,
+) -> (Vec<Cell>, Vec<GridSpec>) {
     use crate::stream::{StreamEngine, StreamSpec};
 
     let mut cells = Vec::new();
     let mut before_rows = Vec::new();
     let mut recover_rows = Vec::new();
     for protocol in ProtocolKind::ALL {
-        for (label, attack) in [
-            ("MGA", AttackKind::Mga { r: 10 }),
-            ("AA", AttackKind::Adaptive),
-        ] {
-            let id = format!("stream/{label}-{protocol}");
-            before_rows.push(RowSpec {
+        for (label, attack, window) in variants {
+            let id = format!("{prefix}/{label}-{protocol}");
+            let row = |keys: [&'static str; STREAM_EPOCHS]| RowSpec {
                 label: format!("{label}-{protocol}"),
-                entries: STREAM_BEFORE_KEYS
-                    .iter()
+                entries: keys
+                    .into_iter()
                     .map(|key| Entry::stat(&id, Metric::Custom(key)))
                     .collect(),
-            });
-            recover_rows.push(RowSpec {
-                label: format!("{label}-{protocol}"),
-                entries: STREAM_RECOVER_KEYS
-                    .iter()
-                    .map(|key| Entry::stat(&id, Metric::Custom(key)))
-                    .collect(),
-            });
+            };
+            before_rows.push(row(STREAM_BEFORE_KEYS));
+            recover_rows.push(row(STREAM_RECOVER_KEYS));
             cells.push(Cell::custom(id, move |trial, ctx| {
                 let corpus = DatasetKind::Ipums.total_users() as f64;
                 let users_per_epoch = ((corpus * ctx.fraction(DatasetKind::Ipums))
@@ -921,109 +923,6 @@ fn stream_online() -> Scenario {
                     protocol,
                     epsilon: 0.5,
                     attack: Some(attack),
-                    beta: 0.05,
-                    eta: 0.2,
-                    shards: STREAM_SHARDS,
-                    epochs: STREAM_EPOCHS,
-                    users_per_epoch,
-                    seed: ldp_common::rng::derive_seed(ctx.seed, trial as u64),
-                    window: crate::stream::WindowMode::Cumulative,
-                };
-                let mut engine = StreamEngine::new(spec)?;
-                engine.run_to_completion()?;
-                let mut out = Vec::with_capacity(2 * STREAM_EPOCHS + 1);
-                for (point, (&before, &recovered)) in engine
-                    .trajectory()
-                    .iter()
-                    .zip(STREAM_BEFORE_KEYS.iter().zip(STREAM_RECOVER_KEYS.iter()))
-                {
-                    out.push((before, point.mse_before));
-                    out.push((recovered, point.mse_recovered));
-                }
-                let last = engine.trajectory().last().expect("epochs ran");
-                out.push(("mse_genuine_final", last.mse_genuine));
-                Ok(out)
-            }));
-        }
-    }
-    let epoch_columns = || (1..=STREAM_EPOCHS).map(|e| format!("epoch {e}")).collect();
-    Scenario {
-        id: "stream_online",
-        title: "Extension: online recovery trajectories under streaming ingestion (IPUMS)",
-        paper_anchor: "the paper's one-shot server, run per epoch: recovered MSE tracks \
-                       the shrinking noise floor while the poisoned MSE stays attack-bound",
-        cells,
-        grids: vec![
-            GridSpec {
-                title: format!(
-                    "Online MSE before recovery ({STREAM_SHARDS} shards × {STREAM_EPOCHS} epochs)"
-                ),
-                row_header: "cell".into(),
-                columns: epoch_columns(),
-                rows: before_rows,
-            },
-            GridSpec {
-                title: format!(
-                    "Online MSE after LDPRecover ({STREAM_SHARDS} shards × {STREAM_EPOCHS} epochs)"
-                ),
-                row_header: "cell".into(),
-                columns: epoch_columns(),
-                rows: recover_rows,
-            },
-        ],
-        notes: vec![
-            "each epoch ingests 1/4 of the preset's population; estimates use all \
-             reports seen so far, so both curves fall ≈ 1/reports while the attack \
-             keeps the before-curve offset above the recovered one.",
-        ],
-    }
-}
-
-/// Windowed-recovery variant of [`stream_online`]: the same epoch grid
-/// under a 2-epoch sliding window and an exponentially-decaying window,
-/// the two non-cumulative [`WindowMode`](crate::stream::WindowMode)s of
-/// the streaming engine. Where the cumulative trajectory's MSE
-/// falls ≈ 1/reports, a bounded window pins the effective sample size, so
-/// these curves flatten — the catalog keeps both shapes under golden
-/// regression.
-fn stream_windowed() -> Scenario {
-    use crate::stream::{StreamEngine, StreamSpec, WindowMode};
-
-    let windows = [
-        ("sliding2", WindowMode::Sliding(2)),
-        ("decay", WindowMode::Decay(0.75)),
-    ];
-    let mut cells = Vec::new();
-    let mut before_rows = Vec::new();
-    let mut recover_rows = Vec::new();
-    for protocol in ProtocolKind::ALL {
-        for (label, window) in windows {
-            let id = format!("streamw/{label}-{protocol}");
-            before_rows.push(RowSpec {
-                label: format!("{label}-{protocol}"),
-                entries: STREAM_BEFORE_KEYS
-                    .iter()
-                    .map(|key| Entry::stat(&id, Metric::Custom(key)))
-                    .collect(),
-            });
-            recover_rows.push(RowSpec {
-                label: format!("{label}-{protocol}"),
-                entries: STREAM_RECOVER_KEYS
-                    .iter()
-                    .map(|key| Entry::stat(&id, Metric::Custom(key)))
-                    .collect(),
-            });
-            cells.push(Cell::custom(id, move |trial, ctx| {
-                let corpus = DatasetKind::Ipums.total_users() as f64;
-                let users_per_epoch = ((corpus * ctx.fraction(DatasetKind::Ipums))
-                    / STREAM_EPOCHS as f64)
-                    .round()
-                    .max(STREAM_SHARDS as f64) as usize;
-                let spec = StreamSpec {
-                    dataset: DatasetKind::Ipums,
-                    protocol,
-                    epsilon: 0.5,
-                    attack: Some(AttackKind::Adaptive),
                     beta: 0.05,
                     eta: 0.2,
                     shards: STREAM_SHARDS,
@@ -1049,7 +948,58 @@ fn stream_windowed() -> Scenario {
             }));
         }
     }
-    let epoch_columns = || (1..=STREAM_EPOCHS).map(|e| format!("epoch {e}")).collect();
+    let grid = |what: &str, rows| GridSpec {
+        title: format!("{kind} MSE {what} ({STREAM_SHARDS} shards × {STREAM_EPOCHS} epochs)"),
+        row_header: "cell".into(),
+        columns: (1..=STREAM_EPOCHS).map(|e| format!("epoch {e}")).collect(),
+        rows,
+    };
+    let grids = vec![
+        grid("before recovery", before_rows),
+        grid("after LDPRecover", recover_rows),
+    ];
+    (cells, grids)
+}
+
+fn stream_online() -> Scenario {
+    let (cells, grids) = stream_trajectories(
+        "stream",
+        [
+            ("MGA", AttackKind::Mga { r: 10 }, WindowMode::Cumulative),
+            ("AA", AttackKind::Adaptive, WindowMode::Cumulative),
+        ],
+        "Online",
+    );
+    Scenario {
+        id: "stream_online",
+        title: "Extension: online recovery trajectories under streaming ingestion (IPUMS)",
+        paper_anchor: "the paper's one-shot server, run per epoch: recovered MSE tracks \
+                       the shrinking noise floor while the poisoned MSE stays attack-bound",
+        cells,
+        grids,
+        notes: vec![
+            "each epoch ingests 1/4 of the preset's population; estimates use all \
+             reports seen so far, so both curves fall ≈ 1/reports while the attack \
+             keeps the before-curve offset above the recovered one.",
+        ],
+    }
+}
+
+/// Windowed-recovery variant of [`stream_online`]: the same epoch grid
+/// under a 2-epoch sliding window and an exponentially-decaying window,
+/// the two non-cumulative [`WindowMode`]s of the streaming engine. Where
+/// the cumulative trajectory's MSE falls ≈ 1/reports, a bounded window
+/// pins the effective sample size, so these curves flatten — the catalog
+/// keeps both shapes under golden regression.
+fn stream_windowed() -> Scenario {
+    let (cells, grids) = stream_trajectories(
+        "streamw",
+        [
+            ("sliding2", AttackKind::Adaptive, WindowMode::Sliding(2)),
+            ("decay", AttackKind::Adaptive, WindowMode::Decay(0.75)),
+        ],
+        "Windowed",
+    );
     Scenario {
         id: "stream_windowed",
         title: "Extension: windowed online recovery (sliding / decaying, IPUMS, AA)",
@@ -1057,24 +1007,7 @@ fn stream_windowed() -> Scenario {
                        of the full stream: the noise floor stops shrinking once the window \
                        saturates",
         cells,
-        grids: vec![
-            GridSpec {
-                title: format!(
-                    "Windowed MSE before recovery ({STREAM_SHARDS} shards × {STREAM_EPOCHS} epochs)"
-                ),
-                row_header: "cell".into(),
-                columns: epoch_columns(),
-                rows: before_rows,
-            },
-            GridSpec {
-                title: format!(
-                    "Windowed MSE after LDPRecover ({STREAM_SHARDS} shards × {STREAM_EPOCHS} epochs)"
-                ),
-                row_header: "cell".into(),
-                columns: epoch_columns(),
-                rows: recover_rows,
-            },
-        ],
+        grids,
         notes: vec![
             "sliding:2 keeps only the last two epochs' counts; decay:0.75 discounts each \
              older epoch by λ — both recover on the windowed aggregate, so late-stream \

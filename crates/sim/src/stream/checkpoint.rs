@@ -10,8 +10,11 @@
 //! `f64` and lose integers beyond 2⁵³).
 //!
 //! Restores are strict: the format tag, version, spec ranges, vector
-//! shapes, and cross-field invariants (epoch cursor vs trajectory length,
-//! population conservation) are all validated, so a truncated or
+//! shapes, and cross-field invariants (epoch cursor vs trajectory; every
+//! integer count record — the totals and each retained sliding epoch —
+//! conserving its population with no more support than reports; a
+//! sliding window of exactly `min(span, next_epoch)` epochs, each gaining
+//! the trajectory's users) are all validated, so a truncated or
 //! hand-edited checkpoint fails loudly instead of resuming a corrupt
 //! stream.
 
@@ -19,7 +22,7 @@ use ldp_attacks::AttackKind;
 use ldp_common::float::exactly_zero;
 use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
-use ldp_protocols::{CountAccumulator, ProtocolKind};
+use ldp_protocols::ProtocolKind;
 
 use super::window::{WindowMode, WindowState};
 use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec};
@@ -87,27 +90,18 @@ fn counts_field(json: &Json, key: &str, len: usize) -> Result<Vec<u64>> {
         .collect()
 }
 
-/// Serializes an attack kind (`None` → `null`).
+/// Serializes an attack kind (`None` → `null`): its
+/// [`AttackKind::name`] under `kind`, then its [`AttackKind::param`], if
+/// any, under the parameter's key.
 pub fn attack_to_json(attack: Option<AttackKind>) -> Json {
-    let obj = |kind: &str, param: Option<(&str, usize)>| {
-        let mut members = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        if let Some((name, value)) = param {
-            members.push((name.to_string(), Json::Num(value as f64)));
-        }
-        Json::Obj(members)
+    let Some(attack) = attack else {
+        return Json::Null;
     };
-    match attack {
-        None => Json::Null,
-        Some(AttackKind::Manip { h }) => obj("manip", Some(("h", h))),
-        Some(AttackKind::Mga { r }) => obj("mga", Some(("r", r))),
-        Some(AttackKind::MgaSampled { r }) => obj("mga-sampled", Some(("r", r))),
-        Some(AttackKind::Adaptive) => obj("aa", None),
-        Some(AttackKind::AdaptiveCamouflaged) => obj("aa-camo", None),
-        Some(AttackKind::MgaIpa { r }) => obj("mga-ipa", Some(("r", r))),
-        Some(AttackKind::MultiAdaptive { attackers }) => {
-            obj("multi", Some(("attackers", attackers)))
-        }
+    let mut members = vec![("kind".to_string(), Json::Str(attack.name().to_string()))];
+    if let Some((key, value)) = attack.param() {
+        members.push((key.to_string(), Json::Num(value as f64)));
     }
+    Json::Obj(members)
 }
 
 /// Parses an attack kind serialized by [`attack_to_json`].
@@ -119,31 +113,12 @@ pub fn attack_from_json(json: &Json) -> Result<Option<AttackKind>> {
         return Ok(None);
     }
     let kind = str_field(json, "kind")?;
-    let attack = match kind {
-        "manip" => AttackKind::Manip {
-            h: usize_field(json, "h")?,
-        },
-        "mga" => AttackKind::Mga {
-            r: usize_field(json, "r")?,
-        },
-        "mga-sampled" => AttackKind::MgaSampled {
-            r: usize_field(json, "r")?,
-        },
-        "aa" => AttackKind::Adaptive,
-        "aa-camo" => AttackKind::AdaptiveCamouflaged,
-        "mga-ipa" => AttackKind::MgaIpa {
-            r: usize_field(json, "r")?,
-        },
-        "multi" => AttackKind::MultiAdaptive {
-            attackers: usize_field(json, "attackers")?,
-        },
-        other => {
-            return Err(LdpError::invalid(format!(
-                "checkpoint: unknown attack kind '{other}'"
-            )))
-        }
-    };
-    Ok(Some(attack))
+    match AttackKind::from_name(kind, |key| usize_field(json, key))? {
+        None => Err(LdpError::invalid(format!(
+            "checkpoint: unknown attack kind '{kind}'"
+        ))),
+        attack => Ok(attack),
+    }
 }
 
 /// Serializes a stream spec. The `window` member is only emitted for
@@ -203,26 +178,45 @@ pub fn spec_from_json(json: &Json) -> Result<StreamSpec> {
     Ok(spec)
 }
 
-fn accumulator_to_json(acc: &CountAccumulator) -> Json {
+fn counts_json(counts: &[u64]) -> Json {
+    Json::Arr(counts.iter().map(|&c| Json::Num(c as f64)).collect())
+}
+
+/// One side of the cumulative totals, in the accumulator shape older
+/// checkpoints wrote: `{"counts": [...], "reports": n}`.
+fn accumulator_to_json(counts: &[u64], reports: usize) -> Json {
     Json::Obj(vec![
-        (
-            "counts".into(),
-            Json::Arr(acc.counts().iter().map(|&c| Json::Num(c as f64)).collect()),
-        ),
-        ("reports".into(), Json::Num(acc.report_count() as f64)),
+        ("counts".into(), counts_json(counts)),
+        ("reports".into(), Json::Num(reports as f64)),
     ])
 }
 
-fn accumulator_from_json(json: &Json, len: usize) -> Result<CountAccumulator> {
-    let counts = counts_field(json, "counts", len)?;
-    let reports = usize_field(json, "reports")?;
-    // Zero reports can only ever have accumulated zero support.
-    if reports == 0 && counts.iter().any(|&c| c != 0) {
-        return Err(LdpError::invalid(
-            "checkpoint: accumulator has support counts but zero reports",
-        ));
+fn accumulator_from_json(json: &Json, len: usize) -> Result<(Vec<u64>, usize)> {
+    Ok((
+        counts_field(json, "counts", len)?,
+        usize_field(json, "reports")?,
+    ))
+}
+
+/// The invariants of every integer count record: the population sums to
+/// the genuine users, and no item has more support than its side has
+/// reports (a report supports an item at most once, so zero reports
+/// carry zero support).
+fn check_count_record(record: &ShardDelta, what: &str) -> Result<()> {
+    if record.population.iter().sum::<u64>() != record.genuine_users as u64 {
+        return Err(LdpError::invalid(format!(
+            "checkpoint: {what}: population total disagrees with genuine report count"
+        )));
     }
-    Ok(CountAccumulator::from_parts(counts, reports))
+    let exceeds = |counts: &[u64], reports: usize| counts.iter().any(|&c| c > reports as u64);
+    if exceeds(&record.genuine_counts, record.genuine_users)
+        || exceeds(&record.malicious_counts, record.malicious_users)
+    {
+        return Err(LdpError::invalid(format!(
+            "checkpoint: {what}: an item has more support than reports"
+        )));
+    }
+    Ok(())
 }
 
 fn floats_field(json: &Json, key: &str, len: usize) -> Result<Vec<f64>> {
@@ -265,15 +259,17 @@ fn nonneg_f64_field(json: &Json, key: &str) -> Result<f64> {
 /// (`truth` is its population, `*_reports` its user counts) and stay, so
 /// checkpoints keep their bytes.
 fn window_epoch_to_json(epoch: &ShardDelta) -> Json {
-    let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::Num(c as f64)).collect());
     Json::Obj(vec![
-        ("truth".into(), counts(&epoch.population)),
-        ("genuine_counts".into(), counts(&epoch.genuine_counts)),
+        ("truth".into(), counts_json(&epoch.population)),
+        ("genuine_counts".into(), counts_json(&epoch.genuine_counts)),
         (
             "genuine_reports".into(),
             Json::Num(epoch.genuine_users as f64),
         ),
-        ("malicious_counts".into(), counts(&epoch.malicious_counts)),
+        (
+            "malicious_counts".into(),
+            counts_json(&epoch.malicious_counts),
+        ),
         (
             "malicious_reports".into(),
             Json::Num(epoch.malicious_users as f64),
@@ -321,11 +317,14 @@ fn window_state_to_json(state: &WindowState) -> Option<Json> {
     }
 }
 
+/// Parses the windowed state. `trajectory` is the restored trajectory
+/// (one point per ingested epoch), whose per-epoch user increments each
+/// retained sliding epoch must match.
 fn window_state_from_json(
     json: Option<&Json>,
     mode: WindowMode,
     d: usize,
-    next_epoch: usize,
+    trajectory: &[EpochPoint],
 ) -> Result<WindowState> {
     match (mode, json) {
         (WindowMode::Cumulative, None) => Ok(WindowState::Cumulative),
@@ -345,16 +344,35 @@ fn window_state_from_json(
             let epochs = field(json, "epochs")?
                 .as_array()
                 .ok_or_else(|| LdpError::invalid("checkpoint: 'epochs' not an array"))?;
-            if epochs.len() > span.min(next_epoch) {
+            let held = span.min(trajectory.len());
+            if epochs.len() != held {
                 return Err(LdpError::invalid(format!(
-                    "checkpoint: sliding window holds {} epochs, at most {} possible",
-                    epochs.len(),
-                    span.min(next_epoch)
+                    "checkpoint: sliding window holds {} epochs, {held} expected",
+                    epochs.len()
                 )));
             }
+            // Users before the first retained epoch; each retained epoch
+            // must bring them to its trajectory point.
+            let first = trajectory.len() - held;
+            let users = |p: &EpochPoint| (p.genuine_users, p.malicious_users);
+            let mut seen = first
+                .checked_sub(1)
+                .map_or((0, 0), |e| users(&trajectory[e]));
             let history = epochs
                 .iter()
-                .map(|e| window_epoch_from_json(e, d))
+                .zip(&trajectory[first..])
+                .map(|(json, point)| {
+                    let delta = window_epoch_from_json(json, d)?;
+                    let what = format!("sliding window epoch {}", point.epoch);
+                    check_count_record(&delta, &what)?;
+                    seen = (seen.0 + delta.genuine_users, seen.1 + delta.malicious_users);
+                    if seen != users(point) {
+                        return Err(LdpError::invalid(format!(
+                            "checkpoint: {what}: users disagree with the trajectory"
+                        )));
+                    }
+                    Ok(delta)
+                })
                 .collect::<Result<_>>()?;
             Ok(WindowState::Sliding { history })
         }
@@ -401,17 +419,15 @@ impl StreamEngine {
             ("version".into(), Json::Num(VERSION)),
             ("spec".into(), spec_to_json(&self.spec)),
             ("next_epoch".into(), Json::Num(self.next_epoch as f64)),
+            ("true_counts".into(), counts_json(&self.totals.population)),
             (
-                "true_counts".into(),
-                Json::Arr(
-                    self.true_counts
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
+                "genuine".into(),
+                accumulator_to_json(&self.totals.genuine_counts, self.totals.genuine_users),
             ),
-            ("genuine".into(), accumulator_to_json(&self.genuine)),
-            ("malicious".into(), accumulator_to_json(&self.malicious)),
+            (
+                "malicious".into(),
+                accumulator_to_json(&self.totals.malicious_counts, self.totals.malicious_users),
+            ),
             ("trajectory".into(), Json::Arr(trajectory)),
         ];
         if let Some(window_state) = window_state_to_json(&self.window) {
@@ -446,9 +462,17 @@ impl StreamEngine {
                 spec.epochs
             )));
         }
-        let true_counts = counts_field(json, "true_counts", d)?;
-        let genuine = accumulator_from_json(field(json, "genuine")?, d)?;
-        let malicious = accumulator_from_json(field(json, "malicious")?, d)?;
+        let population = counts_field(json, "true_counts", d)?;
+        let (genuine_counts, genuine_users) = accumulator_from_json(field(json, "genuine")?, d)?;
+        let (malicious_counts, malicious_users) =
+            accumulator_from_json(field(json, "malicious")?, d)?;
+        let totals = ShardDelta {
+            population,
+            genuine_counts,
+            genuine_users,
+            malicious_counts,
+            malicious_users,
+        };
 
         let trajectory_json = field(json, "trajectory")?
             .as_array()
@@ -476,39 +500,32 @@ impl StreamEngine {
             })
             .collect::<Result<_>>()?;
 
-        // Cross-field invariants: every genuine report corresponds to one
-        // population member, and the trajectory's tail matches the
-        // accumulated state.
-        if true_counts.iter().sum::<u64>() != genuine.report_count() as u64 {
-            return Err(LdpError::invalid(
-                "checkpoint: population total disagrees with genuine report count",
-            ));
-        }
+        // Cross-field invariants: the cumulative counts are a consistent
+        // count record, and the trajectory's tail matches them.
+        check_count_record(&totals, "cumulative state")?;
         if let Some(last) = trajectory.last() {
             if last.epoch + 1 != next_epoch
-                || last.genuine_users != genuine.report_count()
-                || last.malicious_users != malicious.report_count()
+                || last.genuine_users != totals.genuine_users
+                || last.malicious_users != totals.malicious_users
             {
                 return Err(LdpError::invalid(
                     "checkpoint: trajectory tail disagrees with accumulated state",
                 ));
             }
-        } else if genuine.report_count() != 0 || malicious.report_count() != 0 {
+        } else if totals.genuine_users != 0 || totals.malicious_users != 0 {
             return Err(LdpError::invalid(
                 "checkpoint: reports accumulated but trajectory is empty",
             ));
         }
 
-        let window = window_state_from_json(json.get("window_state"), spec.window, d, next_epoch)?;
+        let window = window_state_from_json(json.get("window_state"), spec.window, d, &trajectory)?;
 
         let protocol = spec.protocol.build(spec.epsilon, spec.domain())?;
         Ok(StreamEngine {
             spec,
             protocol,
             next_epoch,
-            true_counts,
-            genuine,
-            malicious,
+            totals,
             window,
             trajectory,
         })
@@ -526,7 +543,7 @@ mod tests {
             None,
             Some(AttackKind::Manip { h: 4 }),
             Some(AttackKind::Mga { r: 10 }),
-            Some(AttackKind::MgaSampled { r: 3 }),
+            Some(AttackKind::SampledMga { r: 3 }),
             Some(AttackKind::Adaptive),
             Some(AttackKind::AdaptiveCamouflaged),
             Some(AttackKind::MgaIpa { r: 7 }),
@@ -748,6 +765,63 @@ mod tests {
             );
         }
         assert!(StreamEngine::from_checkpoint(&Json::Num(1.0)).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_corrupted_sliding_windows() {
+        // Each retained epoch is a count record like the cumulative
+        // totals, and must have gained the users the trajectory gained;
+        // the window holds exactly min(span, next_epoch) of them.
+        let spec = StreamSpec {
+            window: WindowMode::Sliding(2),
+            epochs: 3,
+            ..tiny_spec()
+        };
+        let mut engine = StreamEngine::new(spec).unwrap();
+        engine.step().unwrap();
+        engine.step().unwrap();
+        assert!(StreamEngine::from_checkpoint(&engine.to_checkpoint()).is_ok());
+
+        let corrupt = |edit: fn(&mut std::collections::VecDeque<ShardDelta>)| {
+            let mut bad = engine.clone();
+            let WindowState::Sliding { history } = &mut bad.window else {
+                unreachable!()
+            };
+            edit(history);
+            bad.to_checkpoint()
+        };
+        for (label, bad) in [
+            (
+                "a population beyond the genuine users",
+                corrupt(|h| h[1].population[0] += 100_000),
+            ),
+            (
+                "support counts with zero genuine reports",
+                corrupt(|h| h[1].genuine_users = 0),
+            ),
+            (
+                "more malicious support than malicious reports",
+                corrupt(|h| h[1].malicious_counts.fill(1_000_000_000)),
+            ),
+            (
+                "genuine users the trajectory never gained",
+                corrupt(|h| {
+                    h[1].population[0] += 5;
+                    h[1].genuine_users += 5;
+                }),
+            ),
+            (
+                "a missing epoch",
+                corrupt(|h| {
+                    h.pop_front();
+                }),
+            ),
+        ] {
+            assert!(
+                StreamEngine::from_checkpoint(&bad).is_err(),
+                "accepted checkpoint with {label}"
+            );
+        }
     }
 
     #[test]

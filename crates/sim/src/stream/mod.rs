@@ -7,8 +7,8 @@
 //! system:
 //!
 //! * **Shards** — synthetic genuine + malicious report traffic is fanned
-//!   across `N` shards. Each shard owns a [`CountAccumulator`] and its own
-//!   RNG stream, derived per `(shard, epoch)` from the master seed
+//!   across `N` shards. Each shard has its own RNG stream, derived per
+//!   `(shard, epoch)` from the master seed
 //!   ([`ldp_common::rng::derive_seed2`]), so shards are independent,
 //!   individually re-runnable, and mergeable in any order.
 //! * **Epoch deltas** — a shard never materializes reports for genuine
@@ -19,9 +19,9 @@
 //!   plus the individually crafted malicious reports. The result is a
 //!   [`ShardDelta`], the one integer count record of both engines.
 //! * **Epoch boundaries** — after every epoch the shard deltas merge into
-//!   one epoch delta, which folds into the engine's cumulative state and
-//!   its recovery window; the `recover` defense arm then runs on the
-//!   debiased window through the pipeline's arm loop
+//!   one epoch delta, which folds into the engine's cumulative totals (a
+//!   [`ShardDelta`] too) and its recovery window; the `recover` defense
+//!   arm then runs on the debiased window through the pipeline's arm loop
 //!   ([`crate::pipeline::apply_recoveries`]), producing a
 //!   recovery-accuracy-vs-reports-seen trajectory. Any *count-only* arm
 //!   set can be evaluated on the same state via
@@ -63,7 +63,7 @@ use ldp_common::float::exactly_zero;
 use ldp_common::rng::{derive_seed2, rng_from_seed};
 use ldp_common::{Domain, Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
-use ldp_protocols::{AnyProtocol, CountAccumulator, LdpFrequencyProtocol, ProtocolKind};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, ProtocolKind};
 use ldprecover::{ArmKind, ArmOutput, ArmSet};
 
 use crate::config::{ExperimentConfig, PipelineOptions};
@@ -304,8 +304,9 @@ pub struct RecoverySnapshot {
 
 /// The sharded streaming ingestion engine.
 ///
-/// Holds the cumulative merged state (population truth, genuine and
-/// malicious accumulators) plus the epoch trajectory. [`StreamEngine::step`]
+/// Holds the cumulative merged counts (one [`ShardDelta`]: population
+/// truth, genuine and malicious support counts and users), the recovery
+/// window, and the epoch trajectory. [`StreamEngine::step`]
 /// ingests one epoch: shard deltas are computed in parallel (each from its
 /// own derived stream), folded in shard order, and recovery runs on the
 /// merged counts. Results are bit-identical for any worker count, and —
@@ -315,9 +316,7 @@ pub struct StreamEngine {
     spec: StreamSpec,
     protocol: AnyProtocol,
     next_epoch: usize,
-    true_counts: Vec<u64>,
-    genuine: CountAccumulator,
-    malicious: CountAccumulator,
+    totals: ShardDelta,
     window: WindowState,
     trajectory: Vec<EpochPoint>,
 }
@@ -329,9 +328,7 @@ impl PartialEq for StreamEngine {
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec
             && self.next_epoch == other.next_epoch
-            && self.true_counts == other.true_counts
-            && self.genuine == other.genuine
-            && self.malicious == other.malicious
+            && self.totals == other.totals
             && self.window == other.window
             && self.trajectory == other.trajectory
     }
@@ -350,9 +347,7 @@ impl StreamEngine {
             spec,
             protocol,
             next_epoch: 0,
-            true_counts: vec![0; domain.size()],
-            genuine: CountAccumulator::new(domain),
-            malicious: CountAccumulator::new(domain),
+            totals: ShardDelta::empty(domain),
             window: WindowState::new(spec.window, domain),
             trajectory: Vec::new(),
         })
@@ -373,19 +368,11 @@ impl StreamEngine {
         self.next_epoch >= self.spec.epochs
     }
 
-    /// The cumulative genuine accumulator.
-    pub fn genuine(&self) -> &CountAccumulator {
-        &self.genuine
-    }
-
-    /// The cumulative malicious accumulator.
-    pub fn malicious(&self) -> &CountAccumulator {
-        &self.malicious
-    }
-
-    /// The cumulative realized population histogram (ground truth).
-    pub fn true_counts(&self) -> &[u64] {
-        &self.true_counts
+    /// The cumulative counts: the realized population histogram (ground
+    /// truth), the genuine and malicious support counts, and the users
+    /// behind each.
+    pub fn totals(&self) -> &ShardDelta {
+        &self.totals
     }
 
     /// The trajectory captured so far, one point per ingested epoch.
@@ -473,26 +460,16 @@ impl StreamEngine {
         for (_, delta) in deltas {
             merged.merge(delta);
         }
-        for (slot, &c) in self.true_counts.iter_mut().zip(&merged.population) {
-            *slot += c;
-        }
-        self.genuine.merge(&CountAccumulator::from_parts(
-            merged.genuine_counts.clone(),
-            merged.genuine_users,
-        ));
-        self.malicious.merge(&CountAccumulator::from_parts(
-            merged.malicious_counts.clone(),
-            merged.malicious_users,
-        ));
+        self.totals.merge(&merged);
         self.window.absorb(self.spec.window, merged)?;
         self.next_epoch += 1;
 
         let snapshot = self.recovery_snapshot()?;
         let point = EpochPoint {
             epoch,
-            genuine_users: self.genuine.report_count(),
-            malicious_users: self.malicious.report_count(),
-            reports_seen: self.genuine.report_count() + self.malicious.report_count(),
+            genuine_users: self.totals.genuine_users,
+            malicious_users: self.totals.malicious_users,
+            reports_seen: self.totals.genuine_users + self.totals.malicious_users,
             mse_before: mse(&snapshot.poisoned_estimate, &snapshot.truth),
             mse_recovered: mse(&snapshot.recovered, &snapshot.truth),
             mse_genuine: mse(&snapshot.genuine_estimate, &snapshot.truth),
@@ -551,15 +528,10 @@ impl StreamEngine {
     fn current_aggregates(&self) -> Result<TrialAggregates> {
         let params = self.protocol.params();
         let domain = self.spec.domain();
-        let agg = self.window.aggregate(domain).unwrap_or_else(|| {
-            WindowAggregate::from_counts(&ShardDelta {
-                population: self.true_counts.clone(),
-                genuine_counts: self.genuine.counts().to_vec(),
-                genuine_users: self.genuine.report_count(),
-                malicious_counts: self.malicious.counts().to_vec(),
-                malicious_users: self.malicious.report_count(),
-            })
-        });
+        let agg = self
+            .window
+            .aggregate(domain)
+            .unwrap_or_else(|| WindowAggregate::from_counts(&self.totals));
         let total: f64 = agg.truth.iter().sum();
         if total <= 0.0 || total.is_nan() {
             return Err(LdpError::EmptyInput("stream state (no epochs ingested)"));
@@ -585,8 +557,8 @@ impl StreamEngine {
             malicious_true_freqs: None,
             attack_targets: None,
             reports: None,
-            genuine_count: self.genuine.report_count(),
-            malicious_count: self.malicious.report_count(),
+            genuine_count: self.totals.genuine_users,
+            malicious_count: self.totals.malicious_users,
         })
     }
 
@@ -656,7 +628,7 @@ impl StreamEngine {
             Json::Obj(vec![
                 (
                     "reports_seen".into(),
-                    Json::Num((self.genuine.report_count() + self.malicious.report_count()) as f64),
+                    Json::Num((self.totals.genuine_users + self.totals.malicious_users) as f64),
                 ),
                 ("recovered".into(), floats(&snapshot.recovered)),
                 (
@@ -805,9 +777,10 @@ mod tests {
         assert!(engine.step().is_err(), "stream horizon reached");
         assert_eq!(engine.trajectory().len(), 2);
         // Cumulative state is consistent.
+        let totals = engine.totals();
         assert_eq!(
-            engine.true_counts().iter().sum::<u64>(),
-            engine.genuine().report_count() as u64
+            totals.population.iter().sum::<u64>(),
+            totals.genuine_users as u64
         );
         let snapshot = engine.recovery_snapshot().unwrap();
         assert_eq!(snapshot.recovered.len(), spec.domain().size());
@@ -843,8 +816,8 @@ mod tests {
         spec.epochs = 1;
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.step().unwrap();
-        assert_eq!(engine.malicious().report_count(), 0);
-        assert!(engine.malicious().counts().iter().all(|&c| c == 0));
+        assert_eq!(engine.totals().malicious_users, 0);
+        assert!(engine.totals().malicious_counts.iter().all(|&c| c == 0));
         let snapshot = engine.recovery_snapshot().unwrap();
         assert_eq!(snapshot.genuine_estimate, snapshot.poisoned_estimate);
     }

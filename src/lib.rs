@@ -13,7 +13,7 @@
 //! |-------|------|
 //! | [`ldp_common`] | Domains, RNG plumbing, hashing, bit vectors, vector math, statistics |
 //! | [`ldp_protocols`] | GRR / OUE / OLH / SUE / HR pure LDP protocols + binary RR / Harmony |
-//! | [`ldp_attacks`] | MGA, adaptive, input-poisoning, and multi-attacker poisoning |
+//! | [`ldp_attacks`] | The closed set of poisoning attacks: Manip, MGA, and the adaptive family (AA, sampled MGA, AA-C, MGA-IPA, MUL-AA) |
 //! | [`ldprecover`] | The recovery pipeline: estimator, malicious learning, norm-sub solver |
 //! | [`ldp_datasets`] | IPUMS/Fire-shaped synthetic corpora and dataset loading |
 //! | [`ldp_kv`] | Key-value LDP extension (PrivKV-style protocol, M2GA, LDPRecover-KV) |

@@ -28,7 +28,7 @@ fn tiny_cell(protocol: ProtocolKind, attack: AttackKind) -> ExperimentConfig {
 /// and input-poisoning families.
 const ATTACKS: [AttackKind; 4] = [
     AttackKind::Mga { r: 10 },
-    AttackKind::MgaSampled { r: 5 },
+    AttackKind::SampledMga { r: 5 },
     AttackKind::Adaptive,
     AttackKind::MgaIpa { r: 10 },
 ];

@@ -89,7 +89,7 @@ fn determinism_holds_across_protocols_and_attacks() {
     // Cheaper arms, broader sweep: every protocol against a targeted and an
     // untargeted attack.
     for protocol in ProtocolKind::ALL {
-        for attack in [AttackKind::Adaptive, AttackKind::MgaSampled { r: 5 }] {
+        for attack in [AttackKind::Adaptive, AttackKind::SampledMga { r: 5 }] {
             let c = config(protocol, attack);
             let options = PipelineOptions::recovery_only();
             let a = run_experiment(&c, &options).unwrap();

@@ -22,7 +22,7 @@ fn every_protocol_attack_combination_completes() {
     let attacks = [
         AttackKind::Manip { h: 10 },
         AttackKind::Mga { r: 10 },
-        AttackKind::MgaSampled { r: 10 },
+        AttackKind::SampledMga { r: 10 },
         AttackKind::Adaptive,
         AttackKind::MgaIpa { r: 10 },
         AttackKind::MultiAdaptive { attackers: 5 },

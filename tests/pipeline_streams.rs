@@ -8,12 +8,17 @@
 //! single count. The `tail` words additionally pin the RNG stream
 //! position after aggregation — a path that silently drew one extra
 //! uniform would pass a frequency check but fail the tail.
+//!
+//! `attack_draws_match_recorded_digests` pins the malicious half the same
+//! way, report by report: every attack kind's targets, crafted reports
+//! and next RNG word, for all five protocols.
 
 use ldp_attacks::AttackKind;
 use ldp_common::hash::xxh64;
 use ldp_common::rng::rng_from_seed;
+use ldp_common::Domain;
 use ldp_datasets::DatasetKind;
-use ldp_protocols::ProtocolKind;
+use ldp_protocols::{ProtocolKind, Report};
 use ldp_sim::config::{AggregationMode, ExperimentConfig, PipelineOptions};
 use ldp_sim::pipeline::run_aggregation;
 use rand::Rng;
@@ -90,4 +95,66 @@ fn batched_hr_aggregation_matches_pre_kernel_digest() {
         0xf24f_17a6_12fc_1b52,
         "batched HR RNG stream perturbed"
     );
+}
+
+/// Appends a report's wire fields: the item or column index, OLH's seed
+/// and hashed value, or a unary report's popcount and set positions.
+fn push_report(bytes: &mut Vec<u8>, report: &Report) {
+    match report {
+        Report::Grr(v) | Report::Hr(v) => bytes.extend(v.to_le_bytes()),
+        Report::Olh(olh) => {
+            bytes.extend(olh.seed.to_le_bytes());
+            bytes.extend(olh.value.to_le_bytes());
+        }
+        Report::Oue(bits) | Report::Sue(bits) => {
+            bytes.extend((bits.count_ones() as u32).to_le_bytes());
+            for i in bits.iter_ones() {
+                bytes.extend((i as u32).to_le_bytes());
+            }
+        }
+    }
+}
+
+#[test]
+fn attack_draws_match_recorded_digests() {
+    // One RNG stream per kind runs through every (ε, protocol) cell:
+    // instantiate, craft M reports, draw one more word. ε = 4 gives OLH
+    // g = 56 > r² = 25 and ε = 0.5 gives g = 3 ≤ r², so MGA-OLH's seed
+    // search takes both of its strategies. The digests were captured from
+    // the trait-object attacks the closed `Attack` enum replaced.
+    const M: usize = 60;
+    let domain = Domain::new(102).unwrap();
+    for (kind, expect) in [
+        (AttackKind::Manip { h: 5 }, 0xb0f3_b18e_cff7_c0fdu64),
+        (AttackKind::Mga { r: 5 }, 0xf851_6a53_503e_bbd4),
+        (AttackKind::SampledMga { r: 5 }, 0x9b48_757c_73c0_be5d),
+        (AttackKind::Adaptive, 0xf81e_a6bf_2deb_5e33),
+        (AttackKind::AdaptiveCamouflaged, 0x7a92_70cd_8a6e_b670),
+        (AttackKind::MgaIpa { r: 5 }, 0x0bc9_0115_88cd_c030),
+        (
+            AttackKind::MultiAdaptive { attackers: 5 },
+            0x1c29_c172_2b31_5a50,
+        ),
+    ] {
+        let mut rng = rng_from_seed(0xA77A);
+        let mut bytes = Vec::new();
+        for epsilon in [0.5, 4.0] {
+            for protocol in ProtocolKind::EXTENDED {
+                let protocol = protocol.build(epsilon, domain).unwrap();
+                let attack = kind.instantiate(domain, &mut rng);
+                for &t in attack.targets().unwrap_or_default() {
+                    bytes.extend((t as u32).to_le_bytes());
+                }
+                for report in attack.craft(&protocol, M, &mut rng) {
+                    push_report(&mut bytes, &report);
+                }
+                bytes.extend(rng.gen::<u64>().to_le_bytes());
+            }
+        }
+        assert_eq!(
+            xxh64(&bytes, 0),
+            expect,
+            "{kind:?}: targets, reports or draws drifted"
+        );
+    }
 }

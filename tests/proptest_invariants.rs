@@ -264,7 +264,7 @@ proptest! {
         let attack = [
             AttackKind::Adaptive,
             AttackKind::Mga { r: 5 },
-            AttackKind::MgaSampled { r: 5 },
+            AttackKind::SampledMga { r: 5 },
             AttackKind::Manip { h: 8 },
             AttackKind::MgaIpa { r: 5 },
             AttackKind::MultiAdaptive { attackers: 3 },

@@ -53,7 +53,9 @@ fn frequency_gain_collapses_after_recovery() {
     // substantially. The cut is strongest for GRR (where the paper's
     // single-support attack model matches the precise MGA exactly) and
     // partial for OUE/OLH, whose precise-MGA reports support all r targets
-    // at once — see EXPERIMENTS.md for the quantitative discussion.
+    // at once: LDPRecover's model credits each malicious report with one
+    // supported item, so it removes only part of that gain (hence the
+    // looser budget below; `ldp repro --figure fig4` prints the FGs).
     for protocol in ProtocolKind::ALL {
         let result = run_experiment(
             &cell(protocol, AttackKind::Mga { r: 10 }),
@@ -214,9 +216,10 @@ fn recovery_restores_the_heavy_hitter_list() {
 
 #[test]
 fn d1_fallback_repairs_the_oue_degeneracy() {
-    // Extension ablation (EXPERIMENTS.md "AA on unary encodings"): under
-    // AA-OUE the raw single-support malicious reports depress every
-    // frequency, leaving only the head item positive; Eq. (26) then
+    // Extension ablation (Ablation 3 of `ldp repro --figure ablations`,
+    // the D₁ fallback on OUE): under AA-OUE the raw single-support
+    // malicious reports depress every frequency, leaving only the head
+    // item positive; Eq. (26) then
     // concentrates the (huge, negative) malicious sum on ~1 item and the
     // recovered vector degenerates toward one-hot. The uniform fallback
     // spreads the sum over the whole domain and recovers the shape.

@@ -28,7 +28,7 @@ use ldp_datasets::DatasetKind;
 use ldp_protocols::{CountAccumulator, LdpFrequencyProtocol, ProtocolKind};
 use ldp_sim::config::AggregationMode;
 use ldp_sim::pipeline::run_aggregation;
-use ldp_sim::stream::{shard_epoch_delta, StreamEngine, StreamSpec};
+use ldp_sim::stream::{shard_epoch_delta, ShardDelta, StreamEngine, StreamSpec};
 use ldp_sim::{ExperimentConfig, PipelineOptions};
 use ldprecover::LdpRecover;
 
@@ -91,12 +91,12 @@ fn one_shard_single_epoch_is_bit_identical_to_the_offline_pipeline() {
             .frequencies;
 
         assert_eq!(
-            engine.genuine().report_count(),
+            engine.totals().genuine_users,
             offline.genuine_count,
             "{protocol}: genuine users"
         );
         assert_eq!(
-            engine.malicious().report_count(),
+            engine.totals().malicious_users,
             offline.malicious_count,
             "{protocol}: malicious users"
         );
@@ -125,8 +125,8 @@ fn one_shard_single_epoch_is_bit_identical_to_the_offline_pipeline() {
 
 #[test]
 fn one_shard_single_epoch_counts_match_a_direct_recomputation() {
-    // The count-level half of contract 1: the engine's merged accumulators
-    // equal the shard cell's delta exactly (no hidden reweighting between
+    // The count-level half of contract 1: the engine's merged totals equal
+    // the shard cell's delta exactly (no hidden reweighting between
     // ingestion and state).
     for protocol in ProtocolKind::EXTENDED {
         let config = offline_config(protocol, 0.004);
@@ -134,9 +134,7 @@ fn one_shard_single_epoch_counts_match_a_direct_recomputation() {
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.step().unwrap();
         let delta = shard_epoch_delta(&spec, 0, 0).unwrap();
-        assert_eq!(engine.genuine().counts(), &delta.genuine_counts[..]);
-        assert_eq!(engine.malicious().counts(), &delta.malicious_counts[..]);
-        assert_eq!(engine.true_counts(), &delta.population[..]);
+        assert_eq!(engine.totals(), &delta, "{protocol}");
     }
 }
 
@@ -160,44 +158,26 @@ fn n_shard_multi_epoch_state_is_the_exact_merge_of_its_cells() {
             if reverse {
                 order.reverse();
             }
-            let mut genuine = CountAccumulator::new(domain);
-            let mut malicious = CountAccumulator::new(domain);
-            let mut truth = vec![0u64; domain.size()];
+            let mut merged = ShardDelta::empty(domain);
             for &(shard, epoch) in &order {
-                let delta = shard_epoch_delta(&spec, shard, epoch).unwrap();
-                genuine.merge(&CountAccumulator::from_parts(
-                    delta.genuine_counts,
-                    delta.genuine_users,
-                ));
-                malicious.merge(&CountAccumulator::from_parts(
-                    delta.malicious_counts,
-                    delta.malicious_users,
-                ));
-                for (slot, c) in truth.iter_mut().zip(delta.population) {
-                    *slot += c;
-                }
+                merged.merge(&shard_epoch_delta(&spec, shard, epoch).unwrap());
             }
             assert_eq!(
-                engine.genuine(),
-                &genuine,
-                "{protocol}: genuine state (reverse={reverse})"
-            );
-            assert_eq!(
-                engine.malicious(),
-                &malicious,
-                "{protocol}: malicious state (reverse={reverse})"
-            );
-            assert_eq!(
-                engine.true_counts(),
-                &truth[..],
-                "{protocol}: population (reverse={reverse})"
+                engine.totals(),
+                &merged,
+                "{protocol}: merged state (reverse={reverse})"
             );
         }
 
         // …and therefore every derived estimate is bit-identical too.
+        let totals = engine.totals();
         let merged = {
-            let mut poisoned = engine.genuine().clone();
-            poisoned.merge(engine.malicious());
+            let mut poisoned =
+                CountAccumulator::from_parts(totals.genuine_counts.clone(), totals.genuine_users);
+            poisoned.merge(&CountAccumulator::from_parts(
+                totals.malicious_counts.clone(),
+                totals.malicious_users,
+            ));
             poisoned
         };
         let params = protocol.build(spec.epsilon, domain).unwrap().params();

@@ -3,7 +3,7 @@
 //! pre-attack reference (top-k increase), or from historical rounds
 //! (moving-average outlier detection).
 
-use ldp_attacks::{AttackKind, MgaSampled, PoisoningAttack};
+use ldp_attacks::{AdaptiveAttack, AttackKind};
 use ldp_common::rng::rng_from_seed;
 use ldp_common::Domain;
 use ldp_datasets::DatasetKind;
@@ -29,7 +29,7 @@ fn top_k_increase_finds_mga_targets() {
     }
     let reference = genuine_acc.frequencies(protocol.params()).unwrap();
 
-    let attack = MgaSampled::new(domain, vec![40, 45, 50, 55]);
+    let attack = AdaptiveAttack::uniform_over(domain, vec![40, 45, 50, 55]);
     let malicious = attack.craft(&protocol, 3_000, &mut rng);
     let mut poisoned_acc = genuine_acc.clone();
     poisoned_acc.add_all(&protocol, &malicious);
@@ -48,7 +48,7 @@ fn moving_average_detector_flags_targets_from_history() {
     let mut config = ExperimentConfig::paper_default(
         DatasetKind::Ipums,
         ProtocolKind::Grr,
-        Some(AttackKind::MgaSampled { r: 5 }),
+        Some(AttackKind::SampledMga { r: 5 }),
     );
     config.scale = 0.02;
     let clean_options = PipelineOptions::default();
@@ -93,7 +93,7 @@ fn identified_targets_feed_recovery_as_well_as_oracle_targets() {
     let mut config = ExperimentConfig::paper_default(
         DatasetKind::Ipums,
         ProtocolKind::Grr,
-        Some(AttackKind::MgaSampled { r: 10 }),
+        Some(AttackKind::SampledMga { r: 10 }),
     );
     config.scale = 0.05;
 

@@ -31,7 +31,7 @@ fn sample_malicious_freqs(
     let mut rng = rng_from_seed(21);
     (0..trials)
         .map(|_| {
-            let reports = ldp_attacks::PoisoningAttack::craft(&attack, &protocol, m, &mut rng);
+            let reports = attack.craft(&protocol, m, &mut rng);
             let mut acc = CountAccumulator::new(domain);
             acc.add_all(&protocol, &reports);
             acc.frequencies(protocol.params()).unwrap()[item]
