@@ -9,7 +9,10 @@
 //! report supports, in expectation, one item. A drawn item becomes a
 //! report in one of three ways: its clean encoding ([`AdaptiveAttack::craft`]),
 //! padded on OUE and SUE ([`AdaptiveAttack::craft_camouflaged`]), or run
-//! through Ψ ([`AdaptiveAttack::craft_perturbed`]).
+//! through Ψ ([`AdaptiveAttack::craft_perturbed`]). On OUE and SUE each
+//! way also has a count form for [`crate::Attack::craft_counts`], next to
+//! it: the same draws, each bit added to a support count instead of set
+//! in a report.
 
 use ldp_common::sampling::{random_distribution, sample_distinct, AliasTable};
 use ldp_common::{BitVec, Domain, Result};
@@ -100,6 +103,14 @@ impl AdaptiveAttack {
             .collect()
     }
 
+    /// The count form of [`AdaptiveAttack::craft`] on OUE and SUE, whose
+    /// clean encoding sets the item's bit alone and draws nothing.
+    pub(crate) fn craft_unary_counts(&self, m: usize, rng: &mut dyn RngCore, counts: &mut [u64]) {
+        for _ in 0..m {
+            counts[self.sampler.sample(rng)] += 1;
+        }
+    }
+
     /// Crafts `m` *camouflaged* reports (AA-C, an extension beyond the
     /// paper).
     ///
@@ -126,15 +137,38 @@ impl AdaptiveAttack {
             AnyProtocol::Sue(sue) => (sue.domain().size(), sue.expected_ones(), Report::Sue),
             _ => return self.craft(protocol, m, rng),
         };
-        let popcount = (expected_ones.round() as usize).clamp(1, d);
+        let extra = camouflage_padding(d, expected_ones);
         (0..m)
             .map(|_| {
                 let item = self.sampler.sample(rng);
                 let mut bits = BitVec::mask_of(d, &[item]);
-                pad_unary(&mut bits, popcount - 1, rng);
+                pad_unary(&mut bits, extra, rng, |_, _| {});
                 wrap(bits)
             })
             .collect()
+    }
+
+    /// The count form of [`AdaptiveAttack::craft_camouflaged`] on OUE and
+    /// SUE (`d` bits, `expected_ones` set in a genuine report): each drawn
+    /// item gains 1, then its report's padding runs on a scratch mask
+    /// reset to the item's bit, and each newly set bit adds 1 to its count.
+    pub(crate) fn craft_camouflaged_unary_counts(
+        &self,
+        d: usize,
+        expected_ones: f64,
+        m: usize,
+        rng: &mut dyn RngCore,
+        counts: &mut [u64],
+    ) {
+        let extra = camouflage_padding(d, expected_ones);
+        let mut mask = BitVec::zeros(d);
+        for _ in 0..m {
+            let item = self.sampler.sample(rng);
+            counts[item] += 1;
+            mask.clear_all();
+            mask.set_one(item);
+            pad_unary(&mut mask, extra, rng, |v, new| counts[v] += new);
+        }
     }
 
     /// Crafts `m` input-poisoning reports (§VII-B): each drawn item goes
@@ -156,6 +190,32 @@ impl AdaptiveAttack {
             })
             .collect()
     }
+
+    /// The count form of [`AdaptiveAttack::craft_perturbed`] on OUE and
+    /// SUE: Ψ's three stretches (before, at and after the item's bit) add
+    /// each success to its count.
+    pub(crate) fn craft_perturbed_unary_counts(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut dyn RngCore,
+        counts: &mut [u64],
+    ) {
+        for _ in 0..m {
+            let item = self.sampler.sample(rng);
+            match protocol {
+                AnyProtocol::Oue(oue) => oue.perturb_into(item, counts, rng),
+                AnyProtocol::Sue(sue) => sue.perturb_into(item, counts, rng),
+                other => unreachable!("{} reports are not unary", other.name()),
+            }
+        }
+    }
+}
+
+/// The bits an AA-C report gains beyond its item's: enough to reach the
+/// expected genuine popcount, which is clamped to `1..=d`.
+fn camouflage_padding(d: usize, expected_ones: f64) -> usize {
+    (expected_ones.round() as usize).clamp(1, d) - 1
 }
 
 #[cfg(test)]

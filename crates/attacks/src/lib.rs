@@ -23,6 +23,15 @@
 //! instantiates its per-trial randomized state (targets, designed
 //! distributions) as an [`Attack`]. Crafting takes the RNG as
 //! `&mut dyn RngCore`, so each crafting routine is compiled once.
+//!
+//! The server sees malicious reports only through the support counts
+//! aggregation Φ adds up (§IV-A, Eq. (14)). [`Attack::craft_counts`] adds
+//! exactly those counts — what folding [`Attack::craft`]'s reports adds,
+//! with the same draws in the same order — and on OUE and SUE builds no
+//! report: each report form has a count form next to it that sends the
+//! same bits to a count row (the clean encoding's one bit, MGA's targets
+//! and padding, Ψ's three stretches). Callers that keep the reports (the
+//! Detection and k-means defenses) use `craft`.
 
 pub mod adaptive;
 pub mod kind;
@@ -34,7 +43,7 @@ pub use kind::AttackKind;
 pub use manip::Manip;
 pub use mga::Mga;
 
-use ldp_protocols::{AnyProtocol, Report};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
 use rand::{Rng as _, RngCore};
 
 /// An attack's per-trial state ([`AttackKind::instantiate`]), ready to
@@ -74,19 +83,51 @@ impl Attack {
             Attack::Camouflaged(attack) => attack.craft_camouflaged(protocol, m, rng),
             Attack::Ipa(attack) => attack.craft_perturbed(protocol, m, rng),
             Attack::Multi(attackers) => {
-                // "Randomly assign malicious users to these attackers"
-                // (§VII-C): each malicious user picks an attacker uniformly
-                // at random, then that attacker crafts the user's report.
-                let k = attackers.len();
-                let mut assignment = vec![0usize; k];
-                for _ in 0..m {
-                    assignment[rng.gen_range(0..k)] += 1;
-                }
                 let mut reports = Vec::with_capacity(m);
-                for (attacker, &count) in attackers.iter().zip(&assignment) {
+                for (attacker, count) in attackers.iter().zip(assign(attackers.len(), m, rng)) {
                     reports.extend(attacker.craft(protocol, count, rng));
                 }
                 reports
+            }
+        }
+    }
+
+    /// Adds to `counts` the support counts of the reports the `m`
+    /// malicious users send: exactly what
+    /// `protocol.accumulate_all(&self.craft(protocol, m, rng), counts)`
+    /// adds, with the same draws in the same order, so the RNG ends where
+    /// it would. On OUE and SUE no report is built. GRR, OLH and HR
+    /// reports are small values, and OLH and HR fold a batch at once, so
+    /// there the reports are crafted and folded.
+    ///
+    /// # Panics
+    /// Panics if `counts.len()` is not the protocol's domain size.
+    pub fn craft_counts(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut dyn RngCore,
+        counts: &mut [u64],
+    ) {
+        let d = protocol.domain().size();
+        assert_eq!(counts.len(), d, "one count per item");
+        let expected_ones = match protocol {
+            AnyProtocol::Oue(oue) => oue.expected_ones(),
+            AnyProtocol::Sue(sue) => sue.expected_ones(),
+            _ => return protocol.accumulate_all(&self.craft(protocol, m, rng), counts),
+        };
+        match self {
+            Attack::Manip(manip) => manip.craft_unary_counts(m, rng, counts),
+            Attack::Mga(mga) => mga.craft_unary_counts(d, expected_ones, m, rng, counts),
+            Attack::Clean(attack) => attack.craft_unary_counts(m, rng, counts),
+            Attack::Camouflaged(attack) => {
+                attack.craft_camouflaged_unary_counts(d, expected_ones, m, rng, counts);
+            }
+            Attack::Ipa(attack) => attack.craft_perturbed_unary_counts(protocol, m, rng, counts),
+            Attack::Multi(attackers) => {
+                for (attacker, count) in attackers.iter().zip(assign(attackers.len(), m, rng)) {
+                    attacker.craft_unary_counts(count, rng, counts);
+                }
             }
         }
     }
@@ -104,6 +145,18 @@ impl Attack {
             Attack::Manip(_) | Attack::Multi(_) => None,
         }
     }
+}
+
+/// MUL-AA's assignment, "randomly assign malicious users to these
+/// attackers" (§VII-C): each of the `m` users picks one of the `k`
+/// attackers uniformly at random. Returns each attacker's user count;
+/// the attackers then craft in order.
+fn assign(k: usize, m: usize, rng: &mut dyn RngCore) -> Vec<usize> {
+    let mut assignment = vec![0usize; k];
+    for _ in 0..m {
+        assignment[rng.gen_range(0..k)] += 1;
+    }
+    assignment
 }
 
 #[cfg(test)]
@@ -124,6 +177,58 @@ mod tests {
         let mut rng = rng_from_seed(2);
         for m in [0usize, 1, 7, 1000] {
             assert_eq!(multi.craft(&proto, m, &mut rng).len(), m);
+        }
+    }
+
+    /// `craft_counts` against its report form, folding `craft`'s
+    /// reports: equal counts (added to a non-zero row) and an equal next
+    /// RNG word, for every kind, MGA without padding and MUL-AA with more
+    /// attackers than users, on all five protocols at ε = 0.5 and 4 and on
+    /// OUE and SUE at ε = 100 (no padding past the targets; SUE's item bit
+    /// is certain and draws nothing), for m ∈ {0, 1, 2, 61}.
+    #[test]
+    fn kernel_oracle_craft_counts_matches_craft() {
+        let domain = Domain::new(102).unwrap();
+        let d = domain.size();
+        let mut setup = rng_from_seed(40);
+        let mut attacks: Vec<(String, Attack)> = [
+            AttackKind::Manip { h: 5 },
+            AttackKind::Mga { r: 5 },
+            AttackKind::SampledMga { r: 5 },
+            AttackKind::Adaptive,
+            AttackKind::AdaptiveCamouflaged,
+            AttackKind::MgaIpa { r: 5 },
+            AttackKind::MultiAdaptive { attackers: 5 },
+            AttackKind::MultiAdaptive { attackers: 70 },
+        ]
+        .into_iter()
+        .map(|kind| (format!("{kind:?}"), kind.instantiate(domain, &mut setup)))
+        .collect();
+        attacks.push((
+            "MGA without padding".into(),
+            Attack::Mga(Mga::random_targets(domain, 5, &mut setup).without_padding()),
+        ));
+        let mut cells: Vec<(ProtocolKind, f64)> = [0.5, 4.0]
+            .into_iter()
+            .flat_map(|eps| ProtocolKind::EXTENDED.map(|kind| (kind, eps)))
+            .collect();
+        cells.extend([(ProtocolKind::Oue, 100.0), (ProtocolKind::Sue, 100.0)]);
+        for (name, attack) in &attacks {
+            for &(kind, eps) in &cells {
+                let proto = kind.build(eps, domain).unwrap();
+                for m in [0usize, 1, 2, 61] {
+                    let seed = m as u64 * 7 + eps as u64;
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    let mut counts: Vec<u64> = (0..d as u64).collect();
+                    attack.craft_counts(&proto, m, &mut rng, &mut counts);
+                    let mut folded: Vec<u64> = (0..d as u64).collect();
+                    proto.accumulate_all(&attack.craft(&proto, m, &mut reference), &mut folded);
+                    let cell = format!("{name} on {kind} at eps={eps}, m={m}");
+                    assert_eq!(counts, folded, "{cell}: counts");
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "{cell}: next draw");
+                }
+            }
         }
     }
 

@@ -50,6 +50,14 @@ impl Manip {
             })
             .collect()
     }
+
+    /// The count form of [`Manip::craft`] on OUE and SUE, whose clean
+    /// encoding sets the item's bit alone and draws nothing.
+    pub(crate) fn craft_unary_counts(&self, m: usize, rng: &mut dyn RngCore, counts: &mut [u64]) {
+        for _ in 0..m {
+            counts[self.subdomain[rng.gen_range(0..self.subdomain.len())]] += 1;
+        }
+    }
 }
 
 #[cfg(test)]

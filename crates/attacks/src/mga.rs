@@ -128,13 +128,47 @@ impl Mga {
 
     fn craft_oue(&self, d: usize, expected_ones: f64, rng: &mut dyn RngCore) -> BitVec {
         let mut bits = BitVec::mask_of(d, &self.targets);
-        if self.pad {
-            let l = expected_ones.round() as usize;
-            let extra = l.saturating_sub(self.targets.len());
-            let non_targets = d - self.targets.len();
-            pad_unary(&mut bits, extra.min(non_targets), rng);
-        }
+        pad_unary(&mut bits, self.padding(d, expected_ones), rng, |_, _| {});
         bits
+    }
+
+    /// The count form of [`Mga::craft`] on OUE and SUE (`d` bits, a
+    /// genuine report carrying `expected_ones` of them): every report
+    /// supports every target, so each target gains `m` without a draw;
+    /// then each report's padding runs on a scratch mask reset to the
+    /// targets, and each newly set bit adds 1 to its count.
+    pub(crate) fn craft_unary_counts(
+        &self,
+        d: usize,
+        expected_ones: f64,
+        m: usize,
+        rng: &mut dyn RngCore,
+        counts: &mut [u64],
+    ) {
+        for &t in &self.targets {
+            counts[t] += m as u64;
+        }
+        let extra = self.padding(d, expected_ones);
+        if extra == 0 {
+            return;
+        }
+        let targets = BitVec::mask_of(d, &self.targets);
+        let mut mask = targets.clone();
+        for _ in 0..m {
+            mask.clone_from(&targets);
+            pad_unary(&mut mask, extra, rng, |v, new| counts[v] += new);
+        }
+    }
+
+    /// Non-target bits a unary report is padded with: up to the expected
+    /// genuine popcount `round(expected_ones)`, none without padding.
+    fn padding(&self, d: usize, expected_ones: f64) -> usize {
+        if !self.pad {
+            return 0;
+        }
+        let l = expected_ones.round() as usize;
+        let non_targets = d - self.targets.len();
+        l.saturating_sub(self.targets.len()).min(non_targets)
     }
 
     /// Crafts `m` OLH reports, each the best of `seed_trials` random seeds:
@@ -215,14 +249,25 @@ impl Mga {
 /// Sets `extra` more bits of `bits` at uniformly drawn positions, drawing
 /// again on a position already set: the padding of the unary-encoding
 /// attacks (MGA on OUE/SUE, AA-C). Each draw ORs its bit in and counts
-/// it as 0/1, so a re-hit costs no mispredicted branch.
+/// it as 0/1, so a re-hit costs no mispredicted branch. `tally(v, new)`
+/// sees each drawn position with 1 if it was newly set and 0 on a re-hit:
+/// the report form ignores it, and the count form adds it to `v`'s count,
+/// so both run this one draw loop.
 ///
 /// `extra` must not exceed the number of clear bits.
-pub(crate) fn pad_unary(bits: &mut BitVec, extra: usize, rng: &mut dyn RngCore) {
+pub(crate) fn pad_unary(
+    bits: &mut BitVec,
+    extra: usize,
+    rng: &mut dyn RngCore,
+    mut tally: impl FnMut(usize, u64),
+) {
     let d = bits.len();
     let mut remaining = extra;
     while remaining > 0 {
-        remaining -= usize::from(bits.insert(rng.gen_range(0..d)));
+        let v = rng.gen_range(0..d);
+        let new = bits.insert(v);
+        tally(v, u64::from(new));
+        remaining -= usize::from(new);
     }
 }
 
@@ -413,6 +458,39 @@ mod tests {
                             assert_eq!(rng.next_u64(), reference.next_u64(), "{kind} d={d} r={r}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The count padding against its report form: from the same start
+    /// mask (MGA's targets, AA-C's item, or none), padding with a count
+    /// tally leaves the mask as the padded report and adds 1 for exactly
+    /// the bits the report gained; the next draw agrees.
+    #[test]
+    fn kernel_oracle_unary_padding_counts() {
+        for d in [16usize, 102, 490] {
+            let starts: [Vec<usize>; 4] =
+                [vec![], vec![d / 3], vec![0, 5, d - 1], (0..d / 2).collect()];
+            for start in starts {
+                let clear = d - start.len();
+                for extra in [0, 1, clear / 3, clear] {
+                    let seed = (d * 1000 + start.len() * 10 + extra) as u64;
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    let start_mask = BitVec::mask_of(d, &start);
+                    let mut report = start_mask.clone();
+                    pad_unary(&mut report, extra, &mut reference, |_, _| {});
+                    let mut mask = start_mask.clone();
+                    let mut counts = vec![1u64; d];
+                    pad_unary(&mut mask, extra, &mut rng, |v, new| counts[v] += new);
+                    let gained: Vec<u64> = (0..d)
+                        .map(|v| 1 + u64::from(report.get(v) && !start_mask.get(v)))
+                        .collect();
+                    let cell = format!("d={d} start={} extra={extra}", start.len());
+                    assert_eq!(mask, report, "{cell}");
+                    assert_eq!(counts, gained, "{cell}");
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "{cell}");
                 }
             }
         }

@@ -6,17 +6,67 @@
 //! for the same workload) and exposes the exact operations the workspace
 //! needs: single-bit set/get/insert, ranged OR of computed bits
 //! (perturbation), set-bit iteration (aggregation), and masked
-//! intersection counting (the Detection baseline).
+//! intersection counting (the Detection baseline). [`BitSink`] lets a
+//! unary kernel send the same bits to a row of support counts instead.
 
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 /// A fixed-length packed bit vector.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BitVec {
     blocks: Vec<u64>,
     len: usize,
+}
+
+impl Clone for BitVec {
+    fn clone(&self) -> Self {
+        Self {
+            blocks: self.blocks.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s words when the
+    /// lengths match: resetting a scratch mask allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.clone_from(&source.blocks);
+        self.len = source.len;
+    }
+}
+
+/// Where a unary kernel's bits go: a packed report ([`BitVec`]) ORs each
+/// bit into its word, and a row of support counts (`[u64]`, one per
+/// index) adds each bit to its index's count — the report's fold, with no
+/// report built. A kernel written over this trait (unary Ψ,
+/// [`crate::rng::FastBernoulli::fill`]) makes the same draws into either.
+pub trait BitSink {
+    /// Takes `bit(i)` for every `i` in `range`, calling `bit` exactly once
+    /// per index in increasing order.
+    ///
+    /// # Panics
+    /// Panics if `range` does not lie within the sink.
+    fn put_range(&mut self, range: Range<usize>, bit: impl FnMut(usize) -> bool);
+}
+
+impl BitSink for BitVec {
+    // Always inlined, with `or_range`: a report's Ψ then compiles to the
+    // loop it had when `FastBernoulli::fill` called `or_range` directly.
+    #[inline(always)]
+    fn put_range(&mut self, range: Range<usize>, bit: impl FnMut(usize) -> bool) {
+        self.or_range(range, bit);
+    }
+}
+
+impl BitSink for [u64] {
+    #[inline]
+    fn put_range(&mut self, range: Range<usize>, mut bit: impl FnMut(usize) -> bool) {
+        let start = range.start;
+        for (offset, count) in self[range].iter_mut().enumerate() {
+            *count += u64::from(bit(start + offset));
+        }
+    }
 }
 
 impl BitVec {
@@ -34,7 +84,7 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if `range` does not lie within `0..len`.
-    #[inline]
+    #[inline(always)]
     pub fn or_range(&mut self, range: Range<usize>, mut bit: impl FnMut(usize) -> bool) {
         let Range { start, end } = range;
         assert!(
@@ -106,6 +156,11 @@ impl BitVec {
         let was_clear = *block & mask == 0;
         *block |= mask;
         was_clear
+    }
+
+    /// Clears every bit; the length stays.
+    pub fn clear_all(&mut self) {
+        self.blocks.fill(0);
     }
 
     /// Number of set bits.
@@ -296,6 +351,46 @@ mod tests {
             assert!(v.get(i));
         }
         assert_eq!(v, BitVec::mask_of(130, &[0, 63, 64, 129]));
+    }
+
+    #[test]
+    fn count_rows_add_the_bits_a_bitvec_would_set() {
+        // The same bits into both sinks: the row gains exactly the set
+        // bits, on top of what it held, and `bit` runs once per index in
+        // order for each.
+        for (len, range) in [(130usize, 0..130), (130, 3..3), (130, 63..65), (70, 5..69)] {
+            let bit = |i: usize| i % 3 == 1 || i == 64;
+            let mut bits = BitVec::zeros(len);
+            let mut bit_calls = Vec::new();
+            bits.put_range(range.clone(), |i| {
+                bit_calls.push(i);
+                bit(i)
+            });
+            let mut row: Vec<u64> = (0..len as u64).collect();
+            let mut row_calls = Vec::new();
+            row.put_range(range.clone(), |i| {
+                row_calls.push(i);
+                bit(i)
+            });
+            assert_eq!(bit_calls, range.clone().collect::<Vec<_>>());
+            assert_eq!(row_calls, bit_calls);
+            for (i, &count) in row.iter().enumerate() {
+                assert_eq!(count, i as u64 + u64::from(bits.get(i)), "len={len} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_and_clear_all_reset_a_scratch_mask() {
+        let template = BitVec::mask_of(130, &[1, 64, 129]);
+        let mut scratch = BitVec::mask_of(130, &[0, 2, 63, 100]);
+        scratch.clone_from(&template);
+        assert_eq!(scratch, template);
+        scratch.clear_all();
+        assert_eq!(scratch, BitVec::zeros(130));
+        let mut shorter = BitVec::mask_of(10, &[3]);
+        shorter.clone_from(&template);
+        assert_eq!(shorter, template);
     }
 
     #[test]

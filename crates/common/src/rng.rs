@@ -17,7 +17,7 @@ use std::ops::Range;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::BitVec;
+use crate::bitvec::BitSink;
 
 /// Finalizer of SplitMix64: maps a state to a well-mixed output.
 #[inline]
@@ -105,19 +105,24 @@ impl FastBernoulli {
         }
     }
 
-    /// Draws one sample per index of `range`, in index order, and ORs the
-    /// successes into `bits` — what looping [`Self::sample`] and setting
-    /// each success does, with the threshold matched once instead of per
-    /// bit. At p = 1 it sets the whole range and draws nothing, as
-    /// `sample` does.
+    /// Draws one sample per index of `range`, in index order, and puts
+    /// the outcomes into `sink` — what looping [`Self::sample`] and
+    /// setting (or counting) each success does, with the threshold matched
+    /// once instead of per bit. At p = 1 every index succeeds and nothing
+    /// is drawn, as `sample` does.
     ///
     /// # Panics
-    /// Panics if `range` does not lie within `bits`.
+    /// Panics if `range` does not lie within `sink`.
     #[inline]
-    pub fn fill<R: Rng + ?Sized>(&self, bits: &mut BitVec, range: Range<usize>, rng: &mut R) {
+    pub fn fill<S: BitSink + ?Sized, R: Rng + ?Sized>(
+        &self,
+        sink: &mut S,
+        range: Range<usize>,
+        rng: &mut R,
+    ) {
         match self.threshold {
-            Some(t) => bits.or_range(range, |_| rng.next_u64() < t),
-            None => bits.or_range(range, |_| true),
+            Some(t) => sink.put_range(range, |_| rng.next_u64() < t),
+            None => sink.put_range(range, |_| true),
         }
     }
 
@@ -143,6 +148,7 @@ pub fn uniform_index<R: Rng + ?Sized>(rng: &mut R, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitVec;
     use rand::RngCore;
 
     #[test]
@@ -203,27 +209,32 @@ mod tests {
 
     #[test]
     fn kernel_oracle_bernoulli_fill_matches_sampling_each_bit() {
-        // One draw per index, in order, as the per-bit `sample` loop; a
-        // certain bit (p = 1) and an empty range draw nothing.
+        // One draw per index, in order, as the per-bit `sample` loop, into
+        // a packed report and into a count row alike; a certain bit
+        // (p = 1) and an empty range draw nothing.
         for p in [0.0, 0.3, 0.5, 1.0] {
             let bern = FastBernoulli::new(p);
             for (len, range) in [(130, 0..130), (130, 3..3), (130, 63..65), (70, 5..69)] {
                 let mut rng = rng_from_seed(11);
+                let mut counted = rng_from_seed(11);
                 let mut reference = rng_from_seed(11);
                 let mut filled = BitVec::mask_of(len, &[0]);
                 bern.fill(&mut filled, range.clone(), &mut rng);
+                let mut row = vec![1u64; len];
+                bern.fill(row.as_mut_slice(), range.clone(), &mut counted);
                 let mut looped = BitVec::mask_of(len, &[0]);
+                let mut looped_row = vec![1u64; len];
                 for i in range.clone() {
                     if bern.sample(&mut reference) {
                         looped.set_one(i);
+                        looped_row[i] += 1;
                     }
                 }
                 assert_eq!(filled, looped, "p={p} range={range:?}");
-                assert_eq!(
-                    rng.next_u64(),
-                    reference.next_u64(),
-                    "p={p} range={range:?}"
-                );
+                assert_eq!(row, looped_row, "p={p} range={range:?}");
+                let next = reference.next_u64();
+                assert_eq!(rng.next_u64(), next, "p={p} range={range:?}");
+                assert_eq!(counted.next_u64(), next, "p={p} range={range:?}");
             }
         }
     }

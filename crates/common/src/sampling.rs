@@ -664,6 +664,55 @@ mod tests {
         }
     }
 
+    /// χ² goodness of fit of `sample_binomial(n, p)` against the exact
+    /// pmf, built from `ln_factorial`. Bins merge from the left until each
+    /// expects at least 5 draws, and a short right tail joins the last bin.
+    /// Returns the statistic and its degrees of freedom.
+    fn binomial_chi_square(n: u64, p: f64, draws: usize, rng: &mut impl Rng) -> (f64, usize) {
+        let mut observed = vec![0usize; n as usize + 1];
+        for _ in 0..draws {
+            observed[sample_binomial(n, p, rng) as usize] += 1;
+        }
+        let mut bins: Vec<(f64, usize)> = Vec::new(); // (expected, observed)
+        let (mut expected, mut seen) = (0.0, 0);
+        for (k, &count) in observed.iter().enumerate() {
+            let k = k as u64;
+            let ln_pmf = ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+                + k as f64 * p.ln()
+                + (n - k) as f64 * (1.0 - p).ln();
+            expected += ln_pmf.exp() * draws as f64;
+            seen += count;
+            if expected >= 5.0 {
+                bins.push((expected, seen));
+                (expected, seen) = (0.0, 0);
+            }
+        }
+        let last = bins.last_mut().expect("at least one bin");
+        last.0 += expected;
+        last.1 += seen;
+        let chi2 = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+        (chi2, bins.len() - 1)
+    }
+
+    #[test]
+    fn binomial_mode_regime_and_reflection_match_exact_pmf() {
+        // The zig-zag-from-mode regime (n·p > 16: 400·0.3 and 20000·½)
+        // and the p > ½ reflection (60·0.8, drawn as 60 − Binomial(60,
+        // 0.2)), each against the exact distribution rather than its
+        // moments. The bound is χ²'s upper 10⁻⁶ quantile for the bins'
+        // degrees of freedom, by the Wilson–Hilferty cube (z = 4.753).
+        let mut rng = rng_from_seed(15);
+        for (n, p) in [(400u64, 0.3), (60, 0.8), (20_000, 0.5)] {
+            let (chi2, dof) = binomial_chi_square(n, p, 40_000, &mut rng);
+            let h = 2.0 / (9.0 * dof as f64);
+            let bound = dof as f64 * (1.0 - h + 4.753 * h.sqrt()).powi(3);
+            assert!(
+                chi2 < bound,
+                "Binomial({n}, {p}): χ² = {chi2:.1} over {dof} dof exceeds {bound:.1}"
+            );
+        }
+    }
+
     #[test]
     fn multinomial_rejects_bad_weights() {
         let mut rng = rng_from_seed(14);

@@ -10,6 +10,7 @@
 //! flipped with [`FastBernoulli`] (one `u64` compare per bit) rather than
 //! `f64` draws.
 
+use ldp_common::bitvec::BitSink;
 use ldp_common::rng::FastBernoulli;
 use ldp_common::{BitVec, Domain, Result};
 use rand::Rng;
@@ -52,26 +53,40 @@ impl Oue {
     pub fn expected_ones(&self) -> f64 {
         self.params.p() + (self.domain.size() as f64 - 1.0) * self.params.q()
     }
+
+    /// Ψ into `sink`, `d` long: into a zeroed [`BitVec`] it is
+    /// [`perturb`](LdpFrequencyProtocol::perturb); into a row of support
+    /// counts it adds that report's support with the same draws, building
+    /// no report.
+    pub fn perturb_into<S: BitSink + ?Sized, R: Rng + ?Sized>(
+        &self,
+        item: usize,
+        sink: &mut S,
+        rng: &mut R,
+    ) {
+        debug_assert!(self.domain.contains(item), "item {item} out of domain");
+        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, sink, rng);
+    }
 }
 
 /// Ψ of the unary encodings (OUE, SUE): one Bernoulli draw per bit, in
 /// index order — `zero_bit` for the bits before the item's, `one_bit` for
-/// the item's own bit, `zero_bit` for the bits after it. Each stretch
-/// matches its threshold once and ORs its draws into packed words, so the
-/// ~`q·d` set bits cost no mispredicted branch.
-pub(crate) fn perturb_unary<R: Rng + ?Sized>(
+/// the item's own bit, `zero_bit` for the bits after it — put into `sink`
+/// (a report's packed words or a row of support counts). Each stretch
+/// matches its threshold once, and a packed report ORs its draws into
+/// words, so the ~`q·d` set bits cost no mispredicted branch.
+pub(crate) fn perturb_unary<S: BitSink + ?Sized, R: Rng + ?Sized>(
     domain: Domain,
     item: usize,
     one_bit: FastBernoulli,
     zero_bit: FastBernoulli,
+    sink: &mut S,
     rng: &mut R,
-) -> BitVec {
+) {
     let d = domain.size();
-    let mut bits = BitVec::zeros(d);
-    zero_bit.fill(&mut bits, 0..item, rng);
-    one_bit.fill(&mut bits, item..item + 1, rng);
-    zero_bit.fill(&mut bits, item + 1..d, rng);
-    bits
+    zero_bit.fill(sink, 0..item, rng);
+    one_bit.fill(sink, item..item + 1, rng);
+    zero_bit.fill(sink, item + 1..d, rng);
 }
 
 impl LdpFrequencyProtocol for Oue {
@@ -94,8 +109,9 @@ impl LdpFrequencyProtocol for Oue {
     }
 
     fn perturb<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> BitVec {
-        debug_assert!(self.domain.contains(item), "item {item} out of domain");
-        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, rng)
+        let mut bits = BitVec::zeros(self.domain.size());
+        self.perturb_into(item, &mut bits, rng);
+        bits
     }
 
     fn encode_clean<R: Rng + ?Sized>(&self, item: usize, _rng: &mut R) -> BitVec {
@@ -244,8 +260,10 @@ mod tests {
                 let mut rng = rng_from_seed(d as u64);
                 let mut reference = rng_from_seed(d as u64);
                 for item in [0, d / 2, d - 1] {
+                    let mut bits = BitVec::zeros(d);
+                    perturb_unary(domain, item, one_bit, zero_bit, &mut bits, &mut rng);
                     assert_eq!(
-                        perturb_unary(domain, item, one_bit, zero_bit, &mut rng),
+                        bits,
                         per_bit_loop(d, item, one_bit, zero_bit, &mut reference),
                         "p={p} d={d} item={item}"
                     );
@@ -300,6 +318,51 @@ mod tests {
             .build(100.0, Domain::new(8).unwrap())
             .unwrap();
         assert_eq!(FastBernoulli::new(sue.params().p()).probability(), 1.0);
+    }
+
+    /// Count Ψ against its report form: for OUE and SUE at several ε
+    /// (SUE's item bit is certain at ε = 100 and draws nothing), `m`
+    /// reports' support added straight into a count row equals folding
+    /// the reports `perturb` builds, and the next draw agrees.
+    #[test]
+    fn kernel_oracle_unary_perturbation_counts() {
+        use crate::report::{AnyProtocol, ProtocolKind};
+        for d in [1usize, 63, 64, 65, 490] {
+            let domain = Domain::new(d).unwrap();
+            let mut items: Vec<usize> = vec![0, d - 1, d / 2];
+            items.extend([63, 64].into_iter().filter(|&i| i < d));
+            for eps in [0.5, 4.0, 100.0] {
+                for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
+                    let protocol = kind.build(eps, domain).unwrap();
+                    let seed = d as u64 * 1000 + eps as u64;
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    let mut counts = vec![0u64; d];
+                    let mut folded = vec![0u64; d];
+                    for _ in 0..20 {
+                        for &item in &items {
+                            match &protocol {
+                                AnyProtocol::Oue(o) => {
+                                    o.perturb_into(item, counts.as_mut_slice(), &mut rng)
+                                }
+                                AnyProtocol::Sue(s) => {
+                                    s.perturb_into(item, counts.as_mut_slice(), &mut rng)
+                                }
+                                _ => unreachable!(),
+                            }
+                            let report = protocol.perturb(item, &mut reference);
+                            protocol.accumulate(&report, &mut folded);
+                        }
+                    }
+                    assert_eq!(counts, folded, "{kind} eps={eps} d={d}");
+                    assert_eq!(
+                        rng.next_u64(),
+                        reference.next_u64(),
+                        "{kind} eps={eps} d={d}: next draw"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! every attack and the entire LDPRecover stack apply unchanged because
 //! SUE is a pure protocol with the same report shape as OUE.
 
+use ldp_common::bitvec::BitSink;
 use ldp_common::rng::FastBernoulli;
 use ldp_common::{BitVec, Domain, Result};
 use rand::Rng;
@@ -51,6 +52,18 @@ impl Sue {
     pub fn expected_ones(&self) -> f64 {
         self.params.p() + (self.domain.size() as f64 - 1.0) * self.params.q()
     }
+
+    /// Ψ into `sink`, `d` long, as [`Oue::perturb_into`](crate::Oue::perturb_into)
+    /// does: a report into a zeroed [`BitVec`], its support into a count row.
+    pub fn perturb_into<S: BitSink + ?Sized, R: Rng + ?Sized>(
+        &self,
+        item: usize,
+        sink: &mut S,
+        rng: &mut R,
+    ) {
+        debug_assert!(self.domain.contains(item), "item {item} out of domain");
+        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, sink, rng);
+    }
 }
 
 impl LdpFrequencyProtocol for Sue {
@@ -73,8 +86,9 @@ impl LdpFrequencyProtocol for Sue {
     }
 
     fn perturb<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> BitVec {
-        debug_assert!(self.domain.contains(item), "item {item} out of domain");
-        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, rng)
+        let mut bits = BitVec::zeros(self.domain.size());
+        self.perturb_into(item, &mut bits, rng);
+        bits
     }
 
     fn encode_clean<R: Rng + ?Sized>(&self, item: usize, _rng: &mut R) -> BitVec {

@@ -10,6 +10,15 @@
 //! cell sample theirs through [`sample_count_cell`], the per-user path
 //! shares its malicious half, and [`apply_recoveries`] is the one arm loop
 //! every engine runs.
+//!
+//! The malicious half has one rule: when nothing keeps the crafted
+//! reports — the batched trial, every stream cell, and the per-user path
+//! without report-consuming arms — they go straight into the malicious
+//! counts through [`ldp_attacks::Attack::craft_counts`], which builds no
+//! report on OUE and SUE; only when an arm reads raw reports (Detection,
+//! k-means) are they crafted with [`ldp_attacks::Attack::craft`], folded
+//! and kept. Both make the same draws and counts, so the choice never
+//! changes a result.
 
 use ldp_attacks::AttackKind;
 use ldp_common::{Domain, Result};
@@ -96,11 +105,12 @@ impl ShardDelta {
 
 /// Samples one count cell: the genuine population's support counts from
 /// the protocol's count sampler, then the malicious half (attack
-/// instantiate → craft → fold). This is the whole RNG sequence after the
-/// population sample, for the batched trial and for every stream
-/// `(shard, epoch)` cell alike, which is why a 1-shard single-epoch stream
-/// is bit-identical to the batched pipeline. Returns the cell's counts and
-/// the attack's targets (`None` for untargeted attacks or `m = 0`).
+/// instantiate → [`ldp_attacks::Attack::craft_counts`]; nothing keeps the
+/// reports). This is the whole RNG sequence after the population sample,
+/// for the batched trial and for every stream `(shard, epoch)` cell
+/// alike, which is why a 1-shard single-epoch stream is bit-identical to
+/// the batched pipeline. Returns the cell's counts and the attack's
+/// targets (`None` for untargeted attacks or `m = 0`).
 ///
 /// # Panics
 /// When `protocol` has no count sampler; every protocol the engines build
@@ -123,31 +133,42 @@ pub fn sample_count_cell<R: Rng>(
         malicious_counts: vec![0; protocol.domain().size()],
         malicious_users: 0,
     };
-    let (_, targets) = craft_and_fold(protocol, attack, m, rng, &mut cell);
+    let targets = craft_and_fold(protocol, attack, m, rng, &mut cell, None);
     (cell, targets)
 }
 
 /// The malicious half of a cell, shared by every aggregation path:
-/// instantiate the attack, craft `m` reports (the attack decides their
-/// joint shape), fold them into `cell`'s malicious counts. Returns the
-/// crafted reports and the attack's targets; draws nothing when `m == 0`.
+/// instantiate the attack, then add the `m` malicious users' support to
+/// `cell`'s malicious counts (the attack decides the reports' joint
+/// shape). A caller that keeps the reports passes `kept`: they are
+/// crafted, folded and appended to it. Otherwise they go straight into
+/// the counts ([`ldp_attacks::Attack::craft_counts`]), with the same
+/// draws and counts and no report built on OUE and SUE. Returns the
+/// attack's targets; draws nothing when `m == 0`.
 fn craft_and_fold<R: Rng>(
     protocol: &AnyProtocol,
     attack: Option<AttackKind>,
     m: usize,
     rng: &mut R,
     cell: &mut ShardDelta,
-) -> (Vec<Report>, Option<Vec<usize>>) {
+    kept: Option<&mut Vec<Report>>,
+) -> Option<Vec<usize>> {
     if m == 0 {
-        return (Vec::new(), None);
+        return None;
     }
     let attack = attack
         .expect("validated: beta > 0 implies an attack")
         .instantiate(protocol.domain(), rng);
-    let crafted = attack.craft(protocol, m, rng);
-    protocol.accumulate_all(&crafted, &mut cell.malicious_counts);
+    match kept {
+        Some(reports) => {
+            let crafted = attack.craft(protocol, m, rng);
+            protocol.accumulate_all(&crafted, &mut cell.malicious_counts);
+            reports.extend(crafted);
+        }
+        None => attack.craft_counts(protocol, m, rng, &mut cell.malicious_counts),
+    }
     cell.malicious_users += m;
-    (crafted, attack.targets().map(<[usize]>::to_vec))
+    attack.targets().map(<[usize]>::to_vec)
 }
 
 /// The expensive half of a trial: everything up to the frequency estimates.
@@ -274,8 +295,9 @@ impl TrialResult {
 ///   is ever materialized. This is what makes full-paper-scale sweeps
 ///   affordable.
 ///
-/// Malicious reports are always crafted individually — the attack decides
-/// their joint shape.
+/// The malicious half is the same on both paths: crafted reports are
+/// built and kept only when an arm reads them; otherwise they go straight
+/// into the malicious counts ([`ldp_attacks::Attack::craft_counts`]).
 ///
 /// # Errors
 /// Propagates configuration validation (including a forced `Batched` mode
@@ -312,7 +334,8 @@ pub fn run_aggregation_with<R: Rng>(
 /// The per-user aggregation path: materialized dataset, one report per
 /// genuine user, optional report retention. Reports are perturbed in
 /// order but folded in [`REPORT_CHUNK`]-sized batches so HR's FWHT
-/// kernel carries the accumulation.
+/// kernel carries the accumulation. Malicious reports are built only
+/// when retained.
 fn run_aggregation_per_user<R: Rng>(
     config: &ExperimentConfig,
     options: &PipelineOptions,
@@ -353,10 +376,14 @@ fn run_aggregation_per_user<R: Rng>(
         None => chunk.clear(),
     }
 
-    let (crafted, targets) = craft_and_fold(&protocol, config.attack, m, rng, &mut cell);
-    if let Some(buf) = reports.as_mut() {
-        buf.extend(crafted);
-    }
+    let targets = craft_and_fold(
+        &protocol,
+        config.attack,
+        m,
+        rng,
+        &mut cell,
+        reports.as_mut(),
+    );
     finish_aggregation(protocol, &cell, targets, reports)
 }
 

@@ -11,12 +11,15 @@
 //!
 //! Restores are strict: the format tag, version, spec ranges, vector
 //! shapes, and cross-field invariants (epoch cursor vs trajectory; every
-//! integer count record — the totals and each retained sliding epoch —
-//! conserving its population with no more support than reports; a
-//! sliding window of exactly `min(span, next_epoch)` epochs, each gaining
-//! the trajectory's users) are all validated, so a truncated or
-//! hand-edited checkpoint fails loudly instead of resuming a corrupt
-//! stream.
+//! trajectory point `k` is epoch `k` with the users `k + 1` epochs of the
+//! spec bring, and the last one matches the totals; every integer count
+//! record — the totals and each retained sliding epoch — conserving its
+//! population with no more support than reports; a sliding window of
+//! exactly `min(span, next_epoch)` epochs, each gaining the trajectory's
+//! users) are all validated, so a truncated or hand-edited checkpoint
+//! fails loudly instead of resuming a corrupt stream. The trajectory's
+//! MSEs are restored as written once checked finite and non-negative:
+//! checking their values would mean recomputing them.
 
 use ldp_attacks::AttackKind;
 use ldp_common::float::exactly_zero;
@@ -393,6 +396,41 @@ fn window_state_from_json(
     }
 }
 
+/// Checks that every trajectory point `k` is epoch `k` and carries the
+/// users `k + 1` epochs bring — the spec's `users_per_epoch` genuine
+/// users and every shard's [`StreamSpec::malicious_count`] — with
+/// `reports_seen` their sum. Those are the per-epoch increments
+/// [`super::shard_epoch_delta`] produces and
+/// [`StreamEngine::apply_epoch_deltas`] admits.
+fn check_trajectory(spec: &StreamSpec, trajectory: &[EpochPoint]) -> Result<()> {
+    // `shard_users` gives `rem` shards one user more than the other
+    // `shards − rem`, so the epoch's malicious users are summed over the
+    // two shard sizes (a hand-edited spec may claim 2⁵³ shards). u128
+    // keeps every product exact.
+    let (base, rem) = (
+        spec.users_per_epoch / spec.shards,
+        spec.users_per_epoch % spec.shards,
+    );
+    let malicious = rem as u128 * spec.malicious_count(base + 1) as u128
+        + (spec.shards - rem) as u128 * spec.malicious_count(base) as u128;
+    let genuine = spec.users_per_epoch as u128;
+    for (k, point) in trajectory.iter().enumerate() {
+        let epochs = k as u128 + 1;
+        let (g, m) = (point.genuine_users as u128, point.malicious_users as u128);
+        if point.epoch != k
+            || g != epochs * genuine
+            || m != epochs * malicious
+            || point.reports_seen as u128 != g + m
+        {
+            return Err(LdpError::invalid(format!(
+                "checkpoint: trajectory point {k} disagrees with the spec's users \
+                 through epoch {k}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Serializes one trajectory point — shared by the checkpoint and by
 /// [`StreamEngine::report`] so the two emits can never drift apart.
 pub(super) fn point_to_json(p: &EpochPoint) -> Json {
@@ -501,11 +539,12 @@ impl StreamEngine {
             .collect::<Result<_>>()?;
 
         // Cross-field invariants: the cumulative counts are a consistent
-        // count record, and the trajectory's tail matches them.
+        // count record, every trajectory point is one the spec produces,
+        // and the trajectory's tail matches the counts.
         check_count_record(&totals, "cumulative state")?;
+        check_trajectory(&spec, &trajectory)?;
         if let Some(last) = trajectory.last() {
-            if last.epoch + 1 != next_epoch
-                || last.genuine_users != totals.genuine_users
+            if last.genuine_users != totals.genuine_users
                 || last.malicious_users != totals.malicious_users
             {
                 return Err(LdpError::invalid(
@@ -820,6 +859,62 @@ mod tests {
             assert!(
                 StreamEngine::from_checkpoint(&bad).is_err(),
                 "accepted checkpoint with {label}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_trajectory_points_the_spec_cannot_produce() {
+        // Every point k is epoch k with (k + 1) epochs' users: 2000
+        // genuine and 2 × round(β/(1−β) · 1000) = 106 malicious per epoch
+        // here, so point 0 reads 2000, 106 and 2106.
+        let spec = StreamSpec {
+            shards: 2,
+            epochs: 4,
+            users_per_epoch: 2000,
+            ..tiny_spec()
+        };
+        let mut engine = StreamEngine::new(spec).unwrap();
+        engine.step().unwrap();
+        engine.step().unwrap();
+        let point = engine.trajectory()[0];
+        assert_eq!(
+            (
+                point.genuine_users,
+                point.malicious_users,
+                point.reports_seen
+            ),
+            (2000, 106, 2106)
+        );
+        assert!(StreamEngine::from_checkpoint(&engine.to_checkpoint()).is_ok());
+
+        for (label, key, value) in [
+            ("reports_seen 2106 -> 9999", "reports_seen", 9999.0),
+            ("genuine_users 2000 -> 1234", "genuine_users", 1234.0),
+            ("malicious_users 106 -> 107", "malicious_users", 107.0),
+            ("epoch 0 -> 1", "epoch", 1.0),
+        ] {
+            let Json::Obj(mut members) = engine.to_checkpoint() else {
+                unreachable!()
+            };
+            let Some((_, Json::Arr(points))) = members.iter_mut().find(|(k, _)| k == "trajectory")
+            else {
+                unreachable!()
+            };
+            let Json::Obj(point) = &mut points[0] else {
+                unreachable!()
+            };
+            point
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| *v = Json::Num(value))
+                .expect("key present");
+            assert!(
+                matches!(
+                    StreamEngine::from_checkpoint(&Json::Obj(members)),
+                    Err(LdpError::InvalidParameter(_))
+                ),
+                "accepted trajectory[0] with {label}"
             );
         }
     }

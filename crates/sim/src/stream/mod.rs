@@ -410,8 +410,11 @@ impl StreamEngine {
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] when the stream is complete,
-    /// `epoch` is not the next epoch, or `deltas` is not exactly one
-    /// delta per shard; otherwise propagates recovery failures.
+    /// `epoch` is not the next epoch, `deltas` is not exactly one delta
+    /// per shard, or a delta's vectors or users are not the ones its shard
+    /// produces ([`StreamSpec::shard_users`] genuine users and their
+    /// [`StreamSpec::malicious_count`]); otherwise propagates recovery
+    /// failures.
     pub fn apply_epoch_deltas(
         &mut self,
         epoch: usize,
@@ -444,6 +447,15 @@ impl StreamEngine {
             {
                 return Err(LdpError::invalid(format!(
                     "epoch {epoch}: shard {shard} delta does not match domain size {domain_size}"
+                )));
+            }
+            let users = self.spec.shard_users(*shard);
+            let malicious = self.spec.malicious_count(users);
+            if (delta.genuine_users, delta.malicious_users) != (users, malicious) {
+                return Err(LdpError::invalid(format!(
+                    "epoch {epoch}: shard {shard} delta has {} genuine and {} malicious \
+                     users, the spec gives it {users} and {malicious}",
+                    delta.genuine_users, delta.malicious_users
                 )));
             }
             seen[*shard] = true;
@@ -936,6 +948,15 @@ mod tests {
         let mut torn = deltas.clone();
         torn[0].1.genuine_counts.pop();
         assert!(engine.apply_epoch_deltas(0, &torn).is_err());
+        // Users other than the shard's spec values.
+        for edit in [
+            |d: &mut ShardDelta| d.genuine_users += 1,
+            |d: &mut ShardDelta| d.malicious_users -= 1,
+        ] {
+            let mut miscounted = deltas.clone();
+            edit(&mut miscounted[1].1);
+            assert!(engine.apply_epoch_deltas(0, &miscounted).is_err());
+        }
         // The engine did not advance through any of the rejections.
         assert_eq!(engine.epochs_done(), 0);
         assert!(engine.apply_epoch_deltas(0, &deltas).is_ok());

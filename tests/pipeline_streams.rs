@@ -12,6 +12,8 @@
 //! `attack_draws_match_recorded_digests` pins the malicious half the same
 //! way, report by report: every attack kind's targets, crafted reports
 //! and next RNG word, for all five protocols.
+//! `count_path_matches_recorded_digests` pins the aggregation paths whose
+//! malicious half folds through `Attack::craft_counts` on OUE and SUE.
 
 use ldp_attacks::AttackKind;
 use ldp_common::hash::xxh64;
@@ -155,6 +157,59 @@ fn attack_draws_match_recorded_digests() {
             xxh64(&bytes, 0),
             expect,
             "{kind:?}: targets, reports or draws drifted"
+        );
+    }
+}
+
+#[test]
+fn count_path_matches_recorded_digests() {
+    // Every kind on OUE and SUE, batched and per-user with count-only
+    // arms: the two paths where nothing keeps the crafted reports, so
+    // their support goes straight into the malicious counts. One digest
+    // per kind hashes the poisoned, genuine and malicious estimates' bits
+    // and the next RNG word of all four runs. The digests were recorded
+    // when both paths still crafted every report and folded it.
+    for (kind, expect) in [
+        (AttackKind::Manip { h: 5 }, 0x09ca_493a_2ef1_f4f9u64),
+        (AttackKind::Mga { r: 5 }, 0x3381_9a8f_d48d_631d),
+        (AttackKind::SampledMga { r: 5 }, 0x9f1d_780a_ff85_6c6e),
+        (AttackKind::Adaptive, 0xda44_ec03_8481_6278),
+        (AttackKind::AdaptiveCamouflaged, 0xdf1f_a850_edc6_e658),
+        (AttackKind::MgaIpa { r: 5 }, 0x94f3_e164_a324_eca1),
+        (
+            AttackKind::MultiAdaptive { attackers: 5 },
+            0xdbcd_d9b0_7c6a_8e95,
+        ),
+    ] {
+        let mut bytes = Vec::new();
+        for protocol in [ProtocolKind::Oue, ProtocolKind::Sue] {
+            for aggregation in [AggregationMode::Batched, AggregationMode::PerUser] {
+                let mut config =
+                    ExperimentConfig::paper_default(DatasetKind::Ipums, protocol, Some(kind));
+                config.scale = 0.02;
+                let options = PipelineOptions {
+                    aggregation,
+                    ..PipelineOptions::recovery_only()
+                };
+                let mut rng = rng_from_seed(0xC0C0);
+                let agg = run_aggregation(&config, &options, &mut rng).unwrap();
+                assert!(agg.reports.is_none(), "{kind:?} {protocol} {aggregation:?}");
+                let malicious = agg.malicious_true_freqs.as_deref().unwrap();
+                for f in agg
+                    .poisoned_freqs
+                    .iter()
+                    .chain(&agg.genuine_freqs)
+                    .chain(malicious)
+                {
+                    bytes.extend(f.to_bits().to_le_bytes());
+                }
+                bytes.extend(rng.gen::<u64>().to_le_bytes());
+            }
+        }
+        assert_eq!(
+            xxh64(&bytes, 0),
+            expect,
+            "{kind:?}: estimates or draws drifted from the crafted-report path"
         );
     }
 }
