@@ -184,21 +184,51 @@ pub fn zipf_weights(d: usize, s: f64) -> Vec<f64> {
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_distinct<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct items from {n}");
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    let mut taken = BitVec::zeros(n);
-    for j in (n - k)..n {
-        let t = uniform_index(rng, j + 1);
-        // Every earlier pick is below j, so j itself is always free.
-        let pick = if taken.get(t) { j } else { t };
-        taken.set_one(pick);
-        chosen.push(pick);
-    }
+    floyd(n, k, rng, &mut BitVec::zeros(n), |pick| chosen.push(pick));
     // Floyd's produces a set biased in order; shuffle for random order.
     for i in (1..chosen.len()).rev() {
         chosen.swap(i, uniform_index(rng, i + 1));
     }
     chosen
+}
+
+/// The set [`sample_distinct`] draws, as an `n`-bit bitmap, with exactly
+/// its draws: Floyd's picks, then one `uniform_index(rng, i + 1)` per
+/// shuffle step with the swap skipped, since the order is all a swap
+/// changes. A caller that only needs membership gets the same set and
+/// leaves the RNG where `sample_distinct` would, without the `k`-word
+/// index vector.
+///
+/// # Panics
+/// Panics if `k > n`.
+pub fn sample_distinct_set<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> BitVec {
+    let mut set = BitVec::zeros(n);
+    floyd(n, k, rng, &mut set, |_| {});
+    for i in (1..k).rev() {
+        uniform_index(rng, i + 1);
+    }
+    set
+}
+
+/// Floyd's algorithm, the one loop behind both forms: `k` distinct
+/// indices of `0..n`, each marked in `taken` (all clear on entry) and
+/// passed to `pick` in draw order.
+fn floyd<R: Rng + ?Sized>(
+    n: usize,
+    k: usize,
+    rng: &mut R,
+    taken: &mut BitVec,
+    mut pick: impl FnMut(usize),
+) {
+    assert!(k <= n, "cannot sample {k} distinct items from {n}");
+    for j in (n - k)..n {
+        let t = uniform_index(rng, j + 1);
+        // Every earlier pick is below j, so j itself is always free.
+        let chosen = if taken.get(t) { j } else { t };
+        taken.set_one(chosen);
+        pick(chosen);
+    }
 }
 
 /// `ln k!` for `k = 0, …, 9` (exact integer factorials, then `ln`).
@@ -713,6 +743,99 @@ mod tests {
         }
     }
 
+    /// χ² goodness of fit of `sample_multinomial(n, weights)` against its
+    /// exact joint pmf, over every outcome (the compositions of `n` into
+    /// the positive bins), enumerated in lexicographic order. Outcomes merge
+    /// in that order until each bin expects at least 5 draws, and a short
+    /// tail joins the last bin. Returns the statistic and its degrees of
+    /// freedom.
+    fn multinomial_chi_square(
+        n: u64,
+        weights: &[f64],
+        draws: usize,
+        rng: &mut impl Rng,
+    ) -> (f64, usize) {
+        let total: f64 = weights.iter().sum();
+        let positive: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0.0).collect();
+        // Every outcome over the positive bins, with its exact probability.
+        let mut outcomes: Vec<(Vec<u64>, f64)> = Vec::new();
+        let mut counts = vec![0u64; positive.len()];
+        fn compose(bin: usize, left: u64, counts: &mut Vec<u64>, visit: &mut impl FnMut(&[u64])) {
+            if bin + 1 == counts.len() {
+                counts[bin] = left;
+                visit(counts);
+                return;
+            }
+            for c in (0..=left).rev() {
+                counts[bin] = c;
+                compose(bin + 1, left - c, counts, visit);
+            }
+        }
+        compose(0, n, &mut counts, &mut |c| {
+            let ln_p = c
+                .iter()
+                .zip(&positive)
+                .fold(ln_factorial(n), |acc, (&k, &i)| {
+                    acc - ln_factorial(k) + k as f64 * (weights[i] / total).ln()
+                });
+            outcomes.push((c.to_vec(), ln_p.exp()));
+        });
+        let index: std::collections::BTreeMap<&[u64], usize> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(at, (c, _))| (c.as_slice(), at))
+            .collect();
+        let mut observed = vec![0usize; outcomes.len()];
+        for _ in 0..draws {
+            let sample = sample_multinomial(n, weights, rng).unwrap();
+            for (i, &c) in sample.iter().enumerate() {
+                assert!(weights[i] > 0.0 || c == 0, "zero-weight bin {i} drew {c}");
+            }
+            let drawn: Vec<u64> = positive.iter().map(|&i| sample[i]).collect();
+            assert_eq!(drawn.iter().sum::<u64>(), n, "a draw must place all n");
+            let at = index[drawn.as_slice()];
+            observed[at] += 1;
+        }
+        let mut bins: Vec<(f64, usize)> = Vec::new(); // (expected, observed)
+        let (mut expected, mut seen) = (0.0, 0);
+        for ((_, p), &count) in outcomes.iter().zip(&observed) {
+            expected += p * draws as f64;
+            seen += count;
+            if expected >= 5.0 {
+                bins.push((expected, seen));
+                (expected, seen) = (0.0, 0);
+            }
+        }
+        let last = bins.last_mut().expect("at least one bin");
+        last.0 += expected;
+        last.1 += seen;
+        let chi2 = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+        (chi2, bins.len() - 1)
+    }
+
+    #[test]
+    fn multinomial_matches_exact_joint_pmf() {
+        // Conditional splitting against the exact joint distribution, not
+        // its moments: a small case with a zero-weight bin in the middle
+        // (all 455 compositions of 12 into 4 positive bins), and a 3-bin
+        // case whose conditional binomials both take the zig-zag-from-mode
+        // regime (100·0.4 and about 60·0.5 > 16). Same 10⁻⁶
+        // Wilson–Hilferty bound as the binomial test.
+        let mut rng = rng_from_seed(16);
+        for (n, weights) in [
+            (12u64, &[1.0, 0.0, 2.0, 3.0, 4.0][..]),
+            (100, &[4.0, 3.0, 3.0][..]),
+        ] {
+            let (chi2, dof) = multinomial_chi_square(n, weights, 40_000, &mut rng);
+            let h = 2.0 / (9.0 * dof as f64);
+            let bound = dof as f64 * (1.0 - h + 4.753 * h.sqrt()).powi(3);
+            assert!(
+                chi2 < bound,
+                "Multinomial({n}, {weights:?}): χ² = {chi2:.1} over {dof} dof exceeds {bound:.1}"
+            );
+        }
+    }
+
     #[test]
     fn multinomial_rejects_bad_weights() {
         let mut rng = rng_from_seed(14);
@@ -883,6 +1006,34 @@ mod tests {
                     "n={n} k={k} seed={seed}"
                 );
                 assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+            }
+        }
+    }
+
+    /// The set form against the ordered form: the same set and the same
+    /// next RNG word, for k = 0, 1, n/2 and n.
+    #[test]
+    fn kernel_oracle_distinct_set_matches_sample_distinct() {
+        for n in [1usize, 2, 65, 130, 5000] {
+            for k in [0, 1, n / 2, n] {
+                for seed in 0..4 {
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    let set = sample_distinct_set(n, k, &mut rng);
+                    let mut want = sample_distinct(n, k, &mut reference);
+                    want.sort_unstable();
+                    assert_eq!(
+                        set.iter_ones().collect::<Vec<_>>(),
+                        want,
+                        "n={n} k={k} seed={seed}"
+                    );
+                    assert_eq!(set.len(), n);
+                    assert_eq!(
+                        rng.gen::<u64>(),
+                        reference.gen::<u64>(),
+                        "n={n} k={k} seed={seed}"
+                    );
+                }
             }
         }
     }

@@ -16,8 +16,8 @@
 //!   [`ArmSet::build`]; the two k-means kinds share one step.
 //! * [`ArmContext`] — everything the server side has at recovery time:
 //!   the poisoned frequency estimate, protocol parameters, optionally the
-//!   retained per-user reports, the protocol instance, and an identified
-//!   target set.
+//!   retained per-user reports and their support totals, the protocol
+//!   instance, and an identified target set.
 //! * [`ArmOutcome`] / [`ArmOutput`] — named recovered-frequency outputs
 //!   with an optional malicious-estimate side channel, or a *documented
 //!   statistical degeneracy* ([`ArmOutcome::Degenerate`]) that callers
@@ -53,6 +53,11 @@ pub struct ArmContext<'a> {
     /// Retained per-user reports (genuine then malicious), when the
     /// aggregation path kept them.
     pub reports: Option<&'a [Report]>,
+    /// The support counts of all of `reports` (their fold), when the
+    /// caller has them: the per-user trial's poisoned counts. Detection
+    /// subtracts its flagged reports from them; without them it folds the
+    /// reports first.
+    pub report_totals: Option<&'a [u64]>,
     /// The identified target set for partial-knowledge arms (oracle
     /// targets for targeted attacks, top-k-increase identification
     /// otherwise).
@@ -74,6 +79,7 @@ impl<'a> ArmContext<'a> {
             params,
             protocol: None,
             reports: None,
+            report_totals: None,
             targets: None,
             eta,
             sum_model: MaliciousSumModel::default(),
@@ -90,6 +96,12 @@ impl<'a> ArmContext<'a> {
     /// Attaches retained per-user reports.
     pub fn with_reports(mut self, reports: &'a [Report]) -> Self {
         self.reports = Some(reports);
+        self
+    }
+
+    /// Attaches the support totals of the attached reports.
+    pub fn with_report_totals(mut self, totals: &'a [u64]) -> Self {
+        self.report_totals = Some(totals);
         self
     }
 
@@ -508,8 +520,14 @@ impl Arm {
                         "every report was flagged as malicious (small-sample degeneracy)",
                     ));
                 }
-                let frequencies =
-                    crate::detection::Detection::estimate_from_mask(protocol, reports, &mask)?;
+                let frequencies = match ctx.report_totals {
+                    Some(totals) => crate::detection::Detection::estimate_from_totals(
+                        protocol, reports, &mask, totals,
+                    )?,
+                    None => {
+                        crate::detection::Detection::estimate_from_mask(protocol, reports, &mask)?
+                    }
+                };
                 Ok(ArmOutcome::single(
                     ArmKind::Detection.metric_key(),
                     ArmOutput::frequencies_only(frequencies),

@@ -20,9 +20,18 @@
 //! * For OUE, precise-MGA reports support all `r` targets and are caught
 //!   with certainty once `τ ≤ r`; for OLH the seed-searched reports support
 //!   most targets and overwhelmingly exceed `τ`.
+//!
+//! Two things keep the per-report work small. [`Detection::keep_mask`]
+//! builds its target test once per target set (a target mask for the
+//! unary encodings, the targets' hash lanes for OLH, a lookup for GRR), so
+//! each report costs a few word operations rather than `r` support calls.
+//! And the survivors' counts are the support counts of every report minus
+//! those of the flagged few: the per-user trial already has the former
+//! (its poisoned counts), so only the flagged reports are folded again
+//! ([`Detection::estimate_from_totals`]).
 
-use ldp_common::{LdpError, Result};
-use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
+use ldp_common::{BitVec, LdpError, Result};
+use ldp_protocols::{AnyProtocol, CountAccumulator, LdpFrequencyProtocol, OlhLanes, Report};
 use serde::{Deserialize, Serialize};
 
 /// Detection baseline configuration.
@@ -37,10 +46,16 @@ impl Detection {
     /// Creates the baseline for a known target set (default 1% FPR budget).
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] when the target set is empty.
+    /// [`LdpError::InvalidParameter`] when the target set is empty or
+    /// names an item twice.
     pub fn new(targets: Vec<usize>) -> Result<Self> {
         if targets.is_empty() {
             return Err(LdpError::invalid("Detection requires at least one target"));
+        }
+        if (1..targets.len()).any(|i| targets[..i].contains(&targets[i])) {
+            return Err(LdpError::invalid(format!(
+                "Detection targets must be distinct, got {targets:?}"
+            )));
         }
         Ok(Self { targets, fpr: 0.01 })
     }
@@ -90,16 +105,10 @@ impl Detection {
     /// Keep-mask over reports: `false` means flagged as malicious.
     pub fn keep_mask(&self, protocol: &AnyProtocol, reports: &[Report]) -> Vec<bool> {
         let tau = self.threshold(protocol);
+        let test = TargetTest::new(protocol, &self.targets);
         reports
             .iter()
-            .map(|report| {
-                let support = self
-                    .targets
-                    .iter()
-                    .filter(|&&t| protocol.supports(report, t))
-                    .count();
-                support < tau
-            })
+            .map(|report| test.support(report) < tau)
             .collect()
     }
 
@@ -116,7 +125,10 @@ impl Detection {
     /// Re-estimates frequencies from the reports a keep-mask retains —
     /// the shared back half of [`Detection::recover`], exposed so callers
     /// that inspect the mask first (e.g. to classify the all-flagged
-    /// degeneracy) do not re-implement the accumulation.
+    /// degeneracy) do not re-implement the accumulation. It folds every
+    /// report into their support totals, then takes
+    /// [`Detection::estimate_from_totals`]'s path; a caller that already
+    /// has the totals calls that directly.
     ///
     /// # Errors
     /// [`LdpError::EmptyInput`] when the mask keeps nothing.
@@ -128,26 +140,131 @@ impl Detection {
         reports: &[Report],
         mask: &[bool],
     ) -> Result<Vec<f64>> {
-        Self::fold_kept(protocol, reports, mask).frequencies(protocol.params())
+        let mut totals = vec![0u64; protocol.domain().size()];
+        protocol.accumulate_all(reports, &mut totals);
+        Self::estimate_from_totals(protocol, reports, mask, &totals)
     }
 
-    /// The support counts of the reports `mask` keeps, folded through the
-    /// protocol's batch kernel (HR's transform, OLH's hash lanes).
-    fn fold_kept(
+    /// [`Detection::estimate_from_mask`] given `totals`, the support
+    /// counts of every report (the poisoned counts of a per-user trial):
+    /// the survivors' counts are `totals` minus the flagged reports'
+    /// support, so only the flagged reports are folded.
+    ///
+    /// # Errors
+    /// [`LdpError::EmptyInput`] when the mask keeps nothing;
+    /// [`LdpError::DomainMismatch`] when `totals` is not one count per
+    /// item; [`LdpError::InvalidParameter`] when some count of `totals`
+    /// is below the flagged reports' support, so `totals` cannot be the
+    /// reports' fold.
+    ///
+    /// # Panics
+    /// Panics if the mask and the reports differ in length.
+    pub fn estimate_from_totals(
         protocol: &AnyProtocol,
         reports: &[Report],
         mask: &[bool],
-    ) -> ldp_protocols::CountAccumulator {
+        totals: &[u64],
+    ) -> Result<Vec<f64>> {
+        Self::kept_counts(protocol, reports, mask, totals)?.frequencies(protocol.params())
+    }
+
+    /// The support counts of the reports `mask` keeps: `totals` minus the
+    /// flagged reports, folded through the protocol's batch kernel (HR's
+    /// transform, OLH's hash lanes).
+    fn kept_counts(
+        protocol: &AnyProtocol,
+        reports: &[Report],
+        mask: &[bool],
+        totals: &[u64],
+    ) -> Result<CountAccumulator> {
         assert_eq!(mask.len(), reports.len(), "one keep flag per report");
-        let mut counts = vec![0u64; protocol.domain().size()];
-        let kept = reports.iter().zip(mask).filter(|(_, &keep)| keep);
-        protocol.accumulate_reports(kept.clone().map(|(r, _)| r), &mut counts);
-        ldp_protocols::CountAccumulator::from_parts(counts, kept.count())
+        let d = protocol.domain().size();
+        if totals.len() != d {
+            return Err(LdpError::DomainMismatch {
+                expected: d,
+                got: totals.len(),
+                context: "Detection's report totals",
+            });
+        }
+        let mut counts = vec![0u64; d];
+        let flagged = reports.iter().zip(mask).filter(|(_, &keep)| !keep);
+        protocol.accumulate_reports(flagged.map(|(r, _)| r), &mut counts);
+        for (count, &total) in counts.iter_mut().zip(totals) {
+            *count = total.checked_sub(*count).ok_or_else(|| {
+                LdpError::invalid("report totals below the flagged reports' support")
+            })?;
+        }
+        let kept = mask.iter().filter(|&&keep| keep).count();
+        Ok(CountAccumulator::from_parts(counts, kept))
     }
 
     /// The configured targets.
     pub fn targets(&self) -> &[usize] {
         &self.targets
+    }
+}
+
+/// How many of the targets a report supports, with the per-target work
+/// done once: bitwise the count of `r` [`LdpFrequencyProtocol::supports`]
+/// calls.
+enum TargetTest<'a> {
+    /// OUE / SUE: the targets as a mask over the report's bits.
+    Unary(BitVec),
+    /// OLH: the targets' hash lanes and the residue test.
+    Olh(OlhLanes),
+    /// GRR: whether each item is a target (the report names one item).
+    Grr(Vec<bool>),
+    /// HR: one `supports` call per target.
+    PerTarget(&'a AnyProtocol, &'a [usize]),
+}
+
+impl<'a> TargetTest<'a> {
+    /// The test for distinct `targets`.
+    ///
+    /// # Panics
+    /// Panics, as `supports` does, on an OUE or SUE target outside the
+    /// domain.
+    fn new(protocol: &'a AnyProtocol, targets: &'a [usize]) -> Self {
+        let d = protocol.domain().size();
+        match protocol {
+            AnyProtocol::Oue(_) | AnyProtocol::Sue(_) => {
+                TargetTest::Unary(BitVec::mask_of(d, targets))
+            }
+            AnyProtocol::Olh(olh) => TargetTest::Olh(olh.lanes(targets.iter().copied())),
+            AnyProtocol::Grr(_) => {
+                let mut is_target = vec![false; d];
+                // A target outside the domain matches no report.
+                for &t in targets.iter().filter(|&&t| t < d) {
+                    is_target[t] = true;
+                }
+                TargetTest::Grr(is_target)
+            }
+            AnyProtocol::Hr(_) => TargetTest::PerTarget(protocol, targets),
+        }
+    }
+
+    /// The number of targets `report` supports.
+    ///
+    /// # Panics
+    /// Panics on a report of another protocol.
+    fn support(&self, report: &Report) -> usize {
+        match (self, report) {
+            (TargetTest::Unary(mask), Report::Oue(bits) | Report::Sue(bits)) => {
+                bits.intersection_count(mask)
+            }
+            (TargetTest::Olh(lanes), Report::Olh(olh)) => lanes.support_count(olh),
+            (TargetTest::Grr(is_target), Report::Grr(item)) => {
+                usize::from(is_target.get(*item as usize) == Some(&true))
+            }
+            (TargetTest::PerTarget(protocol, targets), _) => targets
+                .iter()
+                .filter(|&&t| protocol.supports(report, t))
+                .count(),
+            _ => panic!(
+                "report kind {:?} does not match the target test",
+                report.kind()
+            ),
+        }
     }
 }
 
@@ -262,23 +379,41 @@ mod tests {
         }
     }
 
-    /// The batch-kernel fold of the kept reports against folding each kept
-    /// report on its own, for all five protocols, with MGA reports mixed
-    /// into genuine ones and masks that keep all, none, or a scattered part.
-    #[test]
-    fn kernel_oracle_detection_fold_matches_the_per_report_fold() {
+    /// MGA reports mixed into genuine ones, for each of the five
+    /// protocols, and the Detection instance that targets them.
+    fn mixed_reports() -> Vec<(AnyProtocol, Detection, Vec<Report>)> {
         use ldp_attacks::Mga;
         let domain = Domain::new(102).unwrap();
-        for kind in ProtocolKind::EXTENDED {
-            let proto = kind.build(0.5, domain).unwrap();
-            let mut rng = rng_from_seed(21);
-            let targets: Vec<usize> = (20..30).collect();
-            let det = Detection::new(targets.clone()).unwrap();
-            let mut reports: Vec<Report> = (0..1500)
-                .map(|i| proto.perturb(i % 102, &mut rng))
-                .collect();
-            reports.extend(Mga::new(targets).craft(&proto, 200, &mut rng));
+        ProtocolKind::EXTENDED
+            .into_iter()
+            .map(|kind| {
+                let proto = kind.build(0.5, domain).unwrap();
+                let mut rng = rng_from_seed(21);
+                let targets: Vec<usize> = (20..30).collect();
+                let det = Detection::new(targets.clone()).unwrap();
+                let mut reports: Vec<Report> = (0..1500)
+                    .map(|i| proto.perturb(i % 102, &mut rng))
+                    .collect();
+                reports.extend(Mga::new(targets).craft(&proto, 200, &mut rng));
+                (proto, det, reports)
+            })
+            .collect()
+    }
+
+    /// The survivors' counts from the report totals (the totals minus the
+    /// flagged reports' batch-kernel fold) against folding each kept
+    /// report on its own, for all five protocols, with masks that keep
+    /// all, none, or a scattered part; and the estimate through the
+    /// totals against the one through the mask alone.
+    #[test]
+    fn kernel_oracle_detection_fold_matches_the_per_report_fold() {
+        for (proto, det, reports) in mixed_reports() {
+            let kind = proto.kind();
             let n = reports.len();
+            let mut totals = vec![0u64; proto.domain().size()];
+            for report in &reports {
+                proto.accumulate(report, &mut totals);
+            }
             let masks = [
                 det.keep_mask(&proto, &reports),
                 vec![true; n],
@@ -286,17 +421,65 @@ mod tests {
                 (0..n).map(|i| i % 7 != 3).collect(),
             ];
             for mask in masks {
-                let mut reference = ldp_protocols::CountAccumulator::new(domain);
+                let mut reference = CountAccumulator::new(proto.domain());
                 for (report, &keep) in reports.iter().zip(&mask) {
                     if keep {
                         reference.add(&proto, report);
                     }
                 }
                 assert_eq!(
-                    Detection::fold_kept(&proto, &reports, &mask),
+                    Detection::kept_counts(&proto, &reports, &mask, &totals).unwrap(),
                     reference,
                     "{kind}"
                 );
+                if mask.iter().any(|&keep| keep) {
+                    let through_totals =
+                        Detection::estimate_from_totals(&proto, &reports, &mask, &totals).unwrap();
+                    let through_mask =
+                        Detection::estimate_from_mask(&proto, &reports, &mask).unwrap();
+                    let want = reference.frequencies(proto.params()).unwrap();
+                    assert_eq!(through_totals, want, "{kind}");
+                    assert_eq!(through_mask, want, "{kind}");
+                }
+            }
+            // Totals that cannot be the reports' fold are an error.
+            let everything_flagged = vec![false; n];
+            let short = vec![0u64; proto.domain().size()];
+            assert!(Detection::kept_counts(&proto, &reports, &everything_flagged, &short).is_err());
+            assert!(
+                Detection::kept_counts(&proto, &reports, &everything_flagged, &[0; 3]).is_err()
+            );
+        }
+    }
+
+    /// `keep_mask`'s once-built target test against `r` support calls per
+    /// report, for all five protocols, with the MGA targets and with a
+    /// target list in no order that includes the domain's ends.
+    #[test]
+    fn kernel_oracle_detection_keep_mask_matches_supports() {
+        for (proto, det, reports) in mixed_reports() {
+            let kind = proto.kind();
+            for (i, det) in [det, Detection::new(vec![101, 3, 0, 57, 58]).unwrap()]
+                .into_iter()
+                .enumerate()
+            {
+                let tau = det.threshold(&proto);
+                let want: Vec<bool> = reports
+                    .iter()
+                    .map(|r| {
+                        det.targets()
+                            .iter()
+                            .filter(|&&t| proto.supports(r, t))
+                            .count()
+                            < tau
+                    })
+                    .collect();
+                let got = det.keep_mask(&proto, &reports);
+                assert_eq!(got, want, "{kind} targets {:?}", det.targets());
+                // The MGA reports are flagged and most genuine ones kept,
+                // so both outcomes occur.
+                assert!(got.contains(&true), "{kind}");
+                assert!(i > 0 || got.contains(&false), "{kind}");
             }
         }
     }
@@ -314,6 +497,7 @@ mod tests {
     #[test]
     fn validation() {
         assert!(Detection::new(vec![]).is_err());
+        assert!(Detection::new(vec![4, 2, 4]).is_err());
         let det = Detection::new(vec![1]).unwrap();
         assert!(det.clone().with_fpr(0.0).is_err());
         assert!(det.clone().with_fpr(1.0).is_err());

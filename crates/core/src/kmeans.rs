@@ -16,11 +16,25 @@
 //!   normalized to sum 1 (the IPA malicious mass), feeds the genuine
 //!   frequency estimator of Eq. (19). This is the integration the paper
 //!   reports as "48.9% better than k-means alone" for GRR.
+//!
+//! One run costs `G` subset draws and two passes over the reports, each
+//! computing a report's support once. The subsets are drawn as bitmaps
+//! ([`ldp_common::sampling::sample_distinct_set`], the draws of
+//! `sample_distinct` without its index vector) and turned into a `G`-bit
+//! membership mask per report. The first pass adds each report's support
+//! to the total and to every subset holding it; the second folds the
+//! reports outside every majority subset, which the total minus them
+//! turns into the union estimate. OUE, SUE and OLH supports are 0/1 byte
+//! rows (OLH's from hash lanes built once per run) added into 8-bit
+//! counters that are flushed into `u64` rows before any can wrap; a GRR
+//! item or HR column is one `u64` increment. The counts are exact, so
+//! every estimate is bitwise what folding each subset on its own gives.
 
 use ldp_common::rng::uniform_index;
+use ldp_common::sampling::sample_distinct_set;
 use ldp_common::vecmath::normalize_to_simplex_sum;
-use ldp_common::{LdpError, Result};
-use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
+use ldp_common::{BitVec, LdpError, Result};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, OlhLanes, Report};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -88,15 +102,17 @@ impl KMeansDefense {
     /// Runs the defense over the (mixed genuine + malicious) report stream.
     ///
     /// All `G` subsets are drawn first (`ξ·N` distinct reports each, a
-    /// bootstrap over users), then one report-major pass computes each
-    /// report's support once and adds it to the running total and to every
-    /// subset whose membership mask contains the report. The subset
-    /// vectors are clustered (Lloyd, k = 2) and the majority cluster is
-    /// trusted. Its union estimate is the total minus the reports outside
-    /// every majority subset, and the total itself is the full poisoned
-    /// estimate LDPRecover-KM starts from. Folding consumes no randomness
-    /// and the counts are exact `u64` sums, so every output is bitwise what
-    /// folding each subset and the union separately would give.
+    /// bootstrap over users) as bitmaps, with exactly the draws of
+    /// [`ldp_common::sampling::sample_distinct`]. Then one report-major
+    /// pass computes each report's support once and adds it to the running
+    /// total and to every subset whose membership mask contains the report.
+    /// The subset vectors are clustered (Lloyd, k = 2) and the majority
+    /// cluster is trusted. Its union estimate is the total minus the
+    /// reports outside every majority subset, and the total itself is the
+    /// full poisoned estimate LDPRecover-KM starts from. Folding consumes
+    /// no randomness and the counts are exact integer sums, so every output
+    /// is bitwise what folding each subset and the union separately would
+    /// give.
     ///
     /// # Errors
     /// [`LdpError::EmptyInput`] when there are no reports or the sampled
@@ -118,9 +134,7 @@ impl KMeansDefense {
 
         let mut membership = Membership::new(reports.len(), self.groups);
         for g in 0..self.groups {
-            for i in ldp_common::sampling::sample_distinct(reports.len(), subset_size, rng) {
-                membership.insert(i, g);
-            }
+            membership.insert_all(&sample_distinct_set(reports.len(), subset_size, rng), g);
         }
         let fold = SupportFold::new(protocol);
         let (subset_cells, total_cells) = fold.subsets_and_total(reports, &membership);
@@ -223,8 +237,13 @@ impl Membership {
         }
     }
 
-    fn insert(&mut self, report: usize, group: usize) {
-        self.masks[report * self.words + group / 64] |= 1 << (group % 64);
+    /// Adds every report in `set` (one bit per report) to `group`,
+    /// walking the masks in report order.
+    fn insert_all(&mut self, set: &BitVec, group: usize) {
+        let (word, bit) = (group / 64, 1 << (group % 64));
+        for report in set.iter_ones() {
+            self.masks[report * self.words + word] |= bit;
+        }
     }
 
     fn mask(&self, report: usize) -> &[u64] {
@@ -267,20 +286,69 @@ impl Membership {
 enum Support<'a> {
     /// One cell: the GRR item or the HR column.
     Cell(usize),
-    /// A 0/1 indicator per item (OUE, SUE, OLH), added lane by lane.
-    Row(&'a [u64]),
+    /// A 0/1 byte per item (OUE, SUE, OLH), added lane by lane.
+    Row(&'a [u8]),
 }
 
-impl Support<'_> {
-    fn add_to(&self, cells: &mut [u64]) {
-        match *self {
-            Support::Cell(c) => cells[c] += 1,
+/// Rows of cells counted in 8-bit counters, 16 to an SSE2 add, for the
+/// reports' 0/1 rows, and flushed into the `u64` rows every
+/// [`ByteRows::FLUSH_EVERY`] reports. A report adds at most 1 to a cell,
+/// so no counter can wrap. One-cell supports go to the `u64` rows
+/// directly.
+struct ByteRows {
+    width: usize,
+    bytes: Vec<u8>,
+    cells: Vec<u64>,
+    /// Reports added since the last flush.
+    pending: usize,
+}
+
+impl ByteRows {
+    /// The most reports an 8-bit counter can take.
+    const FLUSH_EVERY: usize = u8::MAX as usize;
+
+    fn new(rows: usize, width: usize) -> Self {
+        Self {
+            width,
+            bytes: vec![0; rows * width],
+            cells: vec![0; rows * width],
+            pending: 0,
+        }
+    }
+
+    /// Adds `support` to row `row`.
+    fn add(&mut self, row: usize, support: &Support<'_>) {
+        let cells = row * self.width..(row + 1) * self.width;
+        match *support {
+            Support::Cell(c) => self.cells[cells][c] += 1,
             Support::Row(row) => {
-                for (c, &r) in cells.iter_mut().zip(row) {
-                    *c += r;
+                for (b, &r) in self.bytes[cells].iter_mut().zip(row) {
+                    *b += r;
                 }
             }
         }
+    }
+
+    /// Closes one report's adds: every `FLUSH_EVERY` reports the counters
+    /// move into the `u64` rows.
+    fn report_done(&mut self) {
+        self.pending += 1;
+        if self.pending == Self::FLUSH_EVERY {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        for (c, b) in self.cells.iter_mut().zip(&mut self.bytes) {
+            *c += u64::from(std::mem::take(b));
+        }
+        self.pending = 0;
+    }
+
+    /// The rows, row `r` at `r·width..`.
+    fn into_cells(mut self) -> Vec<u64> {
+        self.flush();
+        self.cells
     }
 }
 
@@ -291,32 +359,54 @@ impl Support<'_> {
 struct SupportFold<'p> {
     protocol: &'p AnyProtocol,
     width: usize,
+    /// OLH's item lanes, hashed once per run.
+    olh_lanes: Option<OlhLanes>,
 }
 
 impl<'p> SupportFold<'p> {
     fn new(protocol: &'p AnyProtocol) -> Self {
-        let width = match protocol {
-            AnyProtocol::Hr(hr) => hr.order() as usize,
-            _ => protocol.domain().size(),
+        let d = protocol.domain().size();
+        let (width, olh_lanes) = match protocol {
+            AnyProtocol::Hr(hr) => (hr.order() as usize, None),
+            AnyProtocol::Olh(olh) => (d, Some(olh.lanes(0..d))),
+            _ => (d, None),
         };
-        Self { protocol, width }
+        Self {
+            protocol,
+            width,
+            olh_lanes,
+        }
     }
 
     /// The support of `report`, computed once and added to every row that
-    /// holds it; `row` is `d` cells of scratch. A unary encoding is
-    /// expanded to 0/1 once, because adding a dense row to each subset
-    /// beats re-walking its set bits per subset.
-    fn support<'a>(&self, report: &Report, row: &'a mut [u64]) -> Support<'a> {
+    /// holds it; `row` is `d` bytes of scratch. A unary encoding's set
+    /// bits and OLH's hash scan are expanded to 0/1 bytes once, because
+    /// adding a dense byte row to each subset beats re-deriving the
+    /// support per subset.
+    fn support<'a>(&self, report: &Report, row: &'a mut [u8]) -> Support<'a> {
         match (self.protocol, report) {
             (AnyProtocol::Grr(_), Report::Grr(item)) => Support::Cell(*item as usize),
             (AnyProtocol::Hr(_), Report::Hr(column)) => Support::Cell(*column as usize),
-            // OLH's branch-free hash scan, the unary encodings' set bits
-            // (and the mismatch panic).
-            _ => {
+            (AnyProtocol::Oue(_), Report::Oue(bits)) | (AnyProtocol::Sue(_), Report::Sue(bits)) => {
                 row.fill(0);
-                self.protocol.accumulate(report, row);
+                for v in bits.iter_ones() {
+                    row[v] = 1;
+                }
                 Support::Row(row)
             }
+            (AnyProtocol::Olh(_), Report::Olh(olh)) => {
+                let lanes = self
+                    .olh_lanes
+                    .as_ref()
+                    .expect("OLH lanes are built with the fold");
+                lanes.support_row(olh, row);
+                Support::Row(row)
+            }
+            _ => panic!(
+                "report kind {:?} fed to protocol {}",
+                report.kind(),
+                self.protocol.kind()
+            ),
         }
     }
 
@@ -327,16 +417,20 @@ impl<'p> SupportFold<'p> {
         reports: &[Report],
         membership: &Membership,
     ) -> (Vec<u64>, Vec<u64>) {
-        let mut subsets = vec![0u64; membership.groups * self.width];
-        let mut total = vec![0u64; self.width];
-        let mut row = vec![0u64; self.protocol.domain().size()];
+        // The total is the last row.
+        let total_row = membership.groups;
+        let mut rows = ByteRows::new(total_row + 1, self.width);
+        let mut row = vec![0u8; self.protocol.domain().size()];
         for (i, report) in reports.iter().enumerate() {
             let support = self.support(report, &mut row);
-            support.add_to(&mut total);
+            rows.add(total_row, &support);
             for g in membership.groups(i) {
-                support.add_to(&mut subsets[g * self.width..(g + 1) * self.width]);
+                rows.add(g, &support);
             }
+            rows.report_done();
         }
+        let mut subsets = rows.into_cells();
+        let total = subsets.split_off(total_row * self.width);
         (subsets, total)
     }
 
@@ -347,16 +441,17 @@ impl<'p> SupportFold<'p> {
         membership: &Membership,
         mask: &[u64],
     ) -> (Vec<u64>, usize) {
-        let mut cells = vec![0u64; self.width];
+        let mut rows = ByteRows::new(1, self.width);
         let mut count = 0;
-        let mut row = vec![0u64; self.protocol.domain().size()];
+        let mut row = vec![0u8; self.protocol.domain().size()];
         for (i, report) in reports.iter().enumerate() {
             if membership.outside(i, mask) {
-                self.support(report, &mut row).add_to(&mut cells);
+                rows.add(0, &self.support(report, &mut row));
+                rows.report_done();
                 count += 1;
             }
         }
-        (cells, count)
+        (rows.into_cells(), count)
     }
 
     /// The support counts `C(v)` of a row: the row itself, or for HR the
@@ -545,6 +640,98 @@ mod tests {
         let defense = KMeansDefense::default();
         let mut rng = rng_from_seed(3);
         assert!(defense.run(&proto, &[], &mut rng).is_err());
+    }
+
+    /// The fold as it was before the 8-bit counters: a dense `u64` 0/1
+    /// row per report from the protocol's own `accumulate` (HR: one
+    /// column cell), added to every row that holds it. `rows_of(i)` lists
+    /// the rows report `i` goes to.
+    fn dense_fold<I: Iterator<Item = usize>>(
+        fold: &SupportFold<'_>,
+        rows: usize,
+        reports: &[Report],
+        rows_of: impl Fn(usize) -> I,
+    ) -> Vec<u64> {
+        let mut cells = vec![0u64; rows * fold.width];
+        for (i, report) in reports.iter().enumerate() {
+            let mut support = vec![0u64; fold.width];
+            match report {
+                Report::Hr(column) => support[*column as usize] = 1,
+                _ => fold.protocol.accumulate(report, &mut support),
+            }
+            for r in rows_of(i) {
+                for (c, &s) in cells[r * fold.width..(r + 1) * fold.width]
+                    .iter_mut()
+                    .zip(&support)
+                {
+                    *c += s;
+                }
+            }
+        }
+        cells
+    }
+
+    /// The 8-bit fold (subsets, total and the reports outside a mask)
+    /// against the dense `u64` fold, for all five protocols, G up to 70
+    /// (multi-word masks), and SUE at ε = 100 with every report on one
+    /// item, where one counter takes all 600 reports and must be flushed
+    /// twice.
+    #[test]
+    fn kernel_oracle_kmeans_byte_fold_matches_dense_fold() {
+        let domain = Domain::new(70).unwrap();
+        let mut cases: Vec<(String, AnyProtocol, Vec<Report>)> = Vec::new();
+        for kind in ProtocolKind::EXTENDED {
+            let protocol = kind.build(1.0, domain).unwrap();
+            let mut rng = rng_from_seed(31);
+            let reports = (0..1300)
+                .map(|i| protocol.perturb((i * 7) % 70, &mut rng))
+                .collect();
+            cases.push((kind.to_string(), protocol, reports));
+        }
+        let sue = ProtocolKind::Sue.build(100.0, domain).unwrap();
+        let mut rng = rng_from_seed(32);
+        let one_item: Vec<Report> = (0..600).map(|_| sue.perturb(5, &mut rng)).collect();
+        assert!(one_item.iter().all(|r| match r {
+            Report::Sue(bits) => bits.iter_ones().eq([5]),
+            _ => false,
+        }));
+        cases.push(("SUE ε=100, one item".into(), sue, one_item));
+        for (name, protocol, reports) in &cases {
+            let fold = SupportFold::new(protocol);
+            let n = reports.len();
+            for (groups, size) in [(2usize, n), (3, n), (20, n / 10), (70, n / 2)] {
+                let case = format!("{name} G={groups} k={size}");
+                let mut membership = Membership::new(n, groups);
+                let mut rng = rng_from_seed(groups as u64);
+                for g in 0..groups {
+                    membership.insert_all(&sample_distinct_set(n, size, &mut rng), g);
+                }
+                let (subsets, total) = fold.subsets_and_total(reports, &membership);
+                let want = dense_fold(&fold, groups + 1, reports, |i| {
+                    membership.groups(i).chain([groups])
+                });
+                assert_eq!(subsets, want[..groups * fold.width], "{case}");
+                assert_eq!(total, want[groups * fold.width..], "{case}");
+                // Outside every odd group, and outside no group at all
+                // (every report, like the total).
+                for flags in [
+                    (0..groups).map(|g| g % 2 == 1).collect::<Vec<_>>(),
+                    vec![false; groups],
+                ] {
+                    let mask = membership.mask_of(&flags);
+                    let (outside, count) = fold.outside(reports, &membership, &mask);
+                    let want = dense_fold(&fold, 1, reports, |i| {
+                        membership.outside(i, &mask).then_some(0).into_iter()
+                    });
+                    assert_eq!(outside, want, "{case} outside {flags:?}");
+                    assert_eq!(
+                        count,
+                        (0..n).filter(|&i| membership.outside(i, &mask)).count(),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     /// Tests that pin [`KMeansDefense::run`]'s single pass to the

@@ -72,7 +72,7 @@ pub use batch::{HrScratch, ProtocolScratch};
 pub use grr::Grr;
 pub use hadamard::HadamardResponse;
 pub use harmony::Harmony;
-pub use olh::Olh;
+pub use olh::{Olh, OlhLanes};
 pub use oue::Oue;
 pub use params::PureParams;
 pub use report::{AnyProtocol, ProtocolKind, Report};

@@ -107,7 +107,7 @@ impl Olh {
         I: IntoIterator<Item = OlhReport>,
     {
         assert_eq!(counts.len(), self.domain.size());
-        let lanes: Vec<u64> = (0..counts.len() as u64).map(xxh64_item_lane).collect();
+        let lanes = self.lanes(0..counts.len()).lanes;
         let mut reports = reports
             .into_iter()
             .filter_map(|r| Some((r.seed, self.residue_test.residue(r.value)?)));
@@ -117,6 +117,19 @@ impl Olh {
                 Some(b) => self.scan_lanes(&lanes, [a, b], counts),
                 None => self.scan_lanes(&lanes, [a], counts),
             }
+        }
+    }
+
+    /// The item lanes of `items`, in order, with this protocol's residue
+    /// test: what deciding many reports' supports of the same items needs,
+    /// computed once.
+    pub fn lanes(&self, items: impl IntoIterator<Item = usize>) -> OlhLanes {
+        OlhLanes {
+            lanes: items
+                .into_iter()
+                .map(|v| xxh64_item_lane(v as u64))
+                .collect(),
+            residue_test: self.residue_test,
         }
     }
 
@@ -136,6 +149,49 @@ impl Olh {
                 *c += u64::from(self.residue_test.matches(h, residue));
             }
         }
+    }
+}
+
+/// The item half of the hash ([`xxh64_item_lane`]) of a fixed list of
+/// items, with the residue test, made by [`Olh::lanes`]: a report's
+/// support of lane `i` is the seed half and one multiply-and-compare,
+/// bitwise what [`LdpFrequencyProtocol::supports`] decides for item `i`.
+#[derive(Debug, Clone)]
+pub struct OlhLanes {
+    lanes: Vec<u64>,
+    residue_test: ResidueTest,
+}
+
+impl OlhLanes {
+    /// Writes 1 into `row[i]` if `report` supports lane `i`'s item and 0
+    /// otherwise, one byte per lane.
+    ///
+    /// # Panics
+    /// Panics if `row` and the lanes differ in length.
+    pub fn support_row(&self, report: &OlhReport, row: &mut [u8]) {
+        assert_eq!(row.len(), self.lanes.len(), "one byte per lane");
+        let Some(residue) = self.residue_test.residue(report.value) else {
+            row.fill(0); // no hash reduces to a value ≥ g
+            return;
+        };
+        for (b, &lane) in row.iter_mut().zip(&self.lanes) {
+            let h = xxh64_seed_finish(report.seed, lane);
+            *b = u8::from(self.residue_test.matches(h, residue));
+        }
+    }
+
+    /// The number of lanes whose item `report` supports.
+    pub fn support_count(&self, report: &OlhReport) -> usize {
+        let Some(residue) = self.residue_test.residue(report.value) else {
+            return 0;
+        };
+        self.lanes
+            .iter()
+            .filter(|&&lane| {
+                self.residue_test
+                    .matches(xxh64_seed_finish(report.seed, lane), residue)
+            })
+            .count()
     }
 }
 
@@ -337,12 +393,29 @@ mod tests {
 
                 let mut divided = vec![0u64; d];
                 let mut per_report = vec![0u64; d];
+                let lanes = olh.lanes(0..d);
+                // A lane list in no order, with a repeat.
+                let picked = [d - 1, 0, d / 2, d - 1];
+                let picked_lanes = olh.lanes(picked);
                 for r in &reports {
                     let mut single = vec![0u64; d];
                     olh.accumulate(r, &mut single);
                     let supported: Vec<u64> =
                         (0..d).map(|v| u64::from(olh.supports(r, v))).collect();
                     assert_eq!(single, supported, "g={g} d={d} report={r:?}");
+                    let mut row = vec![7u8; d];
+                    lanes.support_row(r, &mut row);
+                    assert!(
+                        row.iter()
+                            .map(|&b| u64::from(b))
+                            .eq(supported.iter().copied()),
+                        "g={g} d={d} report={r:?}"
+                    );
+                    assert_eq!(
+                        picked_lanes.support_count(r),
+                        picked.iter().filter(|&&v| olh.supports(r, v)).count(),
+                        "g={g} d={d} report={r:?}"
+                    );
                     if r.value >= g {
                         assert!(single.iter().all(|&c| c == 0), "g={g} report={r:?}");
                     }

@@ -189,6 +189,10 @@ pub struct TrialAggregates {
     pub attack_targets: Option<Vec<usize>>,
     /// Retained reports (genuine then malicious) when an arm needs them.
     pub reports: Option<Vec<Report>>,
+    /// The support counts of the retained reports, when they are kept:
+    /// the poisoned counts (genuine plus malicious), which Detection
+    /// subtracts its flagged reports from instead of refolding the rest.
+    pub report_totals: Option<Vec<u64>>,
     /// Number of genuine users `n`.
     pub genuine_count: usize,
     /// Number of malicious users `m`.
@@ -404,7 +408,9 @@ fn run_aggregation_batched<R: Rng>(
 /// Debiases one cell's counts into the [`TrialAggregates`] both
 /// aggregation paths return: the truth, the genuine estimate `f̃_X̃`, the
 /// malicious estimate `f̃_Y` (when attacked), and the poisoned estimate
-/// `f̃_Z` over the merged genuine and malicious counts (Eq. 14).
+/// `f̃_Z` over the merged genuine and malicious counts (Eq. 14). When the
+/// reports are retained, the merged counts are their fold and stay next
+/// to them.
 fn finish_aggregation(
     protocol: AnyProtocol,
     cell: &ShardDelta,
@@ -431,6 +437,7 @@ fn finish_aggregation(
         .map(|(&g, &b)| g + b)
         .collect();
     let poisoned_freqs = params.debias_frequencies(&poisoned_counts, n + m)?;
+    let report_totals = reports.is_some().then_some(poisoned_counts);
 
     Ok(TrialAggregates {
         protocol,
@@ -440,6 +447,7 @@ fn finish_aggregation(
         malicious_true_freqs,
         attack_targets,
         reports,
+        report_totals,
         genuine_count: n,
         malicious_count: m,
     })
@@ -488,6 +496,9 @@ pub fn apply_recoveries<R: Rng>(
         .with_post_process(options.post_process);
     if let Some(reports) = &aggregates.reports {
         ctx = ctx.with_reports(reports);
+    }
+    if let Some(totals) = &aggregates.report_totals {
+        ctx = ctx.with_report_totals(totals);
     }
     if let Some(targets) = &star_targets {
         ctx = ctx.with_targets(targets);

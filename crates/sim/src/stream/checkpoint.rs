@@ -321,20 +321,22 @@ fn window_state_to_json(state: &WindowState) -> Option<Json> {
 }
 
 /// Parses the windowed state. `trajectory` is the restored trajectory
-/// (one point per ingested epoch), whose per-epoch user increments each
-/// retained sliding epoch must match.
+/// (one point per ingested epoch, already checked against `spec`), whose
+/// per-epoch user increments each retained sliding epoch must match. A
+/// decay window's report masses must be the ones the spec's users give
+/// (see [`decay_masses`]), and no decayed count may exceed its mass.
 fn window_state_from_json(
     json: Option<&Json>,
-    mode: WindowMode,
-    d: usize,
+    spec: &StreamSpec,
     trajectory: &[EpochPoint],
 ) -> Result<WindowState> {
-    match (mode, json) {
+    let d = spec.domain().size();
+    match (spec.window, json) {
         (WindowMode::Cumulative, None) => Ok(WindowState::Cumulative),
         (WindowMode::Cumulative, Some(_)) => Err(LdpError::invalid(
             "checkpoint: window_state present but the spec is cumulative",
         )),
-        (_, None) => Err(LdpError::invalid(format!(
+        (mode, None) => Err(LdpError::invalid(format!(
             "checkpoint: spec window '{}' but no window_state",
             mode.name()
         ))),
@@ -379,30 +381,66 @@ fn window_state_from_json(
                 .collect::<Result<_>>()?;
             Ok(WindowState::Sliding { history })
         }
-        (WindowMode::Decay(_), Some(json)) => {
+        (WindowMode::Decay(lambda), Some(json)) => {
             if str_field(json, "kind")? != "decay" {
                 return Err(LdpError::invalid(
                     "checkpoint: window_state kind disagrees with the spec window",
                 ));
             }
+            let truth = floats_field(json, "truth", d)?;
+            let genuine_counts = floats_field(json, "genuine_counts", d)?;
+            let genuine_reports = nonneg_f64_field(json, "genuine_reports")?;
+            let malicious_counts = floats_field(json, "malicious_counts", d)?;
+            let malicious_reports = nonneg_f64_field(json, "malicious_reports")?;
+            let (genuine, malicious) = decay_masses(spec, lambda, trajectory.len());
+            if genuine_reports.to_bits() != genuine.to_bits()
+                || malicious_reports.to_bits() != malicious.to_bits()
+            {
+                return Err(LdpError::invalid(format!(
+                    "checkpoint: decay window masses disagree with the spec's users \
+                     over {} epochs",
+                    trajectory.len()
+                )));
+            }
+            let within = |counts: &[f64], mass: f64| counts.iter().all(|&c| c <= mass);
+            if !within(&truth, genuine)
+                || !within(&genuine_counts, genuine)
+                || !within(&malicious_counts, malicious)
+            {
+                return Err(LdpError::invalid(
+                    "checkpoint: a decay window count exceeds its report mass",
+                ));
+            }
             Ok(WindowState::Decay {
-                truth: floats_field(json, "truth", d)?,
-                genuine_counts: floats_field(json, "genuine_counts", d)?,
-                genuine_reports: nonneg_f64_field(json, "genuine_reports")?,
-                malicious_counts: floats_field(json, "malicious_counts", d)?,
-                malicious_reports: nonneg_f64_field(json, "malicious_reports")?,
+                truth,
+                genuine_counts,
+                genuine_reports,
+                malicious_counts,
+                malicious_reports,
             })
         }
     }
 }
 
-/// Checks that every trajectory point `k` is epoch `k` and carries the
-/// users `k + 1` epochs bring — the spec's `users_per_epoch` genuine
-/// users and every shard's [`StreamSpec::malicious_count`] — with
-/// `reports_seen` their sum. Those are the per-epoch increments
-/// [`super::shard_epoch_delta`] produces and
-/// [`StreamEngine::apply_epoch_deltas`] admits.
-fn check_trajectory(spec: &StreamSpec, trajectory: &[EpochPoint]) -> Result<()> {
+/// The genuine and malicious report masses of a decay window after
+/// `epochs` epochs: [`WindowState::absorb`]'s recurrence `λ·S + users`
+/// over the spec's per-epoch users, the values [`check_trajectory`]
+/// checks. Each decayed count is a sum of the same form whose epoch terms
+/// are at most the users, and `f64` rounding is monotone, so the engine's
+/// own counts never exceed these masses.
+fn decay_masses(spec: &StreamSpec, lambda: f64, epochs: usize) -> (f64, f64) {
+    let (genuine, malicious) = epoch_users(spec);
+    let (mut genuine_mass, mut malicious_mass) = (0.0f64, 0.0f64);
+    for _ in 0..epochs {
+        genuine_mass = lambda * genuine_mass + genuine as f64;
+        malicious_mass = lambda * malicious_mass + malicious as f64;
+    }
+    (genuine_mass, malicious_mass)
+}
+
+/// The genuine and malicious users one epoch brings: the spec's
+/// `users_per_epoch`, and every shard's [`StreamSpec::malicious_count`].
+fn epoch_users(spec: &StreamSpec) -> (u128, u128) {
     // `shard_users` gives `rem` shards one user more than the other
     // `shards − rem`, so the epoch's malicious users are summed over the
     // two shard sizes (a hand-edited spec may claim 2⁵³ shards). u128
@@ -413,7 +451,17 @@ fn check_trajectory(spec: &StreamSpec, trajectory: &[EpochPoint]) -> Result<()> 
     );
     let malicious = rem as u128 * spec.malicious_count(base + 1) as u128
         + (spec.shards - rem) as u128 * spec.malicious_count(base) as u128;
-    let genuine = spec.users_per_epoch as u128;
+    (spec.users_per_epoch as u128, malicious)
+}
+
+/// Checks that every trajectory point `k` is epoch `k` and carries the
+/// users `k + 1` epochs bring — the spec's `users_per_epoch` genuine
+/// users and every shard's [`StreamSpec::malicious_count`] — with
+/// `reports_seen` their sum. Those are the per-epoch increments
+/// [`super::shard_epoch_delta`] produces and
+/// [`StreamEngine::apply_epoch_deltas`] admits.
+fn check_trajectory(spec: &StreamSpec, trajectory: &[EpochPoint]) -> Result<()> {
+    let (genuine, malicious) = epoch_users(spec);
     for (k, point) in trajectory.iter().enumerate() {
         let epochs = k as u128 + 1;
         let (g, m) = (point.genuine_users as u128, point.malicious_users as u128);
@@ -557,7 +605,7 @@ impl StreamEngine {
             ));
         }
 
-        let window = window_state_from_json(json.get("window_state"), spec.window, d, &trajectory)?;
+        let window = window_state_from_json(json.get("window_state"), &spec, &trajectory)?;
 
         let protocol = spec.protocol.build(spec.epsilon, spec.domain())?;
         Ok(StreamEngine {
@@ -859,6 +907,73 @@ mod tests {
             assert!(
                 StreamEngine::from_checkpoint(&bad).is_err(),
                 "accepted checkpoint with {label}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_corrupted_decay_windows() {
+        // A decay window's masses are λ·S + users over the spec's epochs,
+        // bit for bit, and no decayed count exceeds its mass.
+        let spec = StreamSpec {
+            window: WindowMode::Decay(0.5),
+            shards: 2,
+            epochs: 4,
+            users_per_epoch: 2000,
+            ..tiny_spec()
+        };
+        let mut engine = StreamEngine::new(spec).unwrap();
+        engine.step().unwrap();
+        engine.step().unwrap();
+        let WindowState::Decay {
+            genuine_reports,
+            malicious_reports,
+            ..
+        } = &engine.window
+        else {
+            unreachable!()
+        };
+        // 2000 + 0.5·2000 genuine, 106 + 0.5·106 malicious.
+        assert_eq!((*genuine_reports, *malicious_reports), (3000.0, 159.0));
+        assert!(StreamEngine::from_checkpoint(&engine.to_checkpoint()).is_ok());
+
+        type Edit = fn(&mut Vec<f64>, &mut f64, &mut Vec<f64>, &mut f64);
+        let corrupt = |edit: Edit| {
+            let mut bad = engine.clone();
+            let WindowState::Decay {
+                genuine_counts,
+                genuine_reports,
+                malicious_counts,
+                malicious_reports,
+                ..
+            } = &mut bad.window
+            else {
+                unreachable!()
+            };
+            edit(
+                genuine_counts,
+                genuine_reports,
+                malicious_counts,
+                malicious_reports,
+            );
+            bad.to_checkpoint()
+        };
+        for (label, bad) in [
+            ("a genuine mass of 1", corrupt(|_, g, _, _| *g = 1.0)),
+            ("one malicious report more", corrupt(|_, _, _, m| *m += 1.0)),
+            (
+                "a genuine count above the genuine mass",
+                corrupt(|c, g, _, _| c[3] = *g + 1.0),
+            ),
+            (
+                "a malicious count above the malicious mass",
+                corrupt(|_, _, c, m| c[0] = *m * 2.0),
+            ),
+        ] {
+            let err = StreamEngine::from_checkpoint(&bad).unwrap_err();
+            assert!(
+                matches!(err, LdpError::InvalidParameter(_)),
+                "{label}: {err}"
             );
         }
     }

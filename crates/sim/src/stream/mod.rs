@@ -569,6 +569,7 @@ impl StreamEngine {
             malicious_true_freqs: None,
             attack_targets: None,
             reports: None,
+            report_totals: None,
             genuine_count: self.totals.genuine_users,
             malicious_count: self.totals.malicious_users,
         })

@@ -14,6 +14,8 @@
 //! and next RNG word, for all five protocols.
 //! `count_path_matches_recorded_digests` pins the aggregation paths whose
 //! malicious half folds through `Attack::craft_counts` on OUE and SUE.
+//! `report_arms_match_recorded_digests` pins the arms that read retained
+//! reports (Detection, k-means, LDPRecover-KM) on all five protocols.
 
 use ldp_attacks::AttackKind;
 use ldp_common::hash::xxh64;
@@ -22,7 +24,8 @@ use ldp_common::Domain;
 use ldp_datasets::DatasetKind;
 use ldp_protocols::{ProtocolKind, Report};
 use ldp_sim::config::{AggregationMode, ExperimentConfig, PipelineOptions};
-use ldp_sim::pipeline::run_aggregation;
+use ldp_sim::pipeline::{run_aggregation, run_trial};
+use ldprecover::{ArmSet, KMeansDefense};
 use rand::Rng;
 
 /// xxh64 over the poisoned-then-genuine frequency estimates, bit-exact.
@@ -211,5 +214,86 @@ fn count_path_matches_recorded_digests() {
             expect,
             "{kind:?}: estimates or draws drifted from the crafted-report path"
         );
+    }
+}
+
+#[test]
+fn report_arms_match_recorded_digests() {
+    // The arms that read retained reports, on all five protocols: MGA
+    // with Detection next to LDPRecover and LDPRecover*, and MGA-IPA with
+    // the fused k-means step (k-means and LDPRecover-KM) at G = 20,
+    // ξ = 0.5 and at the default configuration. One digest per (shape,
+    // protocol) hashes every arm's key, estimate and malicious estimate
+    // bits, the degenerate list and the next RNG word. The digests were
+    // recorded while k-means folded dense u64 rows per subset and
+    // Detection refolded every kept report.
+    let shapes = [
+        (
+            AttackKind::Mga { r: 10 },
+            "recover,recover-star,detection",
+            KMeansDefense::default(),
+            [
+                0x724a_fe48_2a48_e8e3u64,
+                0xf36e_4850_5865_ea28,
+                0x2de3_fc75_ae6d_d84e,
+                0x5557_503b_b530_e4ee,
+                0x0122_8bd1_e797_1d01,
+            ],
+        ),
+        (
+            AttackKind::MgaIpa { r: 10 },
+            "recover,kmeans,recover-km",
+            KMeansDefense::new(20, 0.5).unwrap(),
+            [
+                0x067a_6a12_3087_b796,
+                0x480d_67f2_4f88_08e6,
+                0xa7e3_1694_30c5_2888,
+                0xb229_120d_7913_5aa5,
+                0x2b82_8c25_5c47_3b56,
+            ],
+        ),
+        (
+            AttackKind::MgaIpa { r: 10 },
+            "recover,kmeans,recover-km",
+            KMeansDefense::default(),
+            [
+                0x109e_228c_328f_647f,
+                0x11b8_6ab5_7bfd_817d,
+                0x8389_7b38_89d6_484a,
+                0xec72_bd98_729c_5130,
+                0x1f3f_3e15_d386_868d,
+            ],
+        ),
+    ];
+    for (attack, arms, kmeans, expect) in shapes {
+        for (protocol, expect) in ProtocolKind::EXTENDED.into_iter().zip(expect) {
+            let mut config =
+                ExperimentConfig::paper_default(DatasetKind::Ipums, protocol, Some(attack));
+            config.scale = 0.02;
+            let options = PipelineOptions {
+                kmeans,
+                ..PipelineOptions::with_arms(ArmSet::parse(arms).unwrap())
+            };
+            let mut rng = rng_from_seed(0xA2A5);
+            let result = run_trial(&config, &options, &mut rng).unwrap();
+            let mut bytes = Vec::new();
+            for (key, output) in &result.arms {
+                bytes.extend(key.as_bytes());
+                let malicious = output.malicious_estimate.as_deref().unwrap_or(&[]);
+                for f in output.frequencies.iter().chain(malicious) {
+                    bytes.extend(f.to_bits().to_le_bytes());
+                }
+            }
+            for (arm, reason) in &result.degenerate {
+                bytes.extend(arm.as_bytes());
+                bytes.extend(reason.as_bytes());
+            }
+            bytes.extend(rng.gen::<u64>().to_le_bytes());
+            assert_eq!(
+                xxh64(&bytes, 0),
+                expect,
+                "{attack:?} {protocol} arms {arms} {kmeans:?}: estimates or draws drifted"
+            );
+        }
     }
 }
