@@ -16,7 +16,7 @@
 
 use ldp_common::sampling::{random_distribution, sample_distinct, AliasTable};
 use ldp_common::{BitVec, Domain, Result};
-use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report, UnaryEncoding};
 use rand::{Rng, RngCore};
 
 use crate::mga::pad_unary;
@@ -132,36 +132,34 @@ impl AdaptiveAttack {
         m: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Report> {
-        let (d, expected_ones, wrap): (usize, f64, fn(BitVec) -> Report) = match protocol {
-            AnyProtocol::Oue(oue) => (oue.domain().size(), oue.expected_ones(), Report::Oue),
-            AnyProtocol::Sue(sue) => (sue.domain().size(), sue.expected_ones(), Report::Sue),
-            _ => return self.craft(protocol, m, rng),
+        let AnyProtocol::Unary(unary) = protocol else {
+            return self.craft(protocol, m, rng);
         };
-        let extra = camouflage_padding(d, expected_ones);
+        let d = unary.domain().size();
+        let extra = camouflage_padding(unary);
         (0..m)
             .map(|_| {
                 let item = self.sampler.sample(rng);
                 let mut bits = BitVec::mask_of(d, &[item]);
                 pad_unary(&mut bits, extra, rng, |_, _| {});
-                wrap(bits)
+                Report::Unary(bits)
             })
             .collect()
     }
 
     /// The count form of [`AdaptiveAttack::craft_camouflaged`] on OUE and
-    /// SUE (`d` bits, `expected_ones` set in a genuine report): each drawn
-    /// item gains 1, then its report's padding runs on a scratch mask
-    /// reset to the item's bit, and each newly set bit adds 1 to its count.
+    /// SUE: each drawn item gains 1, then its report's padding runs on a
+    /// scratch mask reset to the item's bit, and each newly set bit adds 1
+    /// to its count.
     pub(crate) fn craft_camouflaged_unary_counts(
         &self,
-        d: usize,
-        expected_ones: f64,
+        unary: &UnaryEncoding,
         m: usize,
         rng: &mut dyn RngCore,
         counts: &mut [u64],
     ) {
-        let extra = camouflage_padding(d, expected_ones);
-        let mut mask = BitVec::zeros(d);
+        let extra = camouflage_padding(unary);
+        let mut mask = BitVec::zeros(unary.domain().size());
         for _ in 0..m {
             let item = self.sampler.sample(rng);
             counts[item] += 1;
@@ -196,26 +194,22 @@ impl AdaptiveAttack {
     /// each success to its count.
     pub(crate) fn craft_perturbed_unary_counts(
         &self,
-        protocol: &AnyProtocol,
+        unary: &UnaryEncoding,
         m: usize,
         rng: &mut dyn RngCore,
         counts: &mut [u64],
     ) {
         for _ in 0..m {
             let item = self.sampler.sample(rng);
-            match protocol {
-                AnyProtocol::Oue(oue) => oue.perturb_into(item, counts, rng),
-                AnyProtocol::Sue(sue) => sue.perturb_into(item, counts, rng),
-                other => unreachable!("{} reports are not unary", other.name()),
-            }
+            unary.perturb_into(item, counts, rng);
         }
     }
 }
 
 /// The bits an AA-C report gains beyond its item's: enough to reach the
 /// expected genuine popcount, which is clamped to `1..=d`.
-fn camouflage_padding(d: usize, expected_ones: f64) -> usize {
-    (expected_ones.round() as usize).clamp(1, d) - 1
+fn camouflage_padding(unary: &UnaryEncoding) -> usize {
+    (unary.expected_ones().round() as usize).clamp(1, unary.domain().size()) - 1
 }
 
 #[cfg(test)]
@@ -287,7 +281,7 @@ mod tests {
         let domain = Domain::new(64).unwrap();
         let proto = ProtocolKind::Oue.build(0.5, domain).unwrap();
         let oue = match &proto {
-            ldp_protocols::AnyProtocol::Oue(o) => *o,
+            ldp_protocols::AnyProtocol::Unary(o) => *o,
             _ => unreachable!(),
         };
         let mut weights = vec![0.0; 64];
@@ -297,7 +291,7 @@ mod tests {
         let expected = oue.expected_ones().round() as usize;
         for r in attack.craft_camouflaged(&proto, 40, &mut rng) {
             match r {
-                Report::Oue(bits) => {
+                Report::Unary(bits) => {
                     assert!(bits.get(11), "sampled item must be supported");
                     assert_eq!(bits.count_ones(), expected, "genuine-looking popcount");
                 }
@@ -312,7 +306,7 @@ mod tests {
             let domain = Domain::new(d).unwrap();
             let proto = ProtocolKind::Sue.build(eps, domain).unwrap();
             let sue = match &proto {
-                ldp_protocols::AnyProtocol::Sue(s) => *s,
+                ldp_protocols::AnyProtocol::Unary(s) => *s,
                 _ => unreachable!(),
             };
             let mut weights = vec![0.0; d];
@@ -322,7 +316,7 @@ mod tests {
             let expected = sue.expected_ones().round() as usize;
             for r in attack.craft_camouflaged(&proto, 40, &mut rng) {
                 match r {
-                    Report::Sue(bits) => {
+                    Report::Unary(bits) => {
                         assert!(bits.get(d / 3), "sampled item must be supported");
                         assert_eq!(bits.count_ones(), expected, "d={d} eps={eps}");
                     }
@@ -344,8 +338,7 @@ mod tests {
                 for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
                     let proto = kind.build(eps, domain).unwrap();
                     let expected = match &proto {
-                        ldp_protocols::AnyProtocol::Oue(o) => o.expected_ones(),
-                        ldp_protocols::AnyProtocol::Sue(s) => s.expected_ones(),
+                        ldp_protocols::AnyProtocol::Unary(u) => u.expected_ones(),
                         _ => unreachable!(),
                     };
                     let popcount = (expected.round() as usize).clamp(1, d);
@@ -364,7 +357,7 @@ mod tests {
                             }
                         }
                         match report {
-                            Report::Oue(bits) | Report::Sue(bits) => {
+                            Report::Unary(bits) => {
                                 assert_eq!(bits, want, "{kind} d={d} eps={eps}");
                             }
                             other => panic!("unexpected {other:?}"),

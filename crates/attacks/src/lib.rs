@@ -109,21 +109,18 @@ impl Attack {
         rng: &mut dyn RngCore,
         counts: &mut [u64],
     ) {
-        let d = protocol.domain().size();
-        assert_eq!(counts.len(), d, "one count per item");
-        let expected_ones = match protocol {
-            AnyProtocol::Oue(oue) => oue.expected_ones(),
-            AnyProtocol::Sue(sue) => sue.expected_ones(),
-            _ => return protocol.accumulate_all(&self.craft(protocol, m, rng), counts),
+        assert_eq!(counts.len(), protocol.domain().size(), "one count per item");
+        let AnyProtocol::Unary(unary) = protocol else {
+            return protocol.accumulate_all(&self.craft(protocol, m, rng), counts);
         };
         match self {
             Attack::Manip(manip) => manip.craft_unary_counts(m, rng, counts),
-            Attack::Mga(mga) => mga.craft_unary_counts(d, expected_ones, m, rng, counts),
+            Attack::Mga(mga) => mga.craft_unary_counts(unary, m, rng, counts),
             Attack::Clean(attack) => attack.craft_unary_counts(m, rng, counts),
             Attack::Camouflaged(attack) => {
-                attack.craft_camouflaged_unary_counts(d, expected_ones, m, rng, counts);
+                attack.craft_camouflaged_unary_counts(unary, m, rng, counts);
             }
-            Attack::Ipa(attack) => attack.craft_perturbed_unary_counts(protocol, m, rng, counts),
+            Attack::Ipa(attack) => attack.craft_perturbed_unary_counts(unary, m, rng, counts),
             Attack::Multi(attackers) => {
                 for (attacker, count) in attackers.iter().zip(assign(attackers.len(), m, rng)) {
                     attacker.craft_unary_counts(count, rng, counts);

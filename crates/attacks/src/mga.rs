@@ -5,8 +5,8 @@
 //!   the `r` attacker-chosen target items as the encoding allows.
 //!   - **GRR**: a report names one item, so each malicious user reports a
 //!     uniformly-chosen target.
-//!   - **OUE**: the report sets all `r` target bits, padded with random
-//!     non-target bits up to the expected genuine popcount
+//!   - **OUE / SUE**: the report sets all `r` target bits, padded with
+//!     random non-target bits up to the expected genuine popcount
 //!     `l = round(p + (d−1)q)` to evade count-based detection.
 //!   - **OLH**: the report searches `seed_trials` random hash seeds and
 //!     picks the `(seed, value)` pair supporting the most targets.
@@ -22,7 +22,7 @@
 use ldp_common::hash::OlhHash;
 use ldp_common::sampling::sample_distinct;
 use ldp_common::{BitVec, Domain};
-use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Olh, Report};
+use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Olh, Report, UnaryEncoding};
 use rand::{Rng, RngCore};
 
 /// Default number of random seeds the OLH crafting step examines per report.
@@ -32,7 +32,7 @@ pub const DEFAULT_OLH_SEED_TRIALS: usize = 50;
 #[derive(Debug, Clone)]
 pub struct Mga {
     targets: Vec<usize>,
-    /// Pad OUE reports to the expected genuine popcount.
+    /// Pad unary reports to the expected genuine popcount.
     pad: bool,
     /// Seeds examined per crafted OLH report.
     seed_trials: usize,
@@ -66,7 +66,7 @@ impl Mga {
         &self.targets
     }
 
-    /// Disables OUE popcount padding (ablation: maximal but detectable).
+    /// Disables unary popcount padding (ablation: maximal but detectable).
     pub fn without_padding(mut self) -> Self {
         self.pad = false;
         self
@@ -91,23 +91,20 @@ impl Mga {
                     Report::Grr(t as u32)
                 })
                 .collect(),
-            AnyProtocol::Oue(oue) => {
-                let d = oue.domain().size();
-                let expected = oue.expected_ones();
+            AnyProtocol::Unary(unary) => {
+                // Padded to the encoding's own expected popcount (SUE's
+                // reports are denser than OUE's).
+                let d = unary.domain().size();
+                let extra = self.padding(unary);
                 (0..m)
-                    .map(|_| Report::Oue(self.craft_oue(d, expected, rng)))
+                    .map(|_| {
+                        let mut bits = BitVec::mask_of(d, &self.targets);
+                        pad_unary(&mut bits, extra, rng, |_, _| {});
+                        Report::Unary(bits)
+                    })
                     .collect()
             }
             AnyProtocol::Olh(olh) => self.craft_olh(olh, m, rng),
-            AnyProtocol::Sue(sue) => {
-                // SUE shares OUE's report shape; pad to SUE's (denser)
-                // expected popcount.
-                let d = sue.domain().size();
-                let expected = sue.expected_ones();
-                (0..m)
-                    .map(|_| Report::Sue(self.craft_oue(d, expected, rng)))
-                    .collect()
-            }
             AnyProtocol::Hr(hr) => {
                 // Brute-force the column supporting the most targets once
                 // (K ≤ 2d candidates), then send it from every fake user.
@@ -126,21 +123,13 @@ impl Mga {
         }
     }
 
-    fn craft_oue(&self, d: usize, expected_ones: f64, rng: &mut dyn RngCore) -> BitVec {
-        let mut bits = BitVec::mask_of(d, &self.targets);
-        pad_unary(&mut bits, self.padding(d, expected_ones), rng, |_, _| {});
-        bits
-    }
-
-    /// The count form of [`Mga::craft`] on OUE and SUE (`d` bits, a
-    /// genuine report carrying `expected_ones` of them): every report
+    /// The count form of [`Mga::craft`] on OUE and SUE: every report
     /// supports every target, so each target gains `m` without a draw;
     /// then each report's padding runs on a scratch mask reset to the
     /// targets, and each newly set bit adds 1 to its count.
     pub(crate) fn craft_unary_counts(
         &self,
-        d: usize,
-        expected_ones: f64,
+        unary: &UnaryEncoding,
         m: usize,
         rng: &mut dyn RngCore,
         counts: &mut [u64],
@@ -148,11 +137,11 @@ impl Mga {
         for &t in &self.targets {
             counts[t] += m as u64;
         }
-        let extra = self.padding(d, expected_ones);
+        let extra = self.padding(unary);
         if extra == 0 {
             return;
         }
-        let targets = BitVec::mask_of(d, &self.targets);
+        let targets = BitVec::mask_of(unary.domain().size(), &self.targets);
         let mut mask = targets.clone();
         for _ in 0..m {
             mask.clone_from(&targets);
@@ -161,13 +150,13 @@ impl Mga {
     }
 
     /// Non-target bits a unary report is padded with: up to the expected
-    /// genuine popcount `round(expected_ones)`, none without padding.
-    fn padding(&self, d: usize, expected_ones: f64) -> usize {
+    /// genuine popcount `round(p + (d−1)q)`, none without padding.
+    fn padding(&self, unary: &UnaryEncoding) -> usize {
         if !self.pad {
             return 0;
         }
-        let l = expected_ones.round() as usize;
-        let non_targets = d - self.targets.len();
+        let l = unary.expected_ones().round() as usize;
+        let non_targets = unary.domain().size() - self.targets.len();
         l.saturating_sub(self.targets.len()).min(non_targets)
     }
 
@@ -300,7 +289,7 @@ mod tests {
         let d = 490;
         let proto = ProtocolKind::Oue.build(0.5, domain(d)).unwrap();
         let oue = match &proto {
-            AnyProtocol::Oue(o) => *o,
+            AnyProtocol::Unary(o) => *o,
             _ => unreachable!(),
         };
         let targets = vec![3usize, 77, 200, 444];
@@ -309,7 +298,7 @@ mod tests {
         let l = oue.expected_ones().round() as usize;
         for r in mga.craft(&proto, 50, &mut rng) {
             let bits = match r {
-                Report::Oue(b) => b,
+                Report::Unary(b) => b,
                 other => panic!("unexpected {other:?}"),
             };
             for &t in &targets {
@@ -326,7 +315,7 @@ mod tests {
         let mut rng = rng_from_seed(3);
         for r in mga.craft(&proto, 20, &mut rng) {
             match r {
-                Report::Oue(b) => assert_eq!(b.count_ones(), 2),
+                Report::Unary(b) => assert_eq!(b.count_ones(), 2),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -435,8 +424,7 @@ mod tests {
                     for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
                         let proto = kind.build(eps, domain(d)).unwrap();
                         let expected = match &proto {
-                            AnyProtocol::Oue(o) => o.expected_ones(),
-                            AnyProtocol::Sue(s) => s.expected_ones(),
+                            AnyProtocol::Unary(u) => u.expected_ones(),
                             _ => unreachable!(),
                         };
                         for mga in [
@@ -449,7 +437,7 @@ mod tests {
                             for report in got {
                                 let want = craft_oue_by_branch(&mga, d, expected, &mut reference);
                                 match report {
-                                    Report::Oue(bits) | Report::Sue(bits) => {
+                                    Report::Unary(bits) => {
                                         assert_eq!(bits, want, "{kind} d={d} r={r} eps={eps}");
                                     }
                                     other => panic!("unexpected {other:?}"),

@@ -151,11 +151,12 @@ impl Json {
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] with a byte offset for malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or arrays and objects nested more than 64
+    /// deep.
     pub fn parse(input: &str) -> Result<Json> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err_at(pos, "trailing characters after JSON value"));
@@ -250,12 +251,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a document of a few
+/// hundred thousand `[` overflows the stack. Every document the workspace
+/// writes nests at most 5 levels.
+const MAX_DEPTH: usize = 64;
+
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err_at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err_at(
+            *pos,
+            &format!("arrays and objects nested more than {MAX_DEPTH} deep"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -354,7 +366,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -363,7 +375,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -376,7 +388,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -395,7 +407,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json> {
             return Err(err_at(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -647,6 +659,41 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// A document of 200,000 `[` or 100,000 `{"a":` is an error with the
+    /// offset of the first bracket past the cap, not a stack overflow.
+    #[test]
+    fn deeply_nested_documents_are_rejected() {
+        let arrays = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        for (doc, offset) in [(arrays, MAX_DEPTH), (objects, 5 * MAX_DEPTH)] {
+            match Json::parse(&doc) {
+                Err(LdpError::InvalidParameter(message)) => assert!(
+                    message.ends_with(&format!("deep at byte {offset}")),
+                    "{message}"
+                ),
+                other => panic!("accepted a document nested past the cap: {other:?}"),
+            }
+        }
+    }
+
+    /// Arrays and objects nested exactly `MAX_DEPTH` deep parse and
+    /// round-trip through `render`; one level more is rejected.
+    #[test]
+    fn nesting_up_to_the_cap_round_trips() {
+        let nested = |levels: usize| {
+            (0..levels).fold(Json::Num(1.0), |inner, level| {
+                if level % 2 == 0 {
+                    Json::Arr(vec![inner])
+                } else {
+                    Json::Obj(vec![("k".into(), inner)])
+                }
+            })
+        };
+        let at_cap = nested(MAX_DEPTH);
+        assert_eq!(roundtrip(&at_cap), at_cap);
+        assert!(Json::parse(&nested(MAX_DEPTH + 1).render()).is_err());
     }
 
     #[test]

@@ -85,10 +85,7 @@ impl Detection {
         let q = protocol.params().q();
         let max_support = match protocol {
             AnyProtocol::Grr(_) => 1,
-            AnyProtocol::Oue(_)
-            | AnyProtocol::Olh(_)
-            | AnyProtocol::Sue(_)
-            | AnyProtocol::Hr(_) => r,
+            AnyProtocol::Unary(_) | AnyProtocol::Olh(_) | AnyProtocol::Hr(_) => r,
         };
         // Walk the binomial upper tail until it dips below the budget.
         let mut tau = r + 1; // sentinel: nothing flagged
@@ -227,9 +224,7 @@ impl<'a> TargetTest<'a> {
     fn new(protocol: &'a AnyProtocol, targets: &'a [usize]) -> Self {
         let d = protocol.domain().size();
         match protocol {
-            AnyProtocol::Oue(_) | AnyProtocol::Sue(_) => {
-                TargetTest::Unary(BitVec::mask_of(d, targets))
-            }
+            AnyProtocol::Unary(_) => TargetTest::Unary(BitVec::mask_of(d, targets)),
             AnyProtocol::Olh(olh) => TargetTest::Olh(olh.lanes(targets.iter().copied())),
             AnyProtocol::Grr(_) => {
                 let mut is_target = vec![false; d];
@@ -249,9 +244,7 @@ impl<'a> TargetTest<'a> {
     /// Panics on a report of another protocol.
     fn support(&self, report: &Report) -> usize {
         match (self, report) {
-            (TargetTest::Unary(mask), Report::Oue(bits) | Report::Sue(bits)) => {
-                bits.intersection_count(mask)
-            }
+            (TargetTest::Unary(mask), Report::Unary(bits)) => bits.intersection_count(mask),
             (TargetTest::Olh(lanes), Report::Olh(olh)) => lanes.support_count(olh),
             (TargetTest::Grr(is_target), Report::Grr(item)) => {
                 usize::from(is_target.get(*item as usize) == Some(&true))
@@ -261,8 +254,8 @@ impl<'a> TargetTest<'a> {
                 .filter(|&&t| protocol.supports(report, t))
                 .count(),
             _ => panic!(
-                "report kind {:?} does not match the target test",
-                report.kind()
+                "report kind {} does not match the target test",
+                report.tag()
             ),
         }
     }

@@ -387,7 +387,7 @@ impl<'p> SupportFold<'p> {
         match (self.protocol, report) {
             (AnyProtocol::Grr(_), Report::Grr(item)) => Support::Cell(*item as usize),
             (AnyProtocol::Hr(_), Report::Hr(column)) => Support::Cell(*column as usize),
-            (AnyProtocol::Oue(_), Report::Oue(bits)) | (AnyProtocol::Sue(_), Report::Sue(bits)) => {
+            (AnyProtocol::Unary(_), Report::Unary(bits)) => {
                 row.fill(0);
                 for v in bits.iter_ones() {
                     row[v] = 1;
@@ -403,8 +403,8 @@ impl<'p> SupportFold<'p> {
                 Support::Row(row)
             }
             _ => panic!(
-                "report kind {:?} fed to protocol {}",
-                report.kind(),
+                "report kind {} fed to protocol {}",
+                report.tag(),
                 self.protocol.kind()
             ),
         }
@@ -692,7 +692,7 @@ mod tests {
         let mut rng = rng_from_seed(32);
         let one_item: Vec<Report> = (0..600).map(|_| sue.perturb(5, &mut rng)).collect();
         assert!(one_item.iter().all(|r| match r {
-            Report::Sue(bits) => bits.iter_ones().eq([5]),
+            Report::Unary(bits) => bits.iter_ones().eq([5]),
             _ => false,
         }));
         cases.push(("SUE ε=100, one item".into(), sue, one_item));

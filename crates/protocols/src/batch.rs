@@ -45,11 +45,9 @@ use rand::Rng;
 use crate::grr::Grr;
 use crate::hadamard::HadamardResponse;
 use crate::olh::Olh;
-use crate::oue::Oue;
-use crate::params::PureParams;
 use crate::report::AnyProtocol;
-use crate::sue::Sue;
 use crate::traits::LdpFrequencyProtocol;
+use crate::unary::UnaryEncoding;
 
 /// Reusable scratch for [`HadamardResponse::batch_support_counts_with`]:
 /// the `K`-column histogram, the positive-column and split buffers of the
@@ -118,21 +116,6 @@ where
     counts
 }
 
-/// Shared OUE/SUE column sampler: holders of `v` set bit `v` with
-/// probability `p`, everyone else with probability `q`, independently.
-fn unary_batch_support_counts<R: Rng + ?Sized>(
-    params: PureParams,
-    item_counts: &[u64],
-    rng: &mut R,
-) -> Vec<u64> {
-    let n: u64 = item_counts.iter().sum();
-    let (p, q) = (params.p(), params.q());
-    item_counts
-        .iter()
-        .map(|&c| sample_binomial(c, p, rng) + sample_binomial(n - c, q, rng))
-        .collect()
-}
-
 impl Grr {
     /// Samples the aggregate support counts of `item_counts[v]` users per
     /// item `v` in one pass: one keep-vs-uniform binomial per occupied
@@ -165,8 +148,10 @@ impl Grr {
     }
 }
 
-impl Oue {
-    /// Samples the aggregate support counts column-wise: bit `v` is set by
+impl UnaryEncoding {
+    /// Samples the aggregate support counts column-wise: holders of `v`
+    /// set bit `v` with probability `p`, everyone else with probability
+    /// `q`, independently, so bit `v` is set by
     /// `Binomial(c_v, p) + Binomial(n − c_v, q)` reporters.
     ///
     /// # Panics
@@ -181,27 +166,12 @@ impl Oue {
             self.domain().size(),
             "item counts must cover the domain"
         );
-        unary_batch_support_counts(self.params(), item_counts, rng)
-    }
-}
-
-impl Sue {
-    /// Samples the aggregate support counts column-wise (same independence
-    /// structure as [`Oue::batch_support_counts`], SUE's `(p, q)`).
-    ///
-    /// # Panics
-    /// Panics if `item_counts.len()` differs from the domain size.
-    pub fn batch_support_counts<R: Rng + ?Sized>(
-        &self,
-        item_counts: &[u64],
-        rng: &mut R,
-    ) -> Vec<u64> {
-        assert_eq!(
-            item_counts.len(),
-            self.domain().size(),
-            "item counts must cover the domain"
-        );
-        unary_batch_support_counts(self.params(), item_counts, rng)
+        let n: u64 = item_counts.iter().sum();
+        let (p, q) = (self.params().p(), self.params().q());
+        item_counts
+            .iter()
+            .map(|&c| sample_binomial(c, p, rng) + sample_binomial(n - c, q, rng))
+            .collect()
     }
 }
 

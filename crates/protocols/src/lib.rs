@@ -4,11 +4,13 @@
 //!
 //! Implements the three protocols the LDPRecover paper evaluates (§III-B) —
 //! **GRR** (generalized randomized response), **OUE** (optimized unary
-//! encoding), and **OLH** (optimized local hashing) — plus the binary
-//! randomized response / **Harmony** mean-estimation pair used in the
-//! paper's discussion of other aggregation functions (§VII-A).
+//! encoding), and **OLH** (optimized local hashing) — and two extensions,
+//! **SUE** (symmetric unary encoding, basic RAPPOR) and **HR** (Hadamard
+//! response), plus the binary randomized response / **Harmony**
+//! mean-estimation pair used in the paper's discussion of other
+//! aggregation functions (§VII-A).
 //!
-//! All three frequency protocols are *pure* in the sense of Wang et al.
+//! All five frequency protocols are *pure* in the sense of Wang et al.
 //! (USENIX Security 2017): a report `ỹ` *supports* a set of items `S(ỹ)`,
 //! the true item is supported with probability `p`, any other fixed item
 //! with probability `q < p`, and the server debiases raw support counts via
@@ -24,9 +26,12 @@
 //!   debiasing / variance algebra every layer above builds on.
 //! * [`traits::LdpFrequencyProtocol`] — the statically-dispatched protocol
 //!   interface (perturb, clean-encode, support, accumulate).
-//! * [`grr`], [`oue`], [`olh`] — the concrete protocols.
-//! * [`report::Report`] / [`report::AnyProtocol`] — a closed enum over the
-//!   three protocols so heterogeneous experiment code stays monomorphic.
+//! * [`grr`], [`unary`], [`olh`], [`hadamard`] — the concrete protocols.
+//!   OUE and SUE are one type, [`UnaryEncoding`], built with the `(p, q)`
+//!   of either; only their [`ProtocolKind`] tells them apart.
+//! * [`report::Report`] / [`report::AnyProtocol`] — closed enums over the
+//!   four protocol types so heterogeneous experiment code stays
+//!   monomorphic.
 //! * [`accumulate::CountAccumulator`] — streaming support-count aggregation.
 //! * [`batch`] — count-based batched aggregation: sample a whole
 //!   population's support counts in `O(d)`–`O(d·log n)` instead of
@@ -60,12 +65,11 @@ pub mod grr;
 pub mod hadamard;
 pub mod harmony;
 pub mod olh;
-pub mod oue;
 pub mod params;
 pub mod report;
 pub mod rr;
-pub mod sue;
 pub mod traits;
+pub mod unary;
 
 pub use accumulate::CountAccumulator;
 pub use batch::{HrScratch, ProtocolScratch};
@@ -73,9 +77,8 @@ pub use grr::Grr;
 pub use hadamard::HadamardResponse;
 pub use harmony::Harmony;
 pub use olh::{Olh, OlhLanes};
-pub use oue::Oue;
 pub use params::PureParams;
 pub use report::{AnyProtocol, ProtocolKind, Report};
 pub use rr::BinaryRandomizedResponse;
-pub use sue::Sue;
 pub use traits::LdpFrequencyProtocol;
+pub use unary::UnaryEncoding;

@@ -1,10 +1,10 @@
 //! Heterogeneous protocol dispatch: the [`Report`] and [`AnyProtocol`]
 //! closed enums plus the [`ProtocolKind`] factory.
 //!
-//! Experiment code runs the same pipeline over GRR, OUE, and OLH. A trait
+//! Experiment code runs the same pipeline over all five protocols. A trait
 //! object would erase the associated `Report` type; instead the workspace
-//! uses closed enums — the protocol set is fixed by the paper — which keeps
-//! the hot loops branch-predictable and the APIs object-safe-by-construction.
+//! uses closed enums — the protocol set is fixed — which keeps the hot
+//! loops branch-predictable and the APIs object-safe-by-construction.
 
 use ldp_common::{BitVec, Domain, LdpError, Result};
 use rand::Rng;
@@ -13,35 +13,37 @@ use serde::{Deserialize, Serialize};
 use crate::grr::Grr;
 use crate::hadamard::HadamardResponse;
 use crate::olh::{Olh, OlhReport};
-use crate::oue::Oue;
 use crate::params::PureParams;
-use crate::sue::Sue;
 use crate::traits::LdpFrequencyProtocol;
+use crate::unary::UnaryEncoding;
 
-/// A report from any of the three frequency protocols.
+/// A report from any of the five frequency protocols.
+///
+/// OUE and SUE share one variant so that only one variant holds a
+/// [`BitVec`]: the enum's tag then fits in the niche of that `Vec`'s
+/// capacity, and a report takes the bit vector's 32 bytes (40 with a
+/// second `BitVec` variant). A per-user trial retains every report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Report {
     /// GRR: the (perturbed) item index.
     Grr(u32),
-    /// OUE: the (perturbed) d-bit unary encoding.
-    Oue(BitVec),
+    /// OUE / SUE: the (perturbed) d-bit unary encoding.
+    Unary(BitVec),
     /// OLH: the sampled hash function and (perturbed) hashed value.
     Olh(OlhReport),
-    /// SUE: the (perturbed) d-bit unary encoding (extension protocol).
-    Sue(BitVec),
     /// HR: the reported Hadamard column index (extension protocol).
     Hr(u32),
 }
 
 impl Report {
-    /// Short tag for diagnostics.
-    pub fn kind(&self) -> ProtocolKind {
+    /// The variant's name, for the panics that catch a report fed to the
+    /// wrong protocol. OUE and SUE reports share the tag `"unary"`.
+    pub fn tag(&self) -> &'static str {
         match self {
-            Report::Grr(_) => ProtocolKind::Grr,
-            Report::Oue(_) => ProtocolKind::Oue,
-            Report::Olh(_) => ProtocolKind::Olh,
-            Report::Sue(_) => ProtocolKind::Sue,
-            Report::Hr(_) => ProtocolKind::Hr,
+            Report::Grr(_) => "GRR",
+            Report::Unary(_) => "unary",
+            Report::Olh(_) => "OLH",
+            Report::Hr(_) => "HR",
         }
     }
 }
@@ -83,9 +85,9 @@ impl ProtocolKind {
     pub fn build(self, epsilon: f64, domain: Domain) -> Result<AnyProtocol> {
         Ok(match self {
             ProtocolKind::Grr => AnyProtocol::Grr(Grr::new(epsilon, domain)?),
-            ProtocolKind::Oue => AnyProtocol::Oue(Oue::new(epsilon, domain)?),
+            ProtocolKind::Oue => AnyProtocol::Unary(UnaryEncoding::oue(epsilon, domain)?),
             ProtocolKind::Olh => AnyProtocol::Olh(Olh::new(epsilon, domain)?),
-            ProtocolKind::Sue => AnyProtocol::Sue(Sue::new(epsilon, domain)?),
+            ProtocolKind::Sue => AnyProtocol::Unary(UnaryEncoding::sue(epsilon, domain)?),
             ProtocolKind::Hr => AnyProtocol::Hr(HadamardResponse::new(epsilon, domain)?),
         })
     }
@@ -124,18 +126,17 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// A closed sum over the three protocol instances, exposing the
-/// [`LdpFrequencyProtocol`] surface with [`Report`] as the report type.
+/// A closed sum over the four protocol types (five protocols: OUE and SUE
+/// are both [`UnaryEncoding`]), exposing the [`LdpFrequencyProtocol`]
+/// surface with [`Report`] as the report type.
 #[derive(Debug, Clone, Copy)]
 pub enum AnyProtocol {
     /// Generalized randomized response.
     Grr(Grr),
-    /// Optimized unary encoding.
-    Oue(Oue),
+    /// Unary encoding: optimized (OUE) or symmetric (SUE, extension).
+    Unary(UnaryEncoding),
     /// Optimized local hashing.
     Olh(Olh),
-    /// Symmetric unary encoding (extension).
-    Sue(Sue),
     /// Hadamard response (extension).
     Hr(HadamardResponse),
 }
@@ -145,9 +146,8 @@ impl AnyProtocol {
     pub fn kind(&self) -> ProtocolKind {
         match self {
             AnyProtocol::Grr(_) => ProtocolKind::Grr,
-            AnyProtocol::Oue(_) => ProtocolKind::Oue,
+            AnyProtocol::Unary(x) => x.kind(),
             AnyProtocol::Olh(_) => ProtocolKind::Olh,
-            AnyProtocol::Sue(_) => ProtocolKind::Sue,
             AnyProtocol::Hr(_) => ProtocolKind::Hr,
         }
     }
@@ -195,8 +195,8 @@ impl AnyProtocol {
     #[cold]
     fn report_mismatch(&self, report: &Report) -> ! {
         panic!(
-            "report kind {:?} fed to protocol {}",
-            report.kind(),
+            "report kind {} fed to protocol {}",
+            report.tag(),
             self.kind()
         );
     }
@@ -212,9 +212,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn domain(&self) -> Domain {
         match self {
             AnyProtocol::Grr(x) => x.domain(),
-            AnyProtocol::Oue(x) => x.domain(),
+            AnyProtocol::Unary(x) => x.domain(),
             AnyProtocol::Olh(x) => x.domain(),
-            AnyProtocol::Sue(x) => x.domain(),
             AnyProtocol::Hr(x) => x.domain(),
         }
     }
@@ -222,9 +221,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn epsilon(&self) -> f64 {
         match self {
             AnyProtocol::Grr(x) => x.epsilon(),
-            AnyProtocol::Oue(x) => x.epsilon(),
+            AnyProtocol::Unary(x) => x.epsilon(),
             AnyProtocol::Olh(x) => x.epsilon(),
-            AnyProtocol::Sue(x) => x.epsilon(),
             AnyProtocol::Hr(x) => x.epsilon(),
         }
     }
@@ -232,9 +230,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn params(&self) -> PureParams {
         match self {
             AnyProtocol::Grr(x) => x.params(),
-            AnyProtocol::Oue(x) => x.params(),
+            AnyProtocol::Unary(x) => x.params(),
             AnyProtocol::Olh(x) => x.params(),
-            AnyProtocol::Sue(x) => x.params(),
             AnyProtocol::Hr(x) => x.params(),
         }
     }
@@ -242,9 +239,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn perturb<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> Report {
         match self {
             AnyProtocol::Grr(x) => Report::Grr(x.perturb(item, rng)),
-            AnyProtocol::Oue(x) => Report::Oue(x.perturb(item, rng)),
+            AnyProtocol::Unary(x) => Report::Unary(x.perturb(item, rng)),
             AnyProtocol::Olh(x) => Report::Olh(x.perturb(item, rng)),
-            AnyProtocol::Sue(x) => Report::Sue(x.perturb(item, rng)),
             AnyProtocol::Hr(x) => Report::Hr(x.perturb(item, rng)),
         }
     }
@@ -252,9 +248,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn encode_clean<R: Rng + ?Sized>(&self, item: usize, rng: &mut R) -> Report {
         match self {
             AnyProtocol::Grr(x) => Report::Grr(x.encode_clean(item, rng)),
-            AnyProtocol::Oue(x) => Report::Oue(x.encode_clean(item, rng)),
+            AnyProtocol::Unary(x) => Report::Unary(x.encode_clean(item, rng)),
             AnyProtocol::Olh(x) => Report::Olh(x.encode_clean(item, rng)),
-            AnyProtocol::Sue(x) => Report::Sue(x.encode_clean(item, rng)),
             AnyProtocol::Hr(x) => Report::Hr(x.encode_clean(item, rng)),
         }
     }
@@ -262,9 +257,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn supports(&self, report: &Report, v: usize) -> bool {
         match (self, report) {
             (AnyProtocol::Grr(x), Report::Grr(r)) => x.supports(r, v),
-            (AnyProtocol::Oue(x), Report::Oue(r)) => x.supports(r, v),
+            (AnyProtocol::Unary(x), Report::Unary(r)) => x.supports(r, v),
             (AnyProtocol::Olh(x), Report::Olh(r)) => x.supports(r, v),
-            (AnyProtocol::Sue(x), Report::Sue(r)) => x.supports(r, v),
             (AnyProtocol::Hr(x), Report::Hr(r)) => x.supports(r, v),
             _ => self.report_mismatch(report),
         }
@@ -273,9 +267,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     fn accumulate(&self, report: &Report, counts: &mut [u64]) {
         match (self, report) {
             (AnyProtocol::Grr(x), Report::Grr(r)) => x.accumulate(r, counts),
-            (AnyProtocol::Oue(x), Report::Oue(r)) => x.accumulate(r, counts),
+            (AnyProtocol::Unary(x), Report::Unary(r)) => x.accumulate(r, counts),
             (AnyProtocol::Olh(x), Report::Olh(r)) => x.accumulate(r, counts),
-            (AnyProtocol::Sue(x), Report::Sue(r)) => x.accumulate(r, counts),
             (AnyProtocol::Hr(x), Report::Hr(r)) => x.accumulate(r, counts),
             _ => self.report_mismatch(report),
         }
@@ -292,9 +285,8 @@ impl LdpFrequencyProtocol for AnyProtocol {
     ) -> Option<Vec<u64>> {
         match self {
             AnyProtocol::Grr(x) => x.batch_aggregate(item_counts, rng),
-            AnyProtocol::Oue(x) => x.batch_aggregate(item_counts, rng),
+            AnyProtocol::Unary(x) => x.batch_aggregate(item_counts, rng),
             AnyProtocol::Olh(x) => x.batch_aggregate(item_counts, rng),
-            AnyProtocol::Sue(x) => x.batch_aggregate(item_counts, rng),
             AnyProtocol::Hr(x) => x.batch_aggregate(item_counts, rng),
         }
     }
@@ -340,7 +332,18 @@ mod tests {
         for kind in ProtocolKind::EXTENDED {
             let p = kind.build(0.8, domain).unwrap();
             let r = p.perturb(4, &mut rng);
-            assert_eq!(r.kind(), kind);
+            assert!(
+                matches!(
+                    (&p, &r),
+                    (AnyProtocol::Grr(_), Report::Grr(_))
+                        | (AnyProtocol::Unary(_), Report::Unary(_))
+                        | (AnyProtocol::Olh(_), Report::Olh(_))
+                        | (AnyProtocol::Hr(_), Report::Hr(_))
+                ),
+                "{kind}: {} report from a {} protocol",
+                r.tag(),
+                p.name()
+            );
             let mut counts = vec![0u64; 12];
             p.accumulate(&r, &mut counts);
             for (v, &count) in counts.iter().enumerate() {
@@ -355,6 +358,6 @@ mod tests {
         let domain = Domain::new(4).unwrap();
         let grr = ProtocolKind::Grr.build(0.5, domain).unwrap();
         let mut counts = vec![0u64; 4];
-        grr.accumulate(&Report::Oue(BitVec::zeros(4)), &mut counts);
+        grr.accumulate(&Report::Unary(BitVec::zeros(4)), &mut counts);
     }
 }

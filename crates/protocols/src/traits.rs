@@ -13,10 +13,12 @@ use crate::params::PureParams;
 /// trials exactly reproducible.
 pub trait LdpFrequencyProtocol {
     /// The wire format of one user report (`u32` item for GRR, a packed bit
-    /// vector for OUE, a `(seed, value)` pair for OLH).
+    /// vector for OUE and SUE, a `(seed, value)` pair for OLH, a `u32`
+    /// column for HR).
     type Report: Clone;
 
-    /// Human-readable protocol name (`"GRR"`, `"OUE"`, `"OLH"`).
+    /// Human-readable protocol name (`"GRR"`, `"OUE"`, `"OLH"`, `"SUE"`,
+    /// `"HR"`).
     fn name(&self) -> &'static str;
 
     /// The item domain `D`.

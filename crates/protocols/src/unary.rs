@@ -1,9 +1,21 @@
-//! Optimized Unary Encoding (paper §III-B, Eq. (5)–(7)).
+//! Unary encoding (paper §III-B, Eq. (5)–(7)): OUE and SUE.
 //!
 //! Each user one-hot-encodes her item into a `d`-bit vector and perturbs
 //! every bit independently: the true-item bit is reported as 1 with
-//! probability `p = 1/2`, every other bit with probability `q = 1/(e^ε+1)`.
-//! A report supports exactly the items whose bits are set.
+//! probability `p`, every other bit with probability `q`. A report supports
+//! exactly the items whose bits are set. The two members of the family
+//! differ only in `(p, q)`:
+//!
+//! * **OUE** (optimized unary encoding, [`UnaryEncoding::oue`]) —
+//!   `p = 1/2`, `q = 1/(e^ε+1)`.
+//! * **SUE** (symmetric unary encoding, [`UnaryEncoding::sue`]) — basic
+//!   RAPPOR (Erlingsson et al., CCS 2014), an extension beyond the paper's
+//!   protocol trio. Both bit states share one keep-probability: the true
+//!   bit stays 1 with `p = e^{ε/2}/(1 + e^{ε/2})` and every other bit
+//!   flips to 1 with `q = 1 − p`. OUE dominates SUE in variance — that is
+//!   the "optimized" in its name — which makes SUE a useful ablation point:
+//!   every attack and the entire LDPRecover stack apply unchanged because
+//!   the report shape is the same.
 //!
 //! Perturbation is the hottest loop of the whole simulator (`n × d`
 //! Bernoulli draws, ≈ 3.3 × 10⁸ per Fire-scale trial), so the zero-bits are
@@ -16,11 +28,13 @@ use ldp_common::{BitVec, Domain, Result};
 use rand::Rng;
 
 use crate::params::{check_epsilon, PureParams};
+use crate::report::ProtocolKind;
 use crate::traits::LdpFrequencyProtocol;
 
-/// The OUE protocol instance for a fixed `(ε, D)`.
+/// A unary-encoding protocol instance (OUE or SUE) for a fixed `(ε, D)`.
 #[derive(Debug, Clone, Copy)]
-pub struct Oue {
+pub struct UnaryEncoding {
+    kind: ProtocolKind,
     domain: Domain,
     epsilon: f64,
     params: PureParams,
@@ -28,23 +42,49 @@ pub struct Oue {
     zero_bit: FastBernoulli,
 }
 
-impl Oue {
+impl UnaryEncoding {
     /// Builds OUE for privacy budget `epsilon` over `domain`.
     ///
     /// # Errors
     /// Propagates ε / probability validation failures.
-    pub fn new(epsilon: f64, domain: Domain) -> Result<Self> {
+    pub fn oue(epsilon: f64, domain: Domain) -> Result<Self> {
         check_epsilon(epsilon)?;
-        let p = 0.5;
         let q = 1.0 / (epsilon.exp() + 1.0);
-        let params = PureParams::new(p, q, domain)?;
+        Self::with_probabilities(ProtocolKind::Oue, epsilon, domain, 0.5, q)
+    }
+
+    /// Builds SUE for privacy budget `epsilon` over `domain`.
+    ///
+    /// # Errors
+    /// Propagates ε / probability validation failures.
+    pub fn sue(epsilon: f64, domain: Domain) -> Result<Self> {
+        check_epsilon(epsilon)?;
+        let half = (epsilon / 2.0).exp();
+        let p = half / (1.0 + half);
+        Self::with_probabilities(ProtocolKind::Sue, epsilon, domain, p, 1.0 - p)
+    }
+
+    fn with_probabilities(
+        kind: ProtocolKind,
+        epsilon: f64,
+        domain: Domain,
+        p: f64,
+        q: f64,
+    ) -> Result<Self> {
         Ok(Self {
+            kind,
             domain,
             epsilon,
-            params,
+            params: PureParams::new(p, q, domain)?,
             one_bit: FastBernoulli::new(p),
             zero_bit: FastBernoulli::new(q),
         })
+    }
+
+    /// Which unary encoding this is: [`ProtocolKind::Oue`] or
+    /// [`ProtocolKind::Sue`].
+    pub(crate) fn kind(&self) -> ProtocolKind {
+        self.kind
     }
 
     /// Expected number of set bits in a *genuine* report for an arbitrary
@@ -57,7 +97,11 @@ impl Oue {
     /// Ψ into `sink`, `d` long: into a zeroed [`BitVec`] it is
     /// [`perturb`](LdpFrequencyProtocol::perturb); into a row of support
     /// counts it adds that report's support with the same draws, building
-    /// no report.
+    /// no report. One Bernoulli draw per bit, in index order: `q` for the
+    /// bits before the item's, `p` for the item's own bit, `q` for the
+    /// bits after it. Each stretch matches its threshold once, and a packed
+    /// report ORs its draws into words, so the ~`q·d` set bits cost no
+    /// mispredicted branch.
     pub fn perturb_into<S: BitSink + ?Sized, R: Rng + ?Sized>(
         &self,
         item: usize,
@@ -65,35 +109,17 @@ impl Oue {
         rng: &mut R,
     ) {
         debug_assert!(self.domain.contains(item), "item {item} out of domain");
-        perturb_unary(self.domain, item, self.one_bit, self.zero_bit, sink, rng);
+        self.zero_bit.fill(sink, 0..item, rng);
+        self.one_bit.fill(sink, item..item + 1, rng);
+        self.zero_bit.fill(sink, item + 1..self.domain.size(), rng);
     }
 }
 
-/// Ψ of the unary encodings (OUE, SUE): one Bernoulli draw per bit, in
-/// index order — `zero_bit` for the bits before the item's, `one_bit` for
-/// the item's own bit, `zero_bit` for the bits after it — put into `sink`
-/// (a report's packed words or a row of support counts). Each stretch
-/// matches its threshold once, and a packed report ORs its draws into
-/// words, so the ~`q·d` set bits cost no mispredicted branch.
-pub(crate) fn perturb_unary<S: BitSink + ?Sized, R: Rng + ?Sized>(
-    domain: Domain,
-    item: usize,
-    one_bit: FastBernoulli,
-    zero_bit: FastBernoulli,
-    sink: &mut S,
-    rng: &mut R,
-) {
-    let d = domain.size();
-    zero_bit.fill(sink, 0..item, rng);
-    one_bit.fill(sink, item..item + 1, rng);
-    zero_bit.fill(sink, item + 1..d, rng);
-}
-
-impl LdpFrequencyProtocol for Oue {
+impl LdpFrequencyProtocol for UnaryEncoding {
     type Report = BitVec;
 
     fn name(&self) -> &'static str {
-        "OUE"
+        self.kind.name()
     }
 
     fn domain(&self) -> Domain {
@@ -148,8 +174,12 @@ mod tests {
     use ldp_common::rng::rng_from_seed;
     use rand::RngCore;
 
-    fn oue(eps: f64, d: usize) -> Oue {
-        Oue::new(eps, Domain::new(d).unwrap()).unwrap()
+    fn oue(eps: f64, d: usize) -> UnaryEncoding {
+        UnaryEncoding::oue(eps, Domain::new(d).unwrap()).unwrap()
+    }
+
+    fn sue(eps: f64, d: usize) -> UnaryEncoding {
+        UnaryEncoding::sue(eps, Domain::new(d).unwrap()).unwrap()
     }
 
     #[test]
@@ -257,11 +287,13 @@ mod tests {
             let (one_bit, zero_bit) = (FastBernoulli::new(p), FastBernoulli::new(q));
             for d in [1usize, 2, 63, 64, 65, 102, 490] {
                 let domain = Domain::new(d).unwrap();
+                let unary = UnaryEncoding::with_probabilities(ProtocolKind::Oue, 1.0, domain, p, q)
+                    .unwrap();
                 let mut rng = rng_from_seed(d as u64);
                 let mut reference = rng_from_seed(d as u64);
                 for item in [0, d / 2, d - 1] {
                     let mut bits = BitVec::zeros(d);
-                    perturb_unary(domain, item, one_bit, zero_bit, &mut bits, &mut rng);
+                    unary.perturb_into(item, &mut bits, &mut rng);
                     assert_eq!(
                         bits,
                         per_bit_loop(d, item, one_bit, zero_bit, &mut reference),
@@ -280,7 +312,6 @@ mod tests {
     /// that follows.
     #[test]
     fn kernel_oracle_unary_perturbation() {
-        use crate::report::ProtocolKind;
         for d in [1usize, 63, 64, 65, 102, 490] {
             let domain = Domain::new(d).unwrap();
             let mut items: Vec<usize> = vec![0, d - 1, d / 2];
@@ -299,7 +330,7 @@ mod tests {
                             let want =
                                 perturb_unary_per_index(d, item, one_bit, zero_bit, &mut reference);
                             let got = match protocol.perturb(item, &mut rng) {
-                                crate::Report::Oue(bits) | crate::Report::Sue(bits) => bits,
+                                crate::Report::Unary(bits) => bits,
                                 other => panic!("unexpected {other:?}"),
                             };
                             assert_eq!(got, want, "{kind} eps={eps} d={d} item={item}");
@@ -326,7 +357,7 @@ mod tests {
     /// the reports `perturb` builds, and the next draw agrees.
     #[test]
     fn kernel_oracle_unary_perturbation_counts() {
-        use crate::report::{AnyProtocol, ProtocolKind};
+        use crate::report::AnyProtocol;
         for d in [1usize, 63, 64, 65, 490] {
             let domain = Domain::new(d).unwrap();
             let mut items: Vec<usize> = vec![0, d - 1, d / 2];
@@ -334,6 +365,9 @@ mod tests {
             for eps in [0.5, 4.0, 100.0] {
                 for kind in [ProtocolKind::Oue, ProtocolKind::Sue] {
                     let protocol = kind.build(eps, domain).unwrap();
+                    let AnyProtocol::Unary(unary) = protocol else {
+                        unreachable!()
+                    };
                     let seed = d as u64 * 1000 + eps as u64;
                     let mut rng = rng_from_seed(seed);
                     let mut reference = rng_from_seed(seed);
@@ -341,15 +375,7 @@ mod tests {
                     let mut folded = vec![0u64; d];
                     for _ in 0..20 {
                         for &item in &items {
-                            match &protocol {
-                                AnyProtocol::Oue(o) => {
-                                    o.perturb_into(item, counts.as_mut_slice(), &mut rng)
-                                }
-                                AnyProtocol::Sue(s) => {
-                                    s.perturb_into(item, counts.as_mut_slice(), &mut rng)
-                                }
-                                _ => unreachable!(),
-                            }
+                            unary.perturb_into(item, counts.as_mut_slice(), &mut rng);
                             let report = protocol.perturb(item, &mut reference);
                             protocol.accumulate(&report, &mut folded);
                         }
@@ -371,5 +397,71 @@ mod tests {
         let q = 1.0 / (0.5f64.exp() + 1.0);
         let expect = 0.5 + 489.0 * q;
         assert!((o.expected_ones() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probabilities_are_symmetric_rappor() {
+        let s = sue(1.0, 32);
+        let half = 0.5f64.exp();
+        assert!((s.params().p() - half / (1.0 + half)).abs() < 1e-15);
+        assert!((s.params().p() + s.params().q() - 1.0).abs() < 1e-15);
+        // ε-LDP for unary encodings holds at ε/2 per bit pair:
+        // (p/q)² = e^ε.
+        let ratio = s.params().p() / s.params().q();
+        assert!((ratio * ratio - 1.0f64.exp()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn oue_dominates_sue_in_variance() {
+        // The reason OUE exists (Wang et al. 2017): strictly lower variance
+        // at equal ε for reasonable budgets.
+        let domain = Domain::new(100).unwrap();
+        for &eps in &[0.5f64, 1.0, 2.0] {
+            let sue = UnaryEncoding::sue(eps, domain).unwrap();
+            let oue = UnaryEncoding::oue(eps, domain).unwrap();
+            let vs = sue.params().variance_frequency(0.01, 10_000);
+            let vo = oue.params().variance_frequency(0.01, 10_000);
+            assert!(vo < vs, "eps={eps}: OUE {vo} !< SUE {vs}");
+        }
+    }
+
+    #[test]
+    fn estimates_are_unbiased() {
+        let s = sue(1.0, 8);
+        let mut rng = rng_from_seed(1);
+        let n = 40_000;
+        let mut counts = vec![0u64; 8];
+        for _ in 0..n {
+            let r = s.perturb(3, &mut rng);
+            s.accumulate(&r, &mut counts);
+        }
+        let freqs = s.params().debias_frequencies(&counts, n).unwrap();
+        let sigma = s.params().variance_frequency(1.0, n).sqrt();
+        assert!((freqs[3] - 1.0).abs() < 6.0 * sigma, "f={}", freqs[3]);
+        for (v, &f) in freqs.iter().enumerate() {
+            if v != 3 {
+                let sigma0 = s.params().variance_frequency(0.0, n).sqrt();
+                assert!(f.abs() < 6.0 * sigma0, "item {v}: f={f}");
+            }
+        }
+    }
+
+    #[test]
+    fn clean_encoding_is_one_hot() {
+        let s = sue(0.5, 16);
+        let mut rng = rng_from_seed(2);
+        let r = s.encode_clean(9, &mut rng);
+        assert_eq!(r.count_ones(), 1);
+        assert!(s.supports(&r, 9));
+    }
+
+    #[test]
+    fn expected_ones_exceeds_oue() {
+        // SUE's q is larger than OUE's at ε = 0.5, so genuine SUE reports
+        // are denser.
+        let domain = Domain::new(100).unwrap();
+        let s = UnaryEncoding::sue(0.5, domain).unwrap();
+        let o = UnaryEncoding::oue(0.5, domain).unwrap();
+        assert!(s.expected_ones() > o.expected_ones());
     }
 }

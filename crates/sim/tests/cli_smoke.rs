@@ -328,6 +328,29 @@ fn out_of_range_attack_parameters_fail_with_invalid_parameter() {
 
 #[test]
 #[ignore = "spawns the CLI binary; run with --ignored"]
+fn deeply_nested_checkpoints_fail_with_invalid_parameter() {
+    // The JSON parser recurses once per `[` or `{`: a document nested far
+    // past its cap must fail the restore, not overflow the stack.
+    let dir = std::env::temp_dir().join("ldprecover-deep-json-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, doc) in [
+        (
+            "arrays.json",
+            format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+        ),
+        (
+            "objects.json",
+            format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000)),
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).unwrap();
+        assert_invalid_parameter(&["stream", "--resume", path.to_str().unwrap()]);
+    }
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
 fn ldp_stream_resume_diffs_conflicting_spec_flags() {
     // Spec flags alongside --resume are legal when they agree with the
     // checkpoint; a disagreement fails fast with a field-by-field diff

@@ -280,3 +280,76 @@ fn batched_estimates_stay_near_truth_at_tiny_scale() {
     assert!(result.mse_genuine.mean < result.mse_before.mean);
     assert!(result.mse_genuine.mean.is_finite());
 }
+
+/// The exact law of a sum of independent Bernoulli draws, `c` of them
+/// succeeding with probability `p` and `n − c` with `q`:
+/// `Binomial(c, p) ⊛ Binomial(n − c, q)`, one convolution step per draw.
+fn support_count_pmf(c: u64, n: u64, p: f64, q: f64) -> Vec<f64> {
+    let mut pmf = vec![1.0];
+    for i in 0..n {
+        let success = if i < c { p } else { q };
+        let mut next = vec![0.0; pmf.len() + 1];
+        for (k, &mass) in pmf.iter().enumerate() {
+            next[k] += mass * (1.0 - success);
+            next[k + 1] += mass * success;
+        }
+        pmf = next;
+    }
+    pmf
+}
+
+#[test]
+fn batched_counts_match_the_exact_per_item_distribution() {
+    // Every user supports item v independently, with probability p if
+    // they hold v and q otherwise, so an item's support count is exactly
+    // Binomial(c_v, p) ⊛ Binomial(n − c_v, q). GRR's and OLH's λ-splits,
+    // HR's row mixture and the unary column sampler each claim that law
+    // (not just its mean and variance) per item: one χ² test per item
+    // against the convolution, over 20,000 draws. Bins merge from the
+    // left until each expects at least 5 draws, and a short right tail
+    // joins the last bin. The bound is χ²'s upper 10⁻⁶ quantile by the
+    // Wilson–Hilferty cube (z = 4.753), as in `ldp_common::sampling`.
+    let item_counts = [9u64, 0, 5, 1, 3, 12];
+    let n: u64 = item_counts.iter().sum();
+    let domain = Domain::new(item_counts.len()).unwrap();
+    let draws = 20_000usize;
+    let mut rng = rng_from_seed(0xC0DE);
+    for kind in ProtocolKind::EXTENDED {
+        for eps in [0.5, 2.0] {
+            let protocol = kind.build(eps, domain).unwrap();
+            let (p, q) = (protocol.params().p(), protocol.params().q());
+            let mut observed = vec![vec![0usize; n as usize + 1]; item_counts.len()];
+            for _ in 0..draws {
+                let counts = protocol.batch_aggregate(&item_counts, &mut rng).unwrap();
+                for (hist, &c) in observed.iter_mut().zip(&counts) {
+                    hist[c as usize] += 1;
+                }
+            }
+            for (v, (&c, hist)) in item_counts.iter().zip(&observed).enumerate() {
+                let pmf = support_count_pmf(c, n, p, q);
+                let mut bins: Vec<(f64, usize)> = Vec::new(); // (expected, observed)
+                let (mut expected, mut seen) = (0.0, 0);
+                for (&mass, &count) in pmf.iter().zip(hist) {
+                    expected += mass * draws as f64;
+                    seen += count;
+                    if expected >= 5.0 {
+                        bins.push((expected, seen));
+                        (expected, seen) = (0.0, 0);
+                    }
+                }
+                let last = bins.last_mut().expect("at least one bin");
+                last.0 += expected;
+                last.1 += seen;
+                let chi2: f64 = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+                let dof = bins.len() - 1;
+                let h = 2.0 / (9.0 * dof as f64);
+                let bound = dof as f64 * (1.0 - h + 4.753 * h.sqrt()).powi(3);
+                assert!(
+                    chi2 < bound,
+                    "{kind} ε={eps} item {v} (c = {c}): χ² = {chi2:.1} over {dof} dof \
+                     exceeds {bound:.1}"
+                );
+            }
+        }
+    }
+}

@@ -111,7 +111,7 @@ fn push_report(bytes: &mut Vec<u8>, report: &Report) {
             bytes.extend(olh.seed.to_le_bytes());
             bytes.extend(olh.value.to_le_bytes());
         }
-        Report::Oue(bits) | Report::Sue(bits) => {
+        Report::Unary(bits) => {
             bytes.extend((bits.count_ones() as u32).to_le_bytes());
             for i in bits.iter_ones() {
                 bytes.extend((i as u32).to_le_bytes());

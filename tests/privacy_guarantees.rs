@@ -5,11 +5,14 @@
 //! For the discrete mechanisms here the worst-case likelihood ratio has a
 //! closed form, which we check analytically from the protocol parameters,
 //! and we confirm empirically that observed output frequencies respect the
-//! bound.
+//! bound. An ε audit samples every protocol's `perturb` and bounds its
+//! ε from below: at most the claimed ε, and close to it.
 
 use ldp_common::rng::rng_from_seed;
 use ldp_common::Domain;
-use ldp_protocols::{BinaryRandomizedResponse, Grr, LdpFrequencyProtocol, Olh, Oue, Sue};
+use ldp_protocols::{
+    BinaryRandomizedResponse, Grr, LdpFrequencyProtocol, Olh, ProtocolKind, UnaryEncoding,
+};
 
 const EPSILONS: [f64; 3] = [0.5, 1.0, 2.0];
 
@@ -41,7 +44,7 @@ fn oue_per_report_ratio_is_exactly_e_epsilon() {
     // = [ (1/2)/(1/(e^ε+1)) ] · [ (e^ε/(e^ε+1)) / (1/2) ] = e^ε.
     let domain = Domain::new(64).unwrap();
     for eps in EPSILONS {
-        let oue = Oue::new(eps, domain).unwrap();
+        let oue = UnaryEncoding::oue(eps, domain).unwrap();
         let (p, q) = (oue.params().p(), oue.params().q());
         let ratio = (p / q) * ((1.0 - q) / (1.0 - p));
         assert!((ratio - eps.exp()).abs() < 1e-9, "eps={eps}: ratio={ratio}");
@@ -54,7 +57,7 @@ fn sue_per_report_ratio_is_exactly_e_epsilon() {
     // (p/q)² = e^ε.
     let domain = Domain::new(64).unwrap();
     for eps in EPSILONS {
-        let sue = Sue::new(eps, domain).unwrap();
+        let sue = UnaryEncoding::sue(eps, domain).unwrap();
         let (p, q) = (sue.params().p(), sue.params().q());
         let ratio = (p / q) * ((1.0 - q) / (1.0 - p));
         assert!((ratio - eps.exp()).abs() < 1e-9, "eps={eps}: ratio={ratio}");
@@ -119,7 +122,7 @@ fn oue_empirical_per_bit_ratios_respect_the_bound() {
     let d = 16usize;
     let domain = Domain::new(d).unwrap();
     let eps = 1.0;
-    let oue = Oue::new(eps, domain).unwrap();
+    let oue = UnaryEncoding::oue(eps, domain).unwrap();
     let n = 200_000usize;
     let mut rng = rng_from_seed(6);
     let mut one_rate_holder = 0f64;
@@ -151,9 +154,59 @@ fn larger_epsilon_is_strictly_less_private_for_all_protocols() {
         g.params().p() / g.params().q()
     };
     let ratio_oue = |eps: f64| {
-        let o = Oue::new(eps, domain).unwrap();
+        let o = UnaryEncoding::oue(eps, domain).unwrap();
         (o.params().p() / o.params().q()) * ((1.0 - o.params().q()) / (1.0 - o.params().p()))
     };
     assert!(ratio_grr(0.5) < ratio_grr(1.0));
     assert!(ratio_oue(0.5) < ratio_oue(1.0));
+}
+
+/// One-sided Wilson score bound on a success probability from `hits` of
+/// `n` draws, at z = 4.753 (a 10⁻⁶ tail): the upper bound if `upper`,
+/// else the lower.
+fn wilson_bound(hits: usize, n: usize, upper: bool) -> f64 {
+    let z = 4.753f64;
+    let (n, rate) = (n as f64, hits as f64 / n as f64);
+    let centre = rate + z * z / (2.0 * n);
+    let half = z * (rate * (1.0 - rate) / n + z * z / (4.0 * n * n)).sqrt();
+    let side = if upper { half } else { -half };
+    (centre + side) / (1.0 + z * z / n)
+}
+
+#[test]
+fn empirical_epsilon_audit_of_every_protocol() {
+    // For inputs v₁ ≠ v₂, the event "the report supports v₁ but not v₂"
+    // has likelihood ratio exactly e^ε under each protocol: GRR outputs
+    // v₁ (p against q); OUE and SUE set bit v₁ and clear bit v₂ (p(1−q)
+    // against q(1−p)); OLH's value is H(v₁) ≠ H(v₂) (the inner GRR's
+    // keep against switch probability); HR's column is positive in
+    // v₁'s row and negative in v₂'s (p/2 against (1−p)/2). From 200,000
+    // reports per input, a 10⁻⁶ lower bound on P(event | v₁) over a 10⁻⁶
+    // upper bound on P(event | v₂) bounds ε from below: that bound must
+    // not exceed ε (no protocol leaks more than it claims) and must come
+    // within 0.1 of it (none is noisier than it claims either).
+    let domain = Domain::new(6).unwrap();
+    let (v1, v2) = (1, 4);
+    let n = 200_000usize;
+    let mut rng = rng_from_seed(24);
+    for kind in ProtocolKind::EXTENDED {
+        for eps in EPSILONS {
+            let protocol = kind.build(eps, domain).unwrap();
+            let mut hits = |input: usize| {
+                (0..n)
+                    .filter(|_| {
+                        let report = protocol.perturb(input, &mut rng);
+                        protocol.supports(&report, v1) && !protocol.supports(&report, v2)
+                    })
+                    .count()
+            };
+            let (from_v1, from_v2) = (hits(v1), hits(v2));
+            let eps_lb = (wilson_bound(from_v1, n, false) / wilson_bound(from_v2, n, true)).ln();
+            assert!(
+                eps_lb <= eps && eps_lb >= eps - 0.1,
+                "{kind} ε={eps}: empirical lower bound {eps_lb:.3} \
+                 ({from_v1} vs {from_v2} of {n})"
+            );
+        }
+    }
 }
