@@ -17,7 +17,7 @@
 use ldp_common::sampling::{random_distribution, sample_distinct, AliasTable};
 use ldp_common::{BitVec, Domain, Result};
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report, UnaryEncoding};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use crate::mga::pad_unary;
 
@@ -94,7 +94,12 @@ impl AdaptiveAttack {
 
     /// Crafts `m` reports, each the clean encoding of an item drawn from
     /// `P`.
-    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    pub fn craft<R: Rng + ?Sized>(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut R,
+    ) -> Vec<Report> {
         (0..m)
             .map(|_| {
                 let item = self.sampler.sample(rng);
@@ -105,7 +110,12 @@ impl AdaptiveAttack {
 
     /// The count form of [`AdaptiveAttack::craft`] on OUE and SUE, whose
     /// clean encoding sets the item's bit alone and draws nothing.
-    pub(crate) fn craft_unary_counts(&self, m: usize, rng: &mut dyn RngCore, counts: &mut [u64]) {
+    pub(crate) fn craft_unary_counts<R: Rng + ?Sized>(
+        &self,
+        m: usize,
+        rng: &mut R,
+        counts: &mut [u64],
+    ) {
         for _ in 0..m {
             counts[self.sampler.sample(rng)] += 1;
         }
@@ -126,11 +136,11 @@ impl AdaptiveAttack {
     /// deterministically supporting the sampled item. GRR, OLH and HR
     /// clean encodings are already genuine-shaped, so they are sent as
     /// [`AdaptiveAttack::craft`] sends them.
-    pub fn craft_camouflaged(
+    pub fn craft_camouflaged<R: Rng + ?Sized>(
         &self,
         protocol: &AnyProtocol,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Vec<Report> {
         let AnyProtocol::Unary(unary) = protocol else {
             return self.craft(protocol, m, rng);
@@ -151,11 +161,11 @@ impl AdaptiveAttack {
     /// SUE: each drawn item gains 1, then its report's padding runs on a
     /// scratch mask reset to the item's bit, and each newly set bit adds 1
     /// to its count.
-    pub(crate) fn craft_camouflaged_unary_counts(
+    pub(crate) fn craft_camouflaged_unary_counts<R: Rng + ?Sized>(
         &self,
         unary: &UnaryEncoding,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
         counts: &mut [u64],
     ) {
         let extra = camouflage_padding(unary);
@@ -175,11 +185,11 @@ impl AdaptiveAttack {
     /// The paper shows (Fig. 8) that this is 2–4 orders of magnitude
     /// weaker than the general attack, and defends against it by pairing
     /// LDPRecover with the k-means subset defense (Fig. 9).
-    pub fn craft_perturbed(
+    pub fn craft_perturbed<R: Rng + ?Sized>(
         &self,
         protocol: &AnyProtocol,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
     ) -> Vec<Report> {
         (0..m)
             .map(|_| {
@@ -192,11 +202,11 @@ impl AdaptiveAttack {
     /// The count form of [`AdaptiveAttack::craft_perturbed`] on OUE and
     /// SUE: Ψ's three stretches (before, at and after the item's bit) add
     /// each success to its count.
-    pub(crate) fn craft_perturbed_unary_counts(
+    pub(crate) fn craft_perturbed_unary_counts<R: Rng + ?Sized>(
         &self,
         unary: &UnaryEncoding,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
         counts: &mut [u64],
     ) {
         for _ in 0..m {
@@ -217,6 +227,7 @@ mod tests {
     use super::*;
     use ldp_common::rng::rng_from_seed;
     use ldp_protocols::{CountAccumulator, ProtocolKind};
+    use rand::RngCore;
 
     #[test]
     fn random_distribution_covers_domain() {

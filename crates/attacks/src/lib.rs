@@ -21,8 +21,12 @@
 //!
 //! [`AttackKind`] names each attack for the CLI and the checkpoints, and
 //! instantiates its per-trial randomized state (targets, designed
-//! distributions) as an [`Attack`]. Crafting takes the RNG as
-//! `&mut dyn RngCore`, so each crafting routine is compiled once.
+//! distributions) as an [`Attack`]. Every crafting routine is generic
+//! over the RNG (`R: Rng + ?Sized`), like [`AttackKind::instantiate`] and
+//! the protocols' `perturb`: the simulation's `SmallRng` then runs inline
+//! in the draw loops (Ψ's bits, the padding positions, the seed search)
+//! instead of costing an indirect call per word. A caller holding a
+//! `&mut dyn RngCore` still compiles, with `R = dyn RngCore`.
 //!
 //! The server sees malicious reports only through the support counts
 //! aggregation Φ adds up (§IV-A, Eq. (14)). [`Attack::craft_counts`] adds
@@ -44,7 +48,7 @@ pub use manip::Manip;
 pub use mga::Mga;
 
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
-use rand::{Rng as _, RngCore};
+use rand::Rng;
 
 /// An attack's per-trial state ([`AttackKind::instantiate`]), ready to
 /// craft the reports of `m` malicious users.
@@ -75,7 +79,12 @@ pub enum Attack {
 
 impl Attack {
     /// Crafts the reports the `m` malicious users send to the server.
-    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    pub fn craft<R: Rng + ?Sized>(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut R,
+    ) -> Vec<Report> {
         match self {
             Attack::Manip(manip) => manip.craft(protocol, m, rng),
             Attack::Mga(mga) => mga.craft(protocol, m, rng),
@@ -102,11 +111,11 @@ impl Attack {
     ///
     /// # Panics
     /// Panics if `counts.len()` is not the protocol's domain size.
-    pub fn craft_counts(
+    pub fn craft_counts<R: Rng + ?Sized>(
         &self,
         protocol: &AnyProtocol,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
         counts: &mut [u64],
     ) {
         assert_eq!(counts.len(), protocol.domain().size(), "one count per item");
@@ -148,7 +157,7 @@ impl Attack {
 /// attackers" (§VII-C): each of the `m` users picks one of the `k`
 /// attackers uniformly at random. Returns each attacker's user count;
 /// the attackers then craft in order.
-fn assign(k: usize, m: usize, rng: &mut dyn RngCore) -> Vec<usize> {
+fn assign<R: Rng + ?Sized>(k: usize, m: usize, rng: &mut R) -> Vec<usize> {
     let mut assignment = vec![0usize; k];
     for _ in 0..m {
         assignment[rng.gen_range(0..k)] += 1;
@@ -162,6 +171,7 @@ mod tests {
     use ldp_common::rng::rng_from_seed;
     use ldp_common::Domain;
     use ldp_protocols::ProtocolKind;
+    use rand::RngCore;
 
     #[test]
     fn crafts_exactly_m_reports() {

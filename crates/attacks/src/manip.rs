@@ -9,7 +9,7 @@
 use ldp_common::sampling::sample_distinct;
 use ldp_common::Domain;
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Report};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Manip: uniform clean encodings over a sampled sub-domain `H ⊆ D`.
 #[derive(Debug, Clone)]
@@ -42,7 +42,12 @@ impl Manip {
     }
 
     /// Crafts the reports the `m` malicious users send to the server.
-    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    pub fn craft<R: Rng + ?Sized>(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut R,
+    ) -> Vec<Report> {
         (0..m)
             .map(|_| {
                 let item = self.subdomain[rng.gen_range(0..self.subdomain.len())];
@@ -53,7 +58,12 @@ impl Manip {
 
     /// The count form of [`Manip::craft`] on OUE and SUE, whose clean
     /// encoding sets the item's bit alone and draws nothing.
-    pub(crate) fn craft_unary_counts(&self, m: usize, rng: &mut dyn RngCore, counts: &mut [u64]) {
+    pub(crate) fn craft_unary_counts<R: Rng + ?Sized>(
+        &self,
+        m: usize,
+        rng: &mut R,
+        counts: &mut [u64],
+    ) {
         for _ in 0..m {
             counts[self.subdomain[rng.gen_range(0..self.subdomain.len())]] += 1;
         }

@@ -19,11 +19,11 @@
 //!   from the target set, i.e. the adaptive attack with `P` uniform on `T`
 //!   ([`AdaptiveAttack::random_targets`](crate::AdaptiveAttack::random_targets)).
 
-use ldp_common::hash::OlhHash;
+use ldp_common::hash::{xxh64_item_lane, xxh64_seed_finish};
 use ldp_common::sampling::sample_distinct;
 use ldp_common::{BitVec, Domain};
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, Olh, Report, UnaryEncoding};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Default number of random seeds the OLH crafting step examines per report.
 pub const DEFAULT_OLH_SEED_TRIALS: usize = 50;
@@ -83,7 +83,12 @@ impl Mga {
     }
 
     /// Crafts the reports the `m` malicious users send to the server.
-    pub fn craft(&self, protocol: &AnyProtocol, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    pub fn craft<R: Rng + ?Sized>(
+        &self,
+        protocol: &AnyProtocol,
+        m: usize,
+        rng: &mut R,
+    ) -> Vec<Report> {
         match protocol {
             AnyProtocol::Grr(_) => (0..m)
                 .map(|_| {
@@ -127,11 +132,11 @@ impl Mga {
     /// supports every target, so each target gains `m` without a draw;
     /// then each report's padding runs on a scratch mask reset to the
     /// targets, and each newly set bit adds 1 to its count.
-    pub(crate) fn craft_unary_counts(
+    pub(crate) fn craft_unary_counts<R: Rng + ?Sized>(
         &self,
         unary: &UnaryEncoding,
         m: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut R,
         counts: &mut [u64],
     ) {
         for &t in &self.targets {
@@ -162,20 +167,29 @@ impl Mga {
 
     /// Crafts `m` OLH reports, each the best of `seed_trials` random seeds:
     /// the bucket that the most targets hash to, ties to the highest
-    /// bucket. One scratch row serves the whole call. While `g ≤ r²` it
-    /// holds the `g` bucket counters and every bucket is scanned (`O(g)`
-    /// per seed); past `r²` it holds the `r` hashed buckets, each counted
-    /// against the others (`O(r²)`; every other bucket is empty and cannot
-    /// win). Neither memory nor the work per seed grows with `g` past `r²`.
-    fn craft_olh(&self, olh: &Olh, m: usize, rng: &mut dyn RngCore) -> Vec<Report> {
+    /// bucket. The targets' item lanes ([`xxh64_item_lane`]) are hashed
+    /// once per call, so a seed costs `r` seed finishes
+    /// ([`xxh64_seed_finish`]), each reduced `% g` as `OlhHash` does. One
+    /// scratch row serves the whole call. While `g ≤ r²` it holds the `g`
+    /// bucket counters and every bucket is scanned (`O(g)` per seed); past
+    /// `r²` it holds the `r` hashed buckets, each counted against the
+    /// others (`O(r²)`; every other bucket is empty and cannot win).
+    /// Neither memory nor the work per seed grows with `g` past `r²`.
+    fn craft_olh<R: Rng + ?Sized>(&self, olh: &Olh, m: usize, rng: &mut R) -> Vec<Report> {
         let g = olh.range();
         let r = self.targets.len();
+        let lanes: Vec<u64> = self
+            .targets
+            .iter()
+            .map(|&t| xxh64_item_lane(t as u64))
+            .collect();
+        let bucket = |seed, lane| (xxh64_seed_finish(seed, lane) % u64::from(g)) as u32;
         if g as usize <= r * r {
             let mut counts = vec![0usize; g as usize];
-            self.search_seeds(g, m, rng, |hasher| {
+            self.search_seeds(m, rng, |seed| {
                 counts.fill(0);
-                for &t in &self.targets {
-                    counts[hasher.hash(t) as usize] += 1;
+                for &lane in &lanes {
+                    counts[bucket(seed, lane) as usize] += 1;
                 }
                 let (value, &support) = counts
                     .iter()
@@ -186,14 +200,14 @@ impl Mga {
             })
         } else {
             let mut buckets = vec![0u32; r];
-            self.search_seeds(g, m, rng, |hasher| {
-                for (bucket, &t) in buckets.iter_mut().zip(&self.targets) {
-                    *bucket = hasher.hash(t);
+            self.search_seeds(m, rng, |seed| {
+                for (b, &lane) in buckets.iter_mut().zip(&lanes) {
+                    *b = bucket(seed, lane);
                 }
                 let mut best = (0, 0); // (support, bucket)
-                for &bucket in &buckets {
-                    let support = buckets.iter().filter(|&&b| b == bucket).count();
-                    best = best.max((support, bucket));
+                for &b in &buckets {
+                    let support = buckets.iter().filter(|&&other| other == b).count();
+                    best = best.max((support, b));
                 }
                 (best.1, best.0)
             })
@@ -201,13 +215,12 @@ impl Mga {
     }
 
     /// The seed search shared by both counting strategies: `best_bucket`
-    /// maps a hash-family member to its `(bucket, support)` winner.
-    fn search_seeds(
+    /// maps a drawn seed to its `(bucket, support)` winner.
+    fn search_seeds<R: Rng + ?Sized>(
         &self,
-        g: u32,
         m: usize,
-        rng: &mut dyn RngCore,
-        mut best_bucket: impl FnMut(OlhHash) -> (u32, usize),
+        rng: &mut R,
+        mut best_bucket: impl FnMut(u64) -> (u32, usize),
     ) -> Vec<Report> {
         (0..m)
             .map(|_| {
@@ -216,7 +229,7 @@ impl Mga {
                 let mut best_support = 0usize;
                 for _ in 0..self.seed_trials {
                     let seed: u64 = rng.gen();
-                    let (value, support) = best_bucket(OlhHash::new(seed, g));
+                    let (value, support) = best_bucket(seed);
                     if support > best_support {
                         best_support = support;
                         best_seed = seed;
@@ -244,10 +257,10 @@ impl Mga {
 /// so both run this one draw loop.
 ///
 /// `extra` must not exceed the number of clear bits.
-pub(crate) fn pad_unary(
+pub(crate) fn pad_unary<R: Rng + ?Sized>(
     bits: &mut BitVec,
     extra: usize,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
     mut tally: impl FnMut(usize, u64),
 ) {
     let d = bits.len();
@@ -264,8 +277,10 @@ pub(crate) fn pad_unary(
 mod tests {
     use super::*;
     use crate::AdaptiveAttack;
+    use ldp_common::hash::OlhHash;
     use ldp_common::rng::rng_from_seed;
     use ldp_protocols::{CountAccumulator, ProtocolKind};
+    use rand::RngCore;
 
     fn domain(d: usize) -> Domain {
         Domain::new(d).unwrap()
@@ -484,26 +499,45 @@ mod tests {
         }
     }
 
-    /// The OLH seed search against the full bucket scan it replaced, on
-    /// both sides of g = r² (g ≤ r² scans every bucket, g > r² counts
-    /// only the hashed ones): the same reports and the same next draw.
+    /// The OLH seed search against the full bucket scan it replaced, which
+    /// hashes every target under every seed and reduces with `% g`: at
+    /// g ∈ {2, 3, r², r² + 1} (the strategies' switch; g ≤ r² scans every
+    /// bucket, g > r² counts only the hashed ones) and a few more ranges,
+    /// with one seed per report and with 50: the same reports and the same
+    /// next draw.
     #[test]
     fn kernel_oracle_mga_olh_seed_search() {
-        for g in [2u32, 3, 6, 1000, 100_000] {
-            let olh = Olh::with_range(0.5, domain(490), g).unwrap();
-            let proto = AnyProtocol::Olh(olh);
-            for r in [1usize, 5, 10, 40] {
-                let mga = Mga::random_targets(domain(490), r, &mut rng_from_seed(r as u64));
-                let m = if g >= 100_000 { 3 } else { 60 };
-                let seed = u64::from(g) * 31 + r as u64;
-                let mut rng = rng_from_seed(seed);
-                let mut reference = rng_from_seed(seed);
-                let got = mga.craft(&proto, m, &mut rng);
-                let want: Vec<Report> = (0..m)
-                    .map(|_| craft_olh_bucket_scan(&mga, &olh, &mut reference))
-                    .collect();
-                assert_eq!(got, want, "g={g} r={r}");
-                assert_eq!(rng.next_u64(), reference.next_u64(), "g={g} r={r}");
+        for r in [1usize, 2, 5, 10, 40] {
+            let targets = Mga::random_targets(domain(490), r, &mut rng_from_seed(r as u64)).targets;
+            let mut ranges = vec![
+                2u32,
+                3,
+                6,
+                1000,
+                100_000,
+                (r * r) as u32,
+                (r * r + 1) as u32,
+            ];
+            ranges.retain(|&g| g >= 2);
+            ranges.sort_unstable();
+            ranges.dedup();
+            for g in ranges {
+                let olh = Olh::with_range(0.5, domain(490), g).unwrap();
+                let proto = AnyProtocol::Olh(olh);
+                for seed_trials in [1, DEFAULT_OLH_SEED_TRIALS] {
+                    let mga = Mga::new(targets.clone()).with_seed_trials(seed_trials);
+                    let m = if g >= 100_000 { 3 } else { 60 };
+                    let seed = u64::from(g) * 31 + r as u64;
+                    let mut rng = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    let got = mga.craft(&proto, m, &mut rng);
+                    let want: Vec<Report> = (0..m)
+                        .map(|_| craft_olh_bucket_scan(&mga, &olh, &mut reference))
+                        .collect();
+                    let cell = format!("g={g} r={r} seed_trials={seed_trials}");
+                    assert_eq!(got, want, "{cell}");
+                    assert_eq!(rng.next_u64(), reference.next_u64(), "{cell}");
+                }
             }
         }
     }

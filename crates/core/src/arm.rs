@@ -26,7 +26,7 @@
 
 use ldp_common::{LdpError, Result};
 use ldp_protocols::{AnyProtocol, PureParams, Report};
-use rand::RngCore;
+use rand::Rng;
 
 use crate::kmeans::KMeansDefense;
 use crate::malicious::MaliciousSumModel;
@@ -471,15 +471,16 @@ impl Arm {
 
     /// Runs the defense on one trial's context.
     ///
-    /// Only the k-means step draws from `rng`; every other arm leaves it
-    /// untouched.
+    /// Only the k-means step draws from `rng` (its G subsets, then Lloyd's
+    /// initial centroids); every other arm leaves it untouched. Generic over
+    /// the RNG like [`KMeansDefense::run`], so the subset draws run inline.
     ///
     /// # Errors
     /// Real failures only (shape mismatches, missing protocol or reports
     /// for a report-consuming arm, numerical breakdown); documented
     /// small-sample degeneracies return `Ok(ArmOutcome::Degenerate { .. })`
     /// instead.
-    pub fn run(&self, ctx: &ArmContext<'_>, rng: &mut dyn RngCore) -> Result<ArmOutcome> {
+    pub fn run<R: Rng + ?Sized>(&self, ctx: &ArmContext<'_>, rng: &mut R) -> Result<ArmOutcome> {
         match self.kind {
             ArmKind::Recover | ArmKind::RecoverStar => {
                 let outcome = match (self.kind, ctx.targets) {
@@ -594,6 +595,7 @@ mod tests {
     use ldp_common::vecmath::is_probability_vector;
     use ldp_common::Domain;
     use ldp_protocols::{CountAccumulator, LdpFrequencyProtocol, ProtocolKind};
+    use rand::RngCore;
 
     fn grr_params(d: usize, eps: f64) -> PureParams {
         let e = eps.exp();

@@ -111,9 +111,15 @@ impl DatasetKind {
                 "scale must be in (0,1], got {scale}"
             )));
         }
-        let (_, _, n, _) = self.spec();
-        let users = ((n as f64) * scale).ceil().max(1.0) as usize;
-        self.generate_user_counts(users, rng)
+        self.generate_user_counts(self.users_at_scale(scale), rng)
+    }
+
+    /// The population a run at `scale` samples, `⌈n·scale⌉` (at least
+    /// one): [`DatasetKind::generate_counts`] and [`DatasetKind::generate`]
+    /// draw this many users, and the experiment config checks with it that
+    /// an attacked cell gets a malicious user.
+    pub fn users_at_scale(self, scale: f64) -> usize {
+        ((self.total_users() as f64) * scale).ceil().max(1.0) as usize
     }
 
     /// [`DatasetKind::generate_counts`] with an explicit user count
@@ -246,6 +252,11 @@ mod tests {
                     (n as f64 * scale).ceil() as usize
                 };
                 assert_eq!(pop.len(), expect, "{kind} at scale {scale}");
+                assert_eq!(
+                    kind.users_at_scale(scale),
+                    expect,
+                    "{kind} at scale {scale}"
+                );
             }
             assert!(kind.generate_counts(0.0, &mut rng).is_err());
             assert!(kind.generate_counts(1.5, &mut rng).is_err());

@@ -270,6 +270,20 @@ fn validate_output_parent(flag: &str, path: &std::path::Path) -> Result<()> {
     }
 }
 
+/// [`validate_output_parent`] for an output that must be a file: an
+/// existing directory at `path` is rejected up front too, since the write
+/// (an atomic rename) would fail only after the run.
+fn validate_output_file(flag: &str, path: &std::path::Path) -> Result<()> {
+    validate_output_parent(flag, path)?;
+    if path.is_dir() {
+        return Err(LdpError::invalid(format!(
+            "{flag} {}: is a directory (name a file to write)",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
 fn repro_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     let args = parse_repro_args(iter)?;
     if let Some(path) = &args.json {
@@ -532,10 +546,10 @@ fn resume_spec_conflicts(
 fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     let args = parse_stream_args(iter)?;
     if let Some(path) = &args.json {
-        validate_output_parent("--json", path)?;
+        validate_output_file("--json", path)?;
     }
     if let Some(path) = &args.checkpoint {
-        validate_output_parent("--checkpoint", path)?;
+        validate_output_file("--checkpoint", path)?;
     }
     let mut engine = match &args.resume {
         Some(path) => {
@@ -1141,5 +1155,29 @@ mod tests {
         std::fs::write(&file_parent, "x").unwrap();
         assert!(validate_output_parent("--json", &file_parent.join("out.json")).is_err());
         std::fs::remove_file(&file_parent).unwrap();
+    }
+
+    #[test]
+    fn output_file_validation_rejects_directories() {
+        use std::path::Path;
+        // `ldp stream` writes its report and checkpoint to files: an
+        // existing directory fails up front, naming the flag.
+        let tmp = std::env::temp_dir();
+        let dir = tmp.join("ldp-output-is-a-directory");
+        std::fs::create_dir_all(&dir).unwrap();
+        for flag in ["--json", "--checkpoint"] {
+            let err = validate_output_file(flag, &dir).unwrap_err();
+            let text = err.to_string();
+            assert!(matches!(err, LdpError::InvalidParameter(_)), "{text}");
+            assert!(
+                text.contains(flag) && text.contains("is a directory"),
+                "{text}"
+            );
+        }
+        assert!(validate_output_file("--json", &dir.join("s.json")).is_ok());
+        assert!(validate_output_file("--json", Path::new("s.json")).is_ok());
+        // A missing parent still fails as before.
+        let missing = tmp.join("ldp-no-such-dir-ever").join("c.json");
+        assert!(validate_output_file("--checkpoint", &missing).is_err());
     }
 }

@@ -62,8 +62,11 @@ impl ExperimentConfig {
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] for out-of-range ε, β, η, scale, a
-    /// zero trial count, or attack parameters the dataset's domain cannot
-    /// hold (see [`AttackKind::validate`]).
+    /// zero trial count, attack parameters the dataset's domain cannot
+    /// hold (see [`AttackKind::validate`]), or an attacked cell whose
+    /// population (`⌈n·scale⌉`, [`DatasetKind::users_at_scale`]) is too
+    /// small for β to give it a malicious user
+    /// ([`ldp_common::population::check_poisoned`]).
     pub fn validate(&self) -> Result<()> {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
@@ -93,6 +96,11 @@ impl ExperimentConfig {
         }
         if let Some(attack) = self.attack {
             attack.validate(self.dataset.domain())?;
+            ldp_common::population::check_poisoned(
+                self.beta,
+                self.dataset.users_at_scale(self.scale),
+                &format!("{} at scale {}", self.dataset, self.scale),
+            )?;
         }
         Ok(())
     }
@@ -293,11 +301,30 @@ mod tests {
                 c.dataset = DatasetKind::Fire;
                 c.attack = Some(AttackKind::Mga { r: 491 }); // d = 490
             },
+            // ⌈389,894 · 10⁻⁵⌉ = 4 users: round(0.05/0.95 · 4) = 0.
+            |c: &mut ExperimentConfig| c.scale = 0.00001,
         ] {
             let mut c = base();
             mutate(&mut c);
             assert!(c.validate().is_err(), "{c:?}");
         }
+    }
+
+    /// IPUMS at scale 3·10⁻⁵ has 12 users and one malicious user, so the
+    /// attacked cell validates (at 10⁻⁵, 4 users and none, it does not:
+    /// see `validation_catches_bad_ranges`); an unattacked cell of any
+    /// size stays legal.
+    #[test]
+    fn attacked_cells_need_a_malicious_user() {
+        let mut c = base();
+        c.scale = 0.00003;
+        assert_eq!(DatasetKind::Ipums.users_at_scale(c.scale), 12);
+        assert_eq!(c.malicious_count(12), 1);
+        assert!(c.validate().is_ok());
+        c.attack = None;
+        c.beta = 0.0;
+        c.scale = 0.00001;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -147,8 +147,11 @@ impl StreamSpec {
     /// # Errors
     /// [`LdpError::InvalidParameter`] for out-of-range ε/β/η, zero shards
     /// or epochs, an epoch too small to give every shard a user, β > 0
-    /// without an attack, or attack parameters the dataset's domain
-    /// cannot hold (see [`AttackKind::validate`]).
+    /// without an attack, attack parameters the dataset's domain cannot
+    /// hold (see [`AttackKind::validate`]), or an attacked stream whose
+    /// smallest shard (`users_per_epoch / shards` users per epoch) is too
+    /// small for β to give it a malicious user
+    /// ([`ldp_common::population::check_poisoned`]).
     pub fn validate(&self) -> Result<()> {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
@@ -182,6 +185,16 @@ impl StreamSpec {
                 self.users_per_epoch, self.shards
             )));
         }
+        if self.attack.is_some() {
+            ldp_common::population::check_poisoned(
+                self.beta,
+                self.users_per_epoch / self.shards,
+                &format!(
+                    "the smallest shard ({} users per epoch over {} shards)",
+                    self.users_per_epoch, self.shards
+                ),
+            )?;
+        }
         self.window.validate()?;
         Ok(())
     }
@@ -197,6 +210,11 @@ impl StreamSpec {
     /// `m = round(β/(1−β) · genuine)` (so that β = m/(n+m)), via the
     /// canonical [`ldp_common::population::malicious_count`]. Zero
     /// without an attack — β alone does not poison.
+    ///
+    /// The engine rounds `m` per shard, so small shards drift from β: 40
+    /// shards of 10 users at β = 0.05 get one malicious user each, a
+    /// realized 40/440 = 9.1%. [`StreamSpec::validate`] rejects shards so
+    /// small that `m` rounds to 0.
     pub fn malicious_count(&self, genuine: usize) -> usize {
         if self.attack.is_none() || exactly_zero(self.beta) {
             return 0;
@@ -721,6 +739,7 @@ mod tests {
             |s: &mut StreamSpec| s.shards = 0,
             |s: &mut StreamSpec| s.epochs = 0,
             |s: &mut StreamSpec| s.users_per_epoch = 2, // < shards
+            |s: &mut StreamSpec| s.users_per_epoch = 29, // 9 per shard: m = 0
             |s: &mut StreamSpec| s.attack = None,       // beta stays 0.05
             |s: &mut StreamSpec| s.attack = Some(AttackKind::Mga { r: 0 }),
             |s: &mut StreamSpec| s.attack = Some(AttackKind::Manip { h: 0 }),
@@ -734,9 +753,14 @@ mod tests {
             mutate(&mut s);
             assert!(s.validate().is_err(), "{s:?}");
         }
+        let mut smallest = tiny_spec();
+        smallest.users_per_epoch = 30; // 10 per shard: m = 1
+        assert!(smallest.validate().is_ok());
         let mut clean = tiny_spec();
         clean.attack = None;
         clean.beta = 0.0;
+        assert!(clean.validate().is_ok());
+        clean.users_per_epoch = 3;
         assert!(clean.validate().is_ok());
     }
 

@@ -326,6 +326,69 @@ fn out_of_range_attack_parameters_fail_with_invalid_parameter() {
     assert_invalid_parameter(&["stream", "--resume", ckpt.to_str().unwrap()]);
 }
 
+/// Asserts that `ldp <args>` exits 1 with an `InvalidParameter` error
+/// that mentions `needle`, before printing anything on stdout.
+fn assert_rejected_before_any_row(args: &[&str], needle: &str) {
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args(args)
+        .output()
+        .expect("spawn ldp");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "ldp {args:?}:\n{stderr}");
+    assert!(
+        stderr.contains("InvalidParameter") && stderr.contains(needle),
+        "ldp {args:?}:\n{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "ldp {args:?} printed:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn attacked_cells_too_small_for_a_malicious_user_fail_before_any_row() {
+    // At β = 0.05, m = round(β/(1−β)·n) is 0 below 10 users: such a cell
+    // would run unpoisoned and print an attacked comparison. IPUMS at
+    // scale 10⁻⁵ has 4 users; 360 users over 40 shards give each 9.
+    let needle = "at least 10 genuine users";
+    assert_rejected_before_any_row(&["--scale", "0.00001", "--trials", "2"], needle);
+    assert_rejected_before_any_row(
+        &[
+            "repro", "--figure", "fig3", "--scale", "0.00001", "--trials", "1",
+        ],
+        needle,
+    );
+    assert_rejected_before_any_row(
+        &[
+            "stream",
+            "--shards",
+            "40",
+            "--users-per-epoch",
+            "360",
+            "--epochs",
+            "1",
+        ],
+        needle,
+    );
+    // Scale 3·10⁻⁵ gives 12 users and one malicious user: it runs.
+    stderr_of_successful_run(&["--scale", "0.00003", "--trials", "1"]);
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_stream_output_paths_that_are_directories_fail_before_any_epoch() {
+    // The report and the checkpoint are files: a directory there used to
+    // fail only at the write, after every epoch had run.
+    let dir = std::env::temp_dir().join("ldprecover-stream-output-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    for flag in ["--json", "--checkpoint"] {
+        assert_rejected_before_any_row(&["stream", "--epochs", "2", flag, dir], "is a directory");
+    }
+}
+
 #[test]
 #[ignore = "spawns the CLI binary; run with --ignored"]
 fn deeply_nested_checkpoints_fail_with_invalid_parameter() {
