@@ -16,6 +16,9 @@
 //! malicious half folds through `Attack::craft_counts` on OUE and SUE.
 //! `report_arms_match_recorded_digests` pins the arms that read retained
 //! reports (Detection, k-means, LDPRecover-KM) on all five protocols.
+//! `stream_snapshots_match_recorded_digests` pins what a stream reads
+//! from its counts in every window mode: the trajectory, the final
+//! recovery snapshot and the count-only arms.
 
 use ldp_attacks::AttackKind;
 use ldp_common::hash::xxh64;
@@ -25,6 +28,7 @@ use ldp_datasets::DatasetKind;
 use ldp_protocols::{ProtocolKind, Report};
 use ldp_sim::config::{AggregationMode, ExperimentConfig, PipelineOptions};
 use ldp_sim::pipeline::{run_aggregation, run_trial};
+use ldp_sim::stream::{StreamEngine, StreamSpec, WindowMode};
 use ldprecover::{ArmSet, KMeansDefense};
 use rand::Rng;
 
@@ -296,4 +300,106 @@ fn report_arms_match_recorded_digests() {
             );
         }
     }
+}
+
+/// xxh64 over one stream's snapshots, bit-exact: every trajectory point's
+/// three MSEs, the final recovery snapshot's four vectors, then each
+/// count-only arm's key, estimate and malicious estimate.
+fn stream_digest(protocol: ProtocolKind, attack: AttackKind, window: WindowMode) -> u64 {
+    let spec = StreamSpec {
+        dataset: DatasetKind::Ipums,
+        protocol,
+        epsilon: 0.5,
+        attack: Some(attack),
+        beta: 0.05,
+        eta: 0.2,
+        shards: 3,
+        epochs: 4,
+        users_per_epoch: 2000,
+        seed: 0x5EED_57AE,
+        window,
+    };
+    let mut engine = StreamEngine::new(spec).unwrap();
+    engine.run_to_completion().unwrap();
+    let mut bytes = Vec::new();
+    let mut push = |floats: &[f64]| {
+        for f in floats {
+            bytes.extend(f.to_bits().to_le_bytes());
+        }
+    };
+    for point in engine.trajectory() {
+        push(&[point.mse_before, point.mse_recovered, point.mse_genuine]);
+    }
+    let snapshot = engine.recovery_snapshot().unwrap();
+    push(&snapshot.truth);
+    push(&snapshot.genuine_estimate);
+    push(&snapshot.poisoned_estimate);
+    push(&snapshot.recovered);
+    let arms = ArmSet::parse("recover,recover-star,norm-sub,base-cut").unwrap();
+    for (key, output) in engine.arm_snapshot(&arms).unwrap() {
+        bytes.extend(key.as_bytes());
+        let malicious = output.malicious_estimate.as_deref().unwrap_or(&[]);
+        for f in output.frequencies.iter().chain(malicious) {
+            bytes.extend(f.to_bits().to_le_bytes());
+        }
+    }
+    xxh64(&bytes, 0)
+}
+
+#[test]
+fn stream_snapshots_match_recorded_digests() {
+    // 3 shards × 4 epochs × 2,000 IPUMS users per epoch, in each window
+    // mode: all five protocols under AA, plus one MGA-OLH decay stream.
+    // The digests were recorded while the stream debiased its window with
+    // float code of its own beside the offline pipeline's.
+    let windows = [
+        (
+            WindowMode::Cumulative,
+            [
+                0xdb2c_bfe5_4d0a_af1cu64,
+                0x2264_14af_d6f1_80fc,
+                0xd971_b628_e672_e2ae,
+                0xaff7_ff7f_1556_8d71,
+                0xded6_6667_fed2_ff1b,
+            ],
+        ),
+        (
+            WindowMode::Sliding(2),
+            [
+                0xf99c_a0fc_5d21_4dad,
+                0x9b8f_7ef8_94a0_4978,
+                0x1983_0f3e_562c_8540,
+                0xcf99_b916_25e1_774b,
+                0xdf9a_41f2_f434_cff2,
+            ],
+        ),
+        (
+            WindowMode::Decay(0.75),
+            [
+                0x1856_1b31_5041_a632,
+                0x4739_7bdf_6577_f5ad,
+                0x994a_5f83_47d2_8bbd,
+                0xd993_91b2_7d43_eea4,
+                0x145d_89e2_61e0_895e,
+            ],
+        ),
+    ];
+    for (window, expect) in windows {
+        for (protocol, expect) in ProtocolKind::EXTENDED.into_iter().zip(expect) {
+            assert_eq!(
+                stream_digest(protocol, AttackKind::Adaptive, window),
+                expect,
+                "AA-{protocol} {window:?}: stream snapshots drifted"
+            );
+        }
+    }
+    assert_eq!(
+        stream_digest(
+            ProtocolKind::Olh,
+            AttackKind::Mga { r: 10 },
+            WindowMode::Decay(0.75)
+        ),
+        0x72a9_709d_72f6_912a,
+        "MGA-OLH decay:0.75: stream snapshots drifted"
+    );
 }
