@@ -7,11 +7,13 @@ use crate::{LdpError, Result};
 /// `β = m/(n+m)` (paper §VI-A.3).
 ///
 /// This is the **single** canonical form of the formula; the offline
-/// config (`ExperimentConfig::malicious_count`), the streaming spec
-/// (`StreamSpec::malicious_count`), and the scenario catalog's custom
-/// cells all route through it so a future rounding tweak cannot silently
-/// fork one of them away from the goldens (regression-pinned in
-/// `tests/determinism.rs`).
+/// config (`ExperimentConfig::malicious_count`) and the streaming spec
+/// (`StreamSpec::malicious_count`), which share one rule in `ldp-sim`,
+/// and the scenario catalog's key-value cells all route through it so a
+/// future rounding tweak cannot silently fork one of them away from the
+/// goldens (regression-pinned in `tests/determinism.rs`). The key-value
+/// cells check their population with [`check_poisoned`] before they run,
+/// as both specs' `validate` do.
 ///
 /// `β ≤ 0` yields 0; callers gate on "an attack is configured" —
 /// `β` alone does not decide whether poisoning happens.

@@ -589,10 +589,7 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     println!(
         "stream {}  (dataset={}, eps={}, beta={}, eta={}, shards={}, epochs={}/{}, \
          users/epoch={}, seed={:#x})\n",
-        match spec.attack {
-            Some(attack) => format!("{}-{}", attack.label(), spec.protocol),
-            None => format!("unpoisoned-{}", spec.protocol),
-        },
+        spec.label(),
         spec.dataset,
         spec.epsilon,
         spec.beta,
@@ -636,9 +633,10 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
         );
     }
 
-    // Optional evaluation of the final merged state: any count-only arm
-    // set, eligibility decided by each kind's declared inputs.
-    let arm_outputs = match &args.arms {
+    // Optional evaluation of the final state: any count-only arm set,
+    // eligibility decided by each kind's declared inputs, scored against
+    // the truth the arms ran on (the window's in a windowed mode).
+    let snapshot = match &args.arms {
         Some(arms) if engine.epochs_done() > 0 => Some(engine.arm_snapshot(arms)?),
         Some(_) => {
             eprintln!("note: --arms skipped (no epochs ingested, nothing to evaluate)");
@@ -646,28 +644,21 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
         }
         None => None,
     };
-    // Realized ground-truth frequencies of the ingested population, for
-    // the arm MSE labels (cheap: no recovery solve involved).
-    let truth: Option<Vec<f64>> = arm_outputs.as_ref().map(|_| {
-        let population = &engine.totals().population;
-        let total: u64 = population.iter().sum();
-        population
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    });
-    if let (Some(arms), Some(outputs)) = (&args.arms, &arm_outputs) {
+    if let (Some(arms), Some(snapshot)) = (&args.arms, &snapshot) {
         // The snapshot is one trial.
         note_missing_arms(arms, 1, |kind| {
-            usize::from(outputs.iter().any(|(key, _)| key == kind.metric_key()))
+            usize::from(snapshot.arm(kind.metric_key()).is_some())
         });
     }
-    if let (Some(outputs), Some(truth)) = (&arm_outputs, &truth) {
+    if let Some(snapshot) = &snapshot {
         let mut arm_table = Table::new(["arm", "MSE (final state)"]);
-        for (key, output) in outputs {
+        for (key, output) in &snapshot.arms {
             arm_table.push_row([
                 arm_column_label(key),
-                format!("{:.3e}", ldp_sim::metrics::mse(&output.frequencies, truth)),
+                format!(
+                    "{:.3e}",
+                    ldp_sim::metrics::mse(&output.frequencies, &snapshot.true_freqs)
+                ),
             ]);
         }
         println!("\narms on the final merged state:");
@@ -682,9 +673,9 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
         let mut report = engine.report()?;
         // The arms block is additive and only present when requested, so
         // default reports stay byte-identical across resume boundaries.
-        if let (Some(outputs), Some(truth), Json::Obj(fields)) = (&arm_outputs, &truth, &mut report)
-        {
-            let arms_json = outputs
+        if let (Some(snapshot), Json::Obj(fields)) = (&snapshot, &mut report) {
+            let arms_json = snapshot
+                .arms
                 .iter()
                 .map(|(key, output)| {
                     (
@@ -692,7 +683,10 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
                         Json::Obj(vec![
                             (
                                 "mse".into(),
-                                Json::Num(ldp_sim::metrics::mse(&output.frequencies, truth)),
+                                Json::Num(ldp_sim::metrics::mse(
+                                    &output.frequencies,
+                                    &snapshot.true_freqs,
+                                )),
                             ),
                             (
                                 "frequencies".into(),

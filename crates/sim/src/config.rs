@@ -1,7 +1,6 @@
 //! Declarative experiment configuration.
 
 use ldp_attacks::AttackKind;
-use ldp_common::float::exactly_zero;
 use ldp_common::{LdpError, Result};
 use ldp_datasets::DatasetKind;
 use ldp_protocols::ProtocolKind;
@@ -62,24 +61,12 @@ impl ExperimentConfig {
     ///
     /// # Errors
     /// [`LdpError::InvalidParameter`] for out-of-range ε, β, η, scale, a
-    /// zero trial count, attack parameters the dataset's domain cannot
-    /// hold (see [`AttackKind::validate`]), or an attacked cell whose
-    /// population (`⌈n·scale⌉`, [`DatasetKind::users_at_scale`]) is too
-    /// small for β to give it a malicious user
-    /// ([`ldp_common::population::check_poisoned`]).
+    /// zero trial count, β > 0 without an attack, attack parameters the
+    /// dataset's domain cannot hold (see [`AttackKind::validate`]), or an
+    /// attacked cell whose population (`⌈n·scale⌉`,
+    /// [`DatasetKind::users_at_scale`]) is too small for β to give it a
+    /// malicious user ([`ldp_common::population::check_poisoned`]).
     pub fn validate(&self) -> Result<()> {
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
-        }
-        if !(0.0..1.0).contains(&self.beta) {
-            return Err(LdpError::invalid(format!(
-                "beta must be in [0,1), got {}",
-                self.beta
-            )));
-        }
-        if !(self.eta.is_finite() && self.eta >= 0.0) {
-            return Err(LdpError::invalid(format!("eta = {}", self.eta)));
-        }
         if self.trials == 0 {
             return Err(LdpError::invalid("trials must be ≥ 1"));
         }
@@ -89,20 +76,15 @@ impl ExperimentConfig {
                 self.scale
             )));
         }
-        if self.attack.is_none() && self.beta > 0.0 {
-            return Err(LdpError::invalid(
-                "beta > 0 requires an attack; set beta = 0 for the unpoisoned baseline",
-            ));
-        }
-        if let Some(attack) = self.attack {
-            attack.validate(self.dataset.domain())?;
-            ldp_common::population::check_poisoned(
-                self.beta,
-                self.dataset.users_at_scale(self.scale),
-                &format!("{} at scale {}", self.dataset, self.scale),
-            )?;
-        }
-        Ok(())
+        check_cell(
+            self.dataset,
+            self.epsilon,
+            self.attack,
+            self.beta,
+            self.eta,
+            self.dataset.users_at_scale(self.scale),
+            &format!("{} at scale {}", self.dataset, self.scale),
+        )
     }
 
     /// Number of malicious users for `n` genuine ones:
@@ -110,19 +92,67 @@ impl ExperimentConfig {
     /// [`ldp_common::population::malicious_count`]. Zero without an
     /// attack — β alone does not poison.
     pub fn malicious_count(&self, genuine: usize) -> usize {
-        if self.attack.is_none() || exactly_zero(self.beta) {
-            return 0;
-        }
-        ldp_common::population::malicious_count(self.beta, genuine)
+        malicious_users(self.attack, self.beta, genuine)
     }
 
     /// Human-readable cell label, e.g. `"MGA-GRR"` (the paper's x-axis
     /// naming) or `"unpoisoned-GRR"`.
     pub fn label(&self) -> String {
-        match &self.attack {
-            Some(attack) => format!("{}-{}", attack.label(), self.protocol),
-            None => format!("unpoisoned-{}", self.protocol),
+        cell_label(self.attack, self.protocol)
+    }
+}
+
+/// The checks every cell shares, offline ([`ExperimentConfig::validate`])
+/// or streaming (`StreamSpec::validate`), after each has checked its own
+/// fields: ε, β, η, the attack, and whether `genuine` users (the cell's
+/// smallest genuine population, named by `population` in the error) give
+/// the attack a malicious user.
+pub(crate) fn check_cell(
+    dataset: DatasetKind,
+    epsilon: f64,
+    attack: Option<AttackKind>,
+    beta: f64,
+    eta: f64,
+    genuine: usize,
+    population: &str,
+) -> Result<()> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(LdpError::invalid(format!("epsilon = {epsilon}")));
+    }
+    if !(0.0..1.0).contains(&beta) {
+        return Err(LdpError::invalid(format!(
+            "beta must be in [0,1), got {beta}"
+        )));
+    }
+    if !(eta.is_finite() && eta >= 0.0) {
+        return Err(LdpError::invalid(format!("eta = {eta}")));
+    }
+    match attack {
+        None if beta > 0.0 => Err(LdpError::invalid(
+            "beta > 0 requires an attack; set beta = 0 for the unpoisoned baseline",
+        )),
+        None => Ok(()),
+        Some(attack) => {
+            attack.validate(dataset.domain())?;
+            ldp_common::population::check_poisoned(beta, genuine, population)
         }
+    }
+}
+
+/// The one malicious-count rule of both engines (see
+/// [`ExperimentConfig::malicious_count`]).
+pub(crate) fn malicious_users(attack: Option<AttackKind>, beta: f64, genuine: usize) -> usize {
+    match attack {
+        Some(_) => ldp_common::population::malicious_count(beta, genuine),
+        None => 0,
+    }
+}
+
+/// The one cell label of both engines (see [`ExperimentConfig::label`]).
+pub(crate) fn cell_label(attack: Option<AttackKind>, protocol: ProtocolKind) -> String {
+    match attack {
+        Some(attack) => format!("{}-{protocol}", attack.label()),
+        None => format!("unpoisoned-{protocol}"),
     }
 }
 

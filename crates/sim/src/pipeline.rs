@@ -7,9 +7,13 @@
 //! The aggregation half is one count-level core shared with the streaming
 //! engine ([`crate::stream`]): a cell's integer counts are a
 //! [`ShardDelta`], the batched trial and every stream `(shard, epoch)`
-//! cell sample theirs through [`sample_count_cell`], the per-user path
-//! shares its malicious half, and [`apply_recoveries`] is the one arm loop
-//! every engine runs.
+//! cell sample theirs through [`sample_count_cell`], and the per-user path
+//! shares its malicious half. One count-to-estimate step
+//! (`finish_aggregation`) turns the float view of a count record
+//! ([`WindowAggregate`]) into the truth and the estimates `f̃_X̃`, `f̃_Y`
+//! and `f̃_Z` for the batched trial, the per-user trial and every stream
+//! snapshot alike, and [`apply_recoveries`] is the one arm loop every
+//! engine runs.
 //!
 //! The malicious half has one rule: when nothing keeps the crafted
 //! reports — the batched trial, every stream cell, and the per-user path
@@ -21,7 +25,7 @@
 //! changes a result.
 
 use ldp_attacks::AttackKind;
-use ldp_common::{Domain, Result};
+use ldp_common::{Domain, LdpError, Result};
 use ldp_datasets::PopulationCounts;
 use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, ProtocolScratch, PureParams, Report};
 use ldprecover::{top_k_increase, ArmContext, ArmOutcome, ArmOutput};
@@ -100,6 +104,38 @@ impl ShardDelta {
         add(&mut self.malicious_counts, &other.malicious_counts);
         self.genuine_users += other.genuine_users;
         self.malicious_users += other.malicious_users;
+    }
+}
+
+/// The float view of a count record, the one form every engine debiases
+/// (through `finish_aggregation`): a [`ShardDelta`] read exactly, or a
+/// stream's exponentially decayed window, whose masses are fractional.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowAggregate {
+    /// Genuine population histogram.
+    pub truth: Vec<f64>,
+    /// Genuine support counts.
+    pub genuine_counts: Vec<f64>,
+    /// Genuine report mass.
+    pub genuine_reports: f64,
+    /// Malicious support counts.
+    pub malicious_counts: Vec<f64>,
+    /// Malicious report mass.
+    pub malicious_reports: f64,
+}
+
+impl WindowAggregate {
+    /// The float view of integer counts — exact while every count and
+    /// report total stays below 2⁵³.
+    pub(crate) fn from_counts(counts: &ShardDelta) -> Self {
+        let floats = |v: &[u64]| v.iter().map(|&c| c as f64).collect();
+        WindowAggregate {
+            truth: floats(&counts.population),
+            genuine_counts: floats(&counts.genuine_counts),
+            genuine_reports: counts.genuine_users as f64,
+            malicious_counts: floats(&counts.malicious_counts),
+            malicious_reports: counts.malicious_users as f64,
+        }
     }
 }
 
@@ -388,7 +424,26 @@ fn run_aggregation_per_user<R: Rng>(
         &mut cell,
         reports.as_mut(),
     );
-    finish_aggregation(protocol, &cell, targets, reports)
+    // The kept reports' fold: the poisoned counts Detection subtracts
+    // its flagged reports from.
+    let report_totals = reports.is_some().then(|| {
+        cell.genuine_counts
+            .iter()
+            .zip(&cell.malicious_counts)
+            .map(|(&g, &b)| g + b)
+            .collect()
+    });
+    Ok(TrialAggregates {
+        reports,
+        report_totals,
+        ..finish_aggregation(
+            protocol,
+            &WindowAggregate::from_counts(&cell),
+            n,
+            m,
+            targets,
+        )?
+    })
 }
 
 /// The batched aggregation path: population counts sampled directly, then
@@ -402,42 +457,60 @@ fn run_aggregation_batched<R: Rng>(
     let protocol = config.protocol.build(config.epsilon, population.domain())?;
     let m = config.malicious_count(population.len());
     let (cell, targets) = sample_count_cell(&protocol, &population, config.attack, m, rng, arena);
-    finish_aggregation(protocol, &cell, targets, None)
+    finish_aggregation(
+        protocol,
+        &WindowAggregate::from_counts(&cell),
+        cell.genuine_users,
+        cell.malicious_users,
+        targets,
+    )
 }
 
-/// Debiases one cell's counts into the [`TrialAggregates`] both
-/// aggregation paths return: the truth, the genuine estimate `f̃_X̃`, the
-/// malicious estimate `f̃_Y` (when attacked), and the poisoned estimate
-/// `f̃_Z` over the merged genuine and malicious counts (Eq. 14). When the
-/// reports are retained, the merged counts are their fold and stay next
-/// to them.
-fn finish_aggregation(
+/// Debiases a count record's float view into the [`TrialAggregates`]
+/// every engine reads, retaining no reports: the truth (the population
+/// histogram over its own mass), the genuine estimate `f̃_X̃`, the
+/// malicious estimate `f̃_Y` (when there is malicious mass), and the
+/// poisoned estimate `f̃_Z` over the merged genuine and malicious counts
+/// (Eq. 14). On a trial's integer counts every float step is exact; a
+/// stream passes its window and its cumulative users.
+///
+/// # Errors
+/// [`LdpError::DomainMismatch`] for counts not over the protocol's
+/// domain; [`LdpError::EmptyInput`] for a record without genuine mass.
+pub(crate) fn finish_aggregation(
     protocol: AnyProtocol,
-    cell: &ShardDelta,
+    view: &WindowAggregate,
+    genuine_count: usize,
+    malicious_count: usize,
     attack_targets: Option<Vec<usize>>,
-    reports: Option<Vec<Report>>,
 ) -> Result<TrialAggregates> {
+    let total: f64 = view.truth.iter().sum();
+    if total <= 0.0 || total.is_nan() {
+        return Err(LdpError::EmptyInput("count record (no genuine users)"));
+    }
+    let true_freqs = view.truth.iter().map(|&c| c / total).collect();
     let params = protocol.params();
-    let (n, m) = (cell.genuine_users, cell.malicious_users);
-    let true_freqs = cell
-        .population
-        .iter()
-        .map(|&c| c as f64 / n as f64)
-        .collect();
-    let genuine_freqs = params.debias_frequencies(&cell.genuine_counts, n)?;
-    let malicious_true_freqs = if m > 0 {
-        Some(params.debias_frequencies(&cell.malicious_counts, m)?)
+    let genuine_freqs = debias(params, &view.genuine_counts, view.genuine_reports)?;
+    let malicious_true_freqs = if view.malicious_reports > 0.0 {
+        Some(debias(
+            params,
+            &view.malicious_counts,
+            view.malicious_reports,
+        )?)
     } else {
         None
     };
-    let poisoned_counts: Vec<u64> = cell
+    let poisoned_counts: Vec<f64> = view
         .genuine_counts
         .iter()
-        .zip(&cell.malicious_counts)
+        .zip(&view.malicious_counts)
         .map(|(&g, &b)| g + b)
         .collect();
-    let poisoned_freqs = params.debias_frequencies(&poisoned_counts, n + m)?;
-    let report_totals = reports.is_some().then_some(poisoned_counts);
+    let poisoned_freqs = debias(
+        params,
+        &poisoned_counts,
+        view.genuine_reports + view.malicious_reports,
+    )?;
 
     Ok(TrialAggregates {
         protocol,
@@ -446,11 +519,26 @@ fn finish_aggregation(
         poisoned_freqs,
         malicious_true_freqs,
         attack_targets,
-        reports,
-        report_totals,
-        genuine_count: n,
-        malicious_count: m,
+        reports: None,
+        report_totals: None,
+        genuine_count,
+        malicious_count,
     })
+}
+
+/// Debiases support counts into frequency estimates `f̃(v) = Φ(v)/N`:
+/// the float operations of [`PureParams::debias_frequencies`], with the
+/// report total `N` generalized to report mass (a decay window's is
+/// fractional).
+fn debias(params: PureParams, counts: &[f64], reports: f64) -> Result<Vec<f64>> {
+    params.domain().check_len(counts, "support counts")?;
+    if !(reports.is_finite() && reports > 0.0) {
+        return Err(LdpError::EmptyInput("support counts (no report mass)"));
+    }
+    Ok(counts
+        .iter()
+        .map(|&c| params.debias_count(c, reports) / reports)
+        .collect())
 }
 
 /// Runs the selected defense arms on an aggregation.

@@ -792,6 +792,11 @@ fn kv_extension() -> Scenario {
             let n = ((KV_BASE_USERS as f64) * ctx.base_fraction())
                 .round()
                 .max(1.0) as usize;
+            ldp_common::population::check_poisoned(
+                beta,
+                n,
+                &format!("the key-value population at scale {}", ctx.base_fraction()),
+            )?;
             let m = ldp_common::population::malicious_count(beta, n);
             let domain = Domain::new(KV_DOMAIN)?;
             let kv = KvProtocol::new(KV_EPSILON, domain)?;
@@ -814,11 +819,7 @@ fn kv_extension() -> Scenario {
             let poisoned = kv.estimate(&agg)?;
             let recovered = KvRecover::default().recover(&kv, &agg)?;
 
-            let probe_recall = if m > 0 {
-                (recovered.malicious_probes[target] / m as f64).min(2.0)
-            } else {
-                1.0
-            };
+            let probe_recall = (recovered.malicious_probes[target] / m as f64).min(2.0);
             Ok(vec![
                 (
                     "fg_before",
@@ -1214,6 +1215,26 @@ mod tests {
             mga_after.mean,
             mga_before.mean
         );
+    }
+
+    #[test]
+    fn kv_cells_too_small_for_a_malicious_user_fail() {
+        // 200,000 users at scale 10⁻⁵ are 2, and at 3·10⁻⁵ they are 6: at
+        // β = 0.05 neither gets a malicious user (10 would), so the
+        // attacked rows must fail rather than run unpoisoned.
+        for scale in [0.00001, 0.00003] {
+            let run = crate::scenario::spec::RunScale::fraction(1, scale, 11);
+            let err = crate::scenario::run_scenario(&kv_extension(), &run).unwrap_err();
+            let text = err.to_string();
+            assert!(
+                matches!(err, ldp_common::LdpError::InvalidParameter(_)),
+                "{scale}: {text}"
+            );
+            assert!(
+                text.contains("the key-value population") && text.contains("at least 10 genuine"),
+                "{scale}: {text}"
+            );
+        }
     }
 
     #[test]

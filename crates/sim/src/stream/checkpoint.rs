@@ -28,7 +28,7 @@ use ldp_datasets::DatasetKind;
 use ldp_protocols::ProtocolKind;
 
 use super::window::{WindowMode, WindowState};
-use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec};
+use super::{EpochPoint, ShardDelta, StreamEngine, StreamSpec, WindowAggregate};
 
 /// Format tag guarding against feeding scenario reports (or arbitrary
 /// JSON) to the restore path.
@@ -303,19 +303,16 @@ fn window_state_to_json(state: &WindowState) -> Option<Json> {
                 Json::Arr(history.iter().map(window_epoch_to_json).collect()),
             ),
         ])),
-        WindowState::Decay {
-            truth,
-            genuine_counts,
-            genuine_reports,
-            malicious_counts,
-            malicious_reports,
-        } => Some(Json::Obj(vec![
+        WindowState::Decay(view) => Some(Json::Obj(vec![
             ("kind".into(), Json::Str("decay".into())),
-            ("truth".into(), floats(truth)),
-            ("genuine_counts".into(), floats(genuine_counts)),
-            ("genuine_reports".into(), Json::Num(*genuine_reports)),
-            ("malicious_counts".into(), floats(malicious_counts)),
-            ("malicious_reports".into(), Json::Num(*malicious_reports)),
+            ("truth".into(), floats(&view.truth)),
+            ("genuine_counts".into(), floats(&view.genuine_counts)),
+            ("genuine_reports".into(), Json::Num(view.genuine_reports)),
+            ("malicious_counts".into(), floats(&view.malicious_counts)),
+            (
+                "malicious_reports".into(),
+                Json::Num(view.malicious_reports),
+            ),
         ])),
     }
 }
@@ -411,13 +408,13 @@ fn window_state_from_json(
                     "checkpoint: a decay window count exceeds its report mass",
                 ));
             }
-            Ok(WindowState::Decay {
+            Ok(WindowState::Decay(WindowAggregate {
                 truth,
                 genuine_counts,
                 genuine_reports,
                 malicious_counts,
                 malicious_reports,
-            })
+            }))
         }
     }
 }
@@ -925,49 +922,37 @@ mod tests {
         let mut engine = StreamEngine::new(spec).unwrap();
         engine.step().unwrap();
         engine.step().unwrap();
-        let WindowState::Decay {
-            genuine_reports,
-            malicious_reports,
-            ..
-        } = &engine.window
-        else {
+        let WindowState::Decay(view) = &engine.window else {
             unreachable!()
         };
         // 2000 + 0.5·2000 genuine, 106 + 0.5·106 malicious.
-        assert_eq!((*genuine_reports, *malicious_reports), (3000.0, 159.0));
+        assert_eq!(
+            (view.genuine_reports, view.malicious_reports),
+            (3000.0, 159.0)
+        );
         assert!(StreamEngine::from_checkpoint(&engine.to_checkpoint()).is_ok());
 
-        type Edit = fn(&mut Vec<f64>, &mut f64, &mut Vec<f64>, &mut f64);
-        let corrupt = |edit: Edit| {
+        let corrupt = |edit: fn(&mut WindowAggregate)| {
             let mut bad = engine.clone();
-            let WindowState::Decay {
-                genuine_counts,
-                genuine_reports,
-                malicious_counts,
-                malicious_reports,
-                ..
-            } = &mut bad.window
-            else {
+            let WindowState::Decay(view) = &mut bad.window else {
                 unreachable!()
             };
-            edit(
-                genuine_counts,
-                genuine_reports,
-                malicious_counts,
-                malicious_reports,
-            );
+            edit(view);
             bad.to_checkpoint()
         };
         for (label, bad) in [
-            ("a genuine mass of 1", corrupt(|_, g, _, _| *g = 1.0)),
-            ("one malicious report more", corrupt(|_, _, _, m| *m += 1.0)),
+            ("a genuine mass of 1", corrupt(|w| w.genuine_reports = 1.0)),
+            (
+                "one malicious report more",
+                corrupt(|w| w.malicious_reports += 1.0),
+            ),
             (
                 "a genuine count above the genuine mass",
-                corrupt(|c, g, _, _| c[3] = *g + 1.0),
+                corrupt(|w| w.genuine_counts[3] = w.genuine_reports + 1.0),
             ),
             (
                 "a malicious count above the malicious mass",
-                corrupt(|_, _, c, m| c[0] = *m * 2.0),
+                corrupt(|w| w.malicious_counts[0] = w.malicious_reports * 2.0),
             ),
         ] {
             let err = StreamEngine::from_checkpoint(&bad).unwrap_err();

@@ -15,13 +15,17 @@
 //!   traffic: it samples its epoch's population histogram
 //!   ([`DatasetKind::generate_user_counts`]) and hands it to the offline
 //!   pipeline's count-cell sampler ([`crate::pipeline::sample_count_cell`]),
-//!   `O(d)` per epoch for all five protocols regardless of traffic volume,
-//!   plus the individually crafted malicious reports. The result is a
-//!   [`ShardDelta`], the one integer count record of both engines.
+//!   `O(d)` per epoch for all five protocols regardless of traffic volume;
+//!   the same sampler folds the malicious half straight into the shard's
+//!   malicious counts ([`ldp_attacks::Attack::craft_counts`]). The result
+//!   is a [`ShardDelta`], the one integer count record of both engines.
 //! * **Epoch boundaries** — after every epoch the shard deltas merge into
 //!   one epoch delta, which folds into the engine's cumulative totals (a
-//!   [`ShardDelta`] too) and its recovery window; the `recover` defense
-//!   arm then runs on the debiased window through the pipeline's arm loop
+//!   [`ShardDelta`] too) and its recovery window. The window's float view
+//!   ([`WindowAggregate`]; the cumulative totals' in cumulative mode)
+//!   goes through the offline pipeline's one count-to-estimate step
+//!   (`finish_aggregation`), and the `recover` defense arm runs on the
+//!   estimates through the pipeline's arm loop
 //!   ([`crate::pipeline::apply_recoveries`]), producing a
 //!   recovery-accuracy-vs-reports-seen trajectory. Any *count-only* arm
 //!   set can be evaluated on the same state via
@@ -55,21 +59,20 @@
 pub mod checkpoint;
 pub mod window;
 
-pub use crate::pipeline::ShardDelta;
-pub use window::{WindowAggregate, WindowMode, WindowState};
+pub use crate::pipeline::{ShardDelta, WindowAggregate};
+pub use window::{WindowMode, WindowState};
 
 use ldp_attacks::AttackKind;
-use ldp_common::float::exactly_zero;
 use ldp_common::rng::{derive_seed2, rng_from_seed};
 use ldp_common::{Domain, Json, LdpError, Result};
 use ldp_datasets::DatasetKind;
-use ldp_protocols::{AnyProtocol, LdpFrequencyProtocol, ProtocolKind};
-use ldprecover::{ArmKind, ArmOutput, ArmSet};
+use ldp_protocols::{AnyProtocol, ProtocolKind};
+use ldprecover::{ArmKind, ArmSet};
 
-use crate::config::{ExperimentConfig, PipelineOptions};
+use crate::config::{cell_label, check_cell, malicious_users, ExperimentConfig, PipelineOptions};
 use crate::metrics::mse;
 use crate::pipeline::{
-    apply_recoveries, sample_count_cell, TrialAggregates, TrialArena, TrialResult,
+    apply_recoveries, finish_aggregation, sample_count_cell, TrialArena, TrialResult,
 };
 use crate::runner::{map_trials, thread_count};
 
@@ -145,34 +148,14 @@ impl StreamSpec {
     /// Validates the spec.
     ///
     /// # Errors
-    /// [`LdpError::InvalidParameter`] for out-of-range ε/β/η, zero shards
-    /// or epochs, an epoch too small to give every shard a user, β > 0
-    /// without an attack, attack parameters the dataset's domain cannot
-    /// hold (see [`AttackKind::validate`]), or an attacked stream whose
-    /// smallest shard (`users_per_epoch / shards` users per epoch) is too
-    /// small for β to give it a malicious user
+    /// [`LdpError::InvalidParameter`] for zero shards or epochs, an epoch
+    /// too small to give every shard a user, a malformed window, out-of-range
+    /// ε/β/η, β > 0 without an attack, attack parameters the dataset's
+    /// domain cannot hold (see [`AttackKind::validate`]), or an attacked
+    /// stream whose smallest shard (`users_per_epoch / shards` users per
+    /// epoch) is too small for β to give it a malicious user
     /// ([`ldp_common::population::check_poisoned`]).
     pub fn validate(&self) -> Result<()> {
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            return Err(LdpError::invalid(format!("epsilon = {}", self.epsilon)));
-        }
-        if !(0.0..1.0).contains(&self.beta) {
-            return Err(LdpError::invalid(format!(
-                "beta must be in [0,1), got {}",
-                self.beta
-            )));
-        }
-        if !(self.eta.is_finite() && self.eta >= 0.0) {
-            return Err(LdpError::invalid(format!("eta = {}", self.eta)));
-        }
-        if self.attack.is_none() && self.beta > 0.0 {
-            return Err(LdpError::invalid(
-                "beta > 0 requires an attack; set beta = 0 for a clean stream",
-            ));
-        }
-        if let Some(attack) = self.attack {
-            attack.validate(self.domain())?;
-        }
         if self.shards == 0 {
             return Err(LdpError::invalid("shards must be ≥ 1"));
         }
@@ -185,18 +168,19 @@ impl StreamSpec {
                 self.users_per_epoch, self.shards
             )));
         }
-        if self.attack.is_some() {
-            ldp_common::population::check_poisoned(
-                self.beta,
-                self.users_per_epoch / self.shards,
-                &format!(
-                    "the smallest shard ({} users per epoch over {} shards)",
-                    self.users_per_epoch, self.shards
-                ),
-            )?;
-        }
         self.window.validate()?;
-        Ok(())
+        check_cell(
+            self.dataset,
+            self.epsilon,
+            self.attack,
+            self.beta,
+            self.eta,
+            self.users_per_epoch / self.shards,
+            &format!(
+                "the smallest shard ({} users per epoch over {} shards)",
+                self.users_per_epoch, self.shards
+            ),
+        )
     }
 
     /// Genuine users shard `shard` ingests per epoch: an even split of
@@ -216,10 +200,13 @@ impl StreamSpec {
     /// realized 40/440 = 9.1%. [`StreamSpec::validate`] rejects shards so
     /// small that `m` rounds to 0.
     pub fn malicious_count(&self, genuine: usize) -> usize {
-        if self.attack.is_none() || exactly_zero(self.beta) {
-            return 0;
-        }
-        ldp_common::population::malicious_count(self.beta, genuine)
+        malicious_users(self.attack, self.beta, genuine)
+    }
+
+    /// The stream's cell label, as [`ExperimentConfig::label`] names the
+    /// offline cell: e.g. `"MGA-GRR"` or `"unpoisoned-GRR"`.
+    pub fn label(&self) -> String {
+        cell_label(self.attack, self.protocol)
     }
 
     /// The item domain of the spec's workload.
@@ -519,11 +506,9 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Debiases and recovers the current merged state (on demand; pure in
-    /// the accumulated counts). Recovery runs the `recover` defense arm
-    /// through the pipeline's arm loop
-    /// ([`apply_recoveries`]) on the
-    /// debiased counts. In a windowed mode ([`WindowMode::Sliding`] /
+    /// Debiases and recovers the current state (on demand; pure in the
+    /// accumulated counts): [`StreamEngine::arm_snapshot`] with the
+    /// `recover` arm alone. In a windowed mode ([`WindowMode::Sliding`] /
     /// [`WindowMode::Decay`]) every vector is computed over the windowed
     /// state instead of the cumulative one; the debias map is linear in
     /// `(count, reports)`, so the float-count path is the exact windowed
@@ -539,7 +524,7 @@ impl StreamEngine {
             poisoned,
             mut arms,
             ..
-        } = self.run_arms(ArmSet::new([ArmKind::Recover]))?;
+        } = self.arm_snapshot(&ArmSet::new([ArmKind::Recover]))?;
         let (_, recovered) = arms
             .pop()
             .ok_or_else(|| LdpError::invalid("the recover arm cannot degenerate"))?;
@@ -551,54 +536,47 @@ impl StreamEngine {
         })
     }
 
-    /// The state the snapshot reads, as the pipeline's count-only
-    /// aggregates: the window's float counts (cumulative mode reads the
-    /// cumulative counts through the same float path — exact, since every
-    /// sum stays below 2⁵³), debiased. The report counts are cumulative.
-    fn current_aggregates(&self) -> Result<TrialAggregates> {
-        let params = self.protocol.params();
-        let domain = self.spec.domain();
-        let agg = self
-            .window
-            .aggregate(domain)
-            .unwrap_or_else(|| WindowAggregate::from_counts(&self.totals));
-        let total: f64 = agg.truth.iter().sum();
-        if total <= 0.0 || total.is_nan() {
-            return Err(LdpError::EmptyInput("stream state (no epochs ingested)"));
-        }
-        let truth: Vec<f64> = agg.truth.iter().map(|&c| c / total).collect();
-        let genuine_estimate = debias_window(params, &agg.genuine_counts, agg.genuine_reports)?;
-        let poisoned_counts: Vec<f64> = agg
-            .genuine_counts
-            .iter()
-            .zip(&agg.malicious_counts)
-            .map(|(&g, &m)| g + m)
-            .collect();
-        let poisoned_estimate = debias_window(
-            params,
-            &poisoned_counts,
-            agg.genuine_reports + agg.malicious_reports,
-        )?;
-        Ok(TrialAggregates {
-            protocol: self.protocol,
-            true_freqs: truth,
-            genuine_freqs: genuine_estimate,
-            poisoned_freqs: poisoned_estimate,
-            malicious_true_freqs: None,
-            attack_targets: None,
-            reports: None,
-            report_totals: None,
-            genuine_count: self.totals.genuine_users,
-            malicious_count: self.totals.malicious_users,
-        })
+    /// The engine's windowed state (cumulative mode keeps none) — read
+    /// by the checkpoint layer.
+    pub fn window_state(&self) -> &WindowState {
+        &self.window
     }
 
-    /// Runs `arms` on the current state through the pipeline's arm loop:
-    /// partial-knowledge arms get targets identified online by its
-    /// top-k-increase rule (the stream never knows the attack's targets),
-    /// with the genuine-only estimate standing in for historical data.
-    fn run_arms(&self, arms: ArmSet) -> Result<TrialResult> {
-        let aggregates = self.current_aggregates()?;
+    /// Runs an arbitrary *count-only* arm set on the current state — the
+    /// streaming face of the defense-arm registry. The state is the
+    /// window's float view (the cumulative counts' in cumulative mode),
+    /// debiased by the offline pipeline's count-to-estimate step, with
+    /// the cumulative users. Eligibility is decided by each arm's
+    /// declared inputs: streaming never materializes per-user reports, so
+    /// a set containing a report-consuming arm (detection, k-means) is
+    /// rejected up front. Partial-knowledge arms get targets identified
+    /// online via the paper's top-k-increase rule (the stream never knows
+    /// the attack's targets), with the genuine-only estimate standing in
+    /// for historical data; arms that degenerate (e.g. the star arm on a
+    /// clean stream) are skipped.
+    ///
+    /// Returns the whole run, so the arms are scored against the truth
+    /// they ran on ([`TrialResult::true_freqs`], the window's in a
+    /// windowed mode). Pure in the accumulated counts, so resumed and
+    /// uninterrupted runs produce identical snapshots.
+    ///
+    /// # Errors
+    /// [`LdpError::InvalidParameter`] for report-consuming arms (see
+    /// [`check_count_only`]); [`LdpError::EmptyInput`] before the first
+    /// epoch; otherwise propagates arm failures.
+    pub fn arm_snapshot(&self, arms: &ArmSet) -> Result<TrialResult> {
+        check_count_only(arms)?;
+        let view = self
+            .window
+            .aggregate(self.spec.domain())
+            .unwrap_or_else(|| WindowAggregate::from_counts(&self.totals));
+        let aggregates = finish_aggregation(
+            self.protocol,
+            &view,
+            self.totals.genuine_users,
+            self.totals.malicious_users,
+            None,
+        )?;
         let mut rng = rng_from_seed(derive_seed2(
             self.spec.seed,
             ARM_SNAPSHOT_SALT,
@@ -607,37 +585,9 @@ impl StreamEngine {
         apply_recoveries(
             &aggregates,
             self.spec.eta,
-            &PipelineOptions::with_arms(arms),
+            &PipelineOptions::with_arms(arms.clone()),
             &mut rng,
         )
-    }
-
-    /// The engine's windowed state (cumulative mode keeps none) — read
-    /// by the checkpoint layer.
-    pub fn window_state(&self) -> &WindowState {
-        &self.window
-    }
-
-    /// Runs an arbitrary *count-only* arm set on the current merged state
-    /// — the streaming face of the defense-arm registry. Eligibility is
-    /// decided by each arm's declared inputs: streaming never
-    /// materializes per-user reports, so a set containing a
-    /// report-consuming arm (detection, k-means) is rejected up front.
-    /// Partial-knowledge arms get targets identified online via the
-    /// paper's top-k-increase rule, with the genuine-only estimate
-    /// standing in for historical data; arms that degenerate (e.g. the
-    /// star arm on a clean stream) are skipped.
-    ///
-    /// Pure in the accumulated counts, so resumed and uninterrupted runs
-    /// produce identical snapshots.
-    ///
-    /// # Errors
-    /// [`LdpError::InvalidParameter`] for report-consuming arms (see
-    /// [`check_count_only`]); [`LdpError::EmptyInput`] before the first
-    /// epoch; otherwise propagates arm failures.
-    pub fn arm_snapshot(&self, arms: &ArmSet) -> Result<Vec<(String, ArmOutput)>> {
-        check_count_only(arms)?;
-        Ok(self.run_arms(arms.clone())?.arms)
     }
 
     /// The run's JSON report: spec, trajectory, and the final recovery
@@ -680,26 +630,6 @@ impl StreamEngine {
             ("final".into(), final_block),
         ]))
     }
-}
-
-/// Debiases windowed float support counts into frequency estimates —
-/// the float operations of
-/// [`PureParams::debias_frequencies`](ldp_protocols::PureParams::debias_frequencies)
-/// with the integer counts generalized to window mass (exact for
-/// cumulative and sliding windows, the precise geometric mixture for
-/// decay).
-fn debias_window(
-    params: ldp_protocols::PureParams,
-    counts: &[f64],
-    reports: f64,
-) -> Result<Vec<f64>> {
-    if !(reports.is_finite() && reports > 0.0) {
-        return Err(LdpError::EmptyInput("windowed reports (no report mass)"));
-    }
-    Ok(counts
-        .iter()
-        .map(|&c| params.debias_count(c, reports) / reports)
-        .collect())
 }
 
 #[cfg(test)]
@@ -873,7 +803,8 @@ mod tests {
         // trajectory's recovery path.
         let outputs = engine
             .arm_snapshot(&ArmSet::parse("recover,recover-star,norm-sub,base-cut").unwrap())
-            .unwrap();
+            .unwrap()
+            .arms;
         let keys: Vec<&str> = outputs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["recover", "star", "norm_sub", "base_cut"]);
         let snapshot = engine.recovery_snapshot().unwrap();
@@ -902,9 +833,49 @@ mod tests {
         clean.run_to_completion().unwrap();
         let outputs = clean
             .arm_snapshot(&ArmSet::new([ArmKind::Recover, ArmKind::RecoverStar]))
-            .unwrap();
+            .unwrap()
+            .arms;
         let keys: Vec<&str> = outputs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["recover"], "star skipped on a clean stream");
+    }
+
+    #[test]
+    fn arm_snapshots_carry_the_truth_the_trajectory_scores_against() {
+        // In every window mode the recover arm, scored against the truth
+        // its snapshot returns, lands on the trajectory's final MSE bit
+        // for bit. A windowed truth is the window's population, not the
+        // cumulative one.
+        for window in [
+            WindowMode::Cumulative,
+            WindowMode::Sliding(2),
+            WindowMode::Decay(0.5),
+        ] {
+            let mut spec = tiny_spec();
+            spec.epochs = 4;
+            spec.window = window;
+            let mut engine = StreamEngine::new(spec).unwrap();
+            engine.run_to_completion().unwrap();
+            let snapshot = engine
+                .arm_snapshot(&ArmSet::new([ArmKind::Recover]))
+                .unwrap();
+            let last = engine.trajectory().last().unwrap();
+            assert_eq!(
+                mse(snapshot.recovered().unwrap(), &snapshot.true_freqs).to_bits(),
+                last.mse_recovered.to_bits(),
+                "{window:?}"
+            );
+            let totals = engine.totals();
+            let cumulative: Vec<f64> = totals
+                .population
+                .iter()
+                .map(|&c| c as f64 / totals.genuine_users as f64)
+                .collect();
+            assert_eq!(
+                snapshot.true_freqs == cumulative,
+                window.is_cumulative(),
+                "{window:?}"
+            );
+        }
     }
 
     #[test]
@@ -1038,14 +1009,11 @@ mod tests {
         decay_spec.window = WindowMode::Decay(0.5);
         let mut decayed = StreamEngine::new(decay_spec).unwrap();
         decayed.run_to_completion().unwrap();
-        let WindowState::Decay {
-            genuine_reports, ..
-        } = decayed.window_state()
-        else {
+        let WindowState::Decay(view) = decayed.window_state() else {
             panic!("decay spec keeps decay state");
         };
         // Epoch reports are 400 genuine each: 0.5·400 + 400 = 600.
-        assert_eq!(*genuine_reports, 600.0);
+        assert_eq!(view.genuine_reports, 600.0);
         assert!(ldp_common::vecmath::is_probability_vector(
             &decayed.recovery_snapshot().unwrap().recovered,
             1e-9

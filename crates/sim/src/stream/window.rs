@@ -13,6 +13,10 @@
 //!   on decayed float counts is the exact decayed mixture of the
 //!   per-epoch estimates.
 //!
+//! Either window reaches the recovery snapshot as a [`WindowAggregate`],
+//! the float view the offline pipeline debiases too; the decay window
+//! keeps its state in that form.
+//!
 //! Window state only affects what the recovery snapshot *reads*; shard
 //! delta computation is untouched, so windowed runs remain bit-identical
 //! across checkpoint/resume (decayed `f64` state round-trips bit-for-bit
@@ -22,7 +26,7 @@ use std::collections::VecDeque;
 
 use ldp_common::{Domain, LdpError, Result};
 
-use super::ShardDelta;
+use super::{ShardDelta, WindowAggregate};
 
 /// Which state the epoch-boundary recovery runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,37 +118,22 @@ pub enum WindowState {
         /// deltas), oldest first; capped at the window span.
         history: VecDeque<ShardDelta>,
     },
-    /// Exponentially-decayed float state `S_t = λ·S_{t-1} + Δ_t`.
-    Decay {
-        /// Decayed genuine population histogram.
-        truth: Vec<f64>,
-        /// Decayed genuine support counts.
-        genuine_counts: Vec<f64>,
-        /// Decayed genuine report mass.
-        genuine_reports: f64,
-        /// Decayed malicious support counts.
-        malicious_counts: Vec<f64>,
-        /// Decayed malicious report mass.
-        malicious_reports: f64,
-    },
+    /// Exponentially-decayed float state `S_t = λ·S_{t-1} + Δ_t`, held
+    /// as the float view the recovery snapshot debiases.
+    Decay(WindowAggregate),
 }
 
 impl WindowState {
     /// Fresh (nothing-ingested) state for `mode` over `domain`.
     pub fn new(mode: WindowMode, domain: Domain) -> Self {
-        let domain_size = domain.size();
         match mode {
             WindowMode::Cumulative => WindowState::Cumulative,
             WindowMode::Sliding(_) => WindowState::Sliding {
                 history: VecDeque::new(),
             },
-            WindowMode::Decay(_) => WindowState::Decay {
-                truth: vec![0.0; domain_size],
-                genuine_counts: vec![0.0; domain_size],
-                genuine_reports: 0.0,
-                malicious_counts: vec![0.0; domain_size],
-                malicious_reports: 0.0,
-            },
+            WindowMode::Decay(_) => {
+                WindowState::Decay(WindowAggregate::from_counts(&ShardDelta::empty(domain)))
+            }
         }
     }
 
@@ -163,26 +152,18 @@ impl WindowState {
                 }
                 Ok(())
             }
-            (
-                WindowState::Decay {
-                    truth,
-                    genuine_counts,
-                    genuine_reports,
-                    malicious_counts,
-                    malicious_reports,
-                },
-                WindowMode::Decay(lambda),
-            ) => {
+            (WindowState::Decay(view), WindowMode::Decay(lambda)) => {
                 let decay_into = |state: &mut [f64], fresh: &[u64]| {
                     for (slot, &c) in state.iter_mut().zip(fresh) {
                         *slot = lambda * *slot + c as f64;
                     }
                 };
-                decay_into(truth, &epoch.population);
-                decay_into(genuine_counts, &epoch.genuine_counts);
-                decay_into(malicious_counts, &epoch.malicious_counts);
-                *genuine_reports = lambda * *genuine_reports + epoch.genuine_users as f64;
-                *malicious_reports = lambda * *malicious_reports + epoch.malicious_users as f64;
+                decay_into(&mut view.truth, &epoch.population);
+                decay_into(&mut view.genuine_counts, &epoch.genuine_counts);
+                decay_into(&mut view.malicious_counts, &epoch.malicious_counts);
+                view.genuine_reports = lambda * view.genuine_reports + epoch.genuine_users as f64;
+                view.malicious_reports =
+                    lambda * view.malicious_reports + epoch.malicious_users as f64;
                 Ok(())
             }
             (state, mode) => Err(LdpError::invalid(format!(
@@ -204,49 +185,7 @@ impl WindowState {
                 }
                 Some(WindowAggregate::from_counts(&window))
             }
-            WindowState::Decay {
-                truth,
-                genuine_counts,
-                genuine_reports,
-                malicious_counts,
-                malicious_reports,
-            } => Some(WindowAggregate {
-                truth: truth.clone(),
-                genuine_counts: genuine_counts.clone(),
-                genuine_reports: *genuine_reports,
-                malicious_counts: malicious_counts.clone(),
-                malicious_reports: *malicious_reports,
-            }),
-        }
-    }
-}
-
-/// Float view of the windowed state a snapshot debiases.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowAggregate {
-    /// Windowed genuine population histogram.
-    pub truth: Vec<f64>,
-    /// Windowed genuine support counts.
-    pub genuine_counts: Vec<f64>,
-    /// Windowed genuine report mass.
-    pub genuine_reports: f64,
-    /// Windowed malicious support counts.
-    pub malicious_counts: Vec<f64>,
-    /// Windowed malicious report mass.
-    pub malicious_reports: f64,
-}
-
-impl WindowAggregate {
-    /// The float view of integer counts — exact while every count and
-    /// report total stays below 2⁵³.
-    pub(super) fn from_counts(counts: &ShardDelta) -> Self {
-        let floats = |v: &[u64]| v.iter().map(|&c| c as f64).collect();
-        WindowAggregate {
-            truth: floats(&counts.population),
-            genuine_counts: floats(&counts.genuine_counts),
-            genuine_reports: counts.genuine_users as f64,
-            malicious_counts: floats(&counts.malicious_counts),
-            malicious_reports: counts.malicious_users as f64,
+            WindowState::Decay(view) => Some(view.clone()),
         }
     }
 }

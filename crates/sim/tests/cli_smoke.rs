@@ -212,6 +212,62 @@ fn ldp_stream_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
 
 #[test]
 #[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_stream_arms_are_scored_against_the_state_they_ran_on() {
+    // `--arms` runs on the window, so its MSEs are taken against the
+    // window's truth: the recover arm's must be the trajectory's last
+    // "MSE LDPRecover", on stdout and in the JSON report alike.
+    let dir = std::env::temp_dir().join("ldprecover-stream-window-arms");
+    std::fs::create_dir_all(&dir).unwrap();
+    for window in ["sliding:2", "decay:0.5", "cumulative"] {
+        let json = dir.join(format!("{}.json", window.replace(':', "_")));
+        let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+            .args([
+                "stream",
+                "--window",
+                window,
+                "--epochs",
+                "6",
+                "--users-per-epoch",
+                "4000",
+                "--arms",
+                "recover,norm-sub",
+                "--json",
+            ])
+            .arg(&json)
+            .output()
+            .expect("spawn ldp stream");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{window}:\n{stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let column = |first: &str, index: usize| {
+            stdout
+                .lines()
+                .map(|line| line.split_whitespace().collect::<Vec<_>>())
+                .find(|words| words.first() == Some(&first))
+                .map(|words| words[index].to_string())
+        };
+        assert_eq!(
+            column("LDPRecover", 1),
+            column("6", 3),
+            "{window}: arms table against the trajectory:\n{stdout}"
+        );
+
+        let text = std::fs::read_to_string(&json).unwrap();
+        let report = ldp_common::Json::parse(&text).unwrap();
+        let last_point = report
+            .get("trajectory")
+            .and_then(|t| t.as_array()?.last())
+            .and_then(|p| p.get("mse_recovered")?.as_f64());
+        let recover_arm = report
+            .get("arms")
+            .and_then(|a| a.get("recover")?.get("mse")?.as_f64());
+        assert!(last_point.is_some(), "{window}: {text}");
+        assert_eq!(recover_arm, last_point, "{window}: JSON arms block");
+    }
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
 fn output_flags_into_missing_directories_fail_before_any_work() {
     // `--json`/`--checkpoint` pointing into a directory that doesn't
     // exist must fail up front with a clear message — not run the whole
@@ -368,6 +424,19 @@ fn attacked_cells_too_small_for_a_malicious_user_fail_before_any_row() {
             "--users-per-epoch",
             "360",
             "--epochs",
+            "1",
+        ],
+        needle,
+    );
+    // The key-value extension's population at scale 10⁻⁵ is 2 users.
+    assert_rejected_before_any_row(
+        &[
+            "repro",
+            "--figure",
+            "kv_extension",
+            "--scale",
+            "0.00001",
+            "--trials",
             "1",
         ],
         needle,

@@ -336,7 +336,7 @@ fn stream_digest(protocol: ProtocolKind, attack: AttackKind, window: WindowMode)
     push(&snapshot.poisoned_estimate);
     push(&snapshot.recovered);
     let arms = ArmSet::parse("recover,recover-star,norm-sub,base-cut").unwrap();
-    for (key, output) in engine.arm_snapshot(&arms).unwrap() {
+    for (key, output) in engine.arm_snapshot(&arms).unwrap().arms {
         bytes.extend(key.as_bytes());
         let malicious = output.malicious_estimate.as_deref().unwrap_or(&[]);
         for f in output.frequencies.iter().chain(malicious) {
