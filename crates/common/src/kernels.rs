@@ -6,8 +6,9 @@
 //! (which lets LLVM prove bounds and emit packed integer adds), and
 //! data-dependent control flow converted into arithmetic on 0/1 masks so
 //! the loop body is straight-line code with no unpredictable branches.
-//! The claims are verified empirically by the `crates/bench` suites and
-//! the blessed perf trajectory, not assumed.
+//! The speed claims are measured, not assumed: `paperbench`, the
+//! benchmark declared in `BENCHMARK.json`, times these kernels inside
+//! paper-scale HR trials and streams.
 //!
 //! Everything in this module is exact integer arithmetic — no floats —
 //! so callers can swap a per-element loop for a kernel call without any

@@ -1,5 +1,5 @@
 // Fixture: H02 twin — library code renders; callers that own a
-// terminal (the CLI, bench binaries) print.
+// terminal (the CLI binary) print.
 pub fn report(x: u64) -> String {
     format!("x = {x}\n")
 }

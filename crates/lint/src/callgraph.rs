@@ -17,14 +17,14 @@
 //!   pessimistically as impure.
 //!
 //! Resolution candidates exclude test-gated functions and functions in
-//! test files, binaries, examples, and `crates/bench` — those targets
-//! are program roots of their own and exempt from most determinism
-//! rules, so letting them into the candidate pool would poison the
-//! union resolution of common names (`parse`, `run`) with intentionally
-//! impure code. Known limits, documented in the crate docs: turbofish
-//! callees (`f::<T>(…)`) and fully-qualified `<T as Trait>::m` calls
-//! are skipped, and field-closure invocations (`(self.cb)(…)`) are
-//! invisible — all false-negative directions.
+//! test files, binaries, and examples — those targets are program roots
+//! of their own and exempt from most determinism rules, so letting them
+//! into the candidate pool would poison the union resolution of common
+//! names (`parse`, `run`) with intentionally impure code. Known limits,
+//! documented in the crate docs: turbofish callees (`f::<T>(…)`) and
+//! fully-qualified `<T as Trait>::m` calls are skipped, and
+//! field-closure invocations (`(self.cb)(…)`) are invisible — all
+//! false-negative directions.
 
 use std::collections::BTreeMap;
 
@@ -70,15 +70,7 @@ pub struct CallGraph {
 }
 
 /// Crate roots that are always external (std + the vendored stand-ins).
-const EXTERNAL_CRATES: [&str; 7] = [
-    "alloc",
-    "core",
-    "criterion",
-    "proptest",
-    "rand",
-    "serde",
-    "std",
-];
+const EXTERNAL_CRATES: [&str; 6] = ["alloc", "core", "proptest", "rand", "serde", "std"];
 
 /// Keywords and prelude constructors that look like `ident(` but are
 /// never workspace function calls.
@@ -91,11 +83,7 @@ const NON_CALL_IDENTS: [&str; 28] = [
 /// True when `fns[idx]` may be the target of library-side resolution.
 fn is_candidate(ws: &Workspace, idx: usize) -> bool {
     let f = &ws.fns[idx];
-    if f.is_test {
-        return false;
-    }
-    let class = &ws.files[f.file].class;
-    !(class.test_file || class.example || class.bin || class.bench_crate)
+    !f.is_test && ws.files[f.file].class.library()
 }
 
 impl CallGraph {

@@ -4,8 +4,9 @@
 //! ground truth.
 //!
 //! The manifest lives at the workspace root ([`GOLDEN_MANIFEST`]) and
-//! covers the scenario goldens (`tests/golden/*.json`) and the perf
-//! trajectory (`crates/bench/trajectory/*.json`). Each line is
+//! covers every file in the golden directories ([`GOLDEN_DIRS`]): the
+//! scenario goldens (`tests/golden/*.json`) and the table renderer's CSV
+//! golden (`crates/sim/tests/golden/`). Each line is
 //! `<16-hex fnv1a64>  <workspace-relative path>`, sorted by path, so
 //! diffs of the manifest read as "which goldens changed". Re-blessing is
 //! explicit: `ldp-lint --bless-goldens` regenerates the manifest, and the
@@ -23,9 +24,9 @@ use crate::LintError;
 /// Workspace-relative path of the golden manifest.
 pub const GOLDEN_MANIFEST: &str = "golden.manifest";
 
-/// Workspace-relative directories whose `*.json` files the manifest
-/// covers.
-pub const GOLDEN_DIRS: [&str; 2] = ["crates/bench/trajectory", "tests/golden"];
+/// Workspace-relative directories whose files the manifest covers: every
+/// `tests/golden` directory in the workspace.
+pub const GOLDEN_DIRS: [&str; 2] = ["crates/sim/tests/golden", "tests/golden"];
 
 /// FNV-1a 64 over raw bytes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -37,9 +38,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The blessed `*.json` files under [`GOLDEN_DIRS`], as sorted
-/// workspace-relative paths (always `/`-separated, so the manifest is
-/// platform-stable).
+/// The blessed files under [`GOLDEN_DIRS`] (every regular file, whatever
+/// its extension), as sorted workspace-relative paths (always
+/// `/`-separated, so the manifest is platform-stable).
 pub fn golden_files(root: &Path) -> Result<Vec<String>, LintError> {
     let mut files = Vec::new();
     for dir in GOLDEN_DIRS {
@@ -50,7 +51,7 @@ pub fn golden_files(root: &Path) -> Result<Vec<String>, LintError> {
         for entry in std::fs::read_dir(&abs).map_err(|e| LintError::Io(e.to_string()))? {
             let entry = entry.map_err(|e| LintError::Io(e.to_string()))?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".json") && entry.path().is_file() {
+            if entry.path().is_file() {
                 files.push(format!("{dir}/{name}"));
             }
         }
@@ -185,11 +186,7 @@ mod tests {
             std::fs::create_dir_all(root.join(dir)).unwrap();
         }
         std::fs::write(root.join("tests/golden/a.json"), b"{\"v\": 1}\n").unwrap();
-        std::fs::write(
-            root.join("crates/bench/trajectory/BENCH_x.json"),
-            b"{\"cases\": []}\n",
-        )
-        .unwrap();
+        std::fs::write(root.join("crates/sim/tests/golden/x.golden"), b"a,b\n1,2\n").unwrap();
         root
     }
 
@@ -228,12 +225,12 @@ mod tests {
             .any(|e| e.contains("b.json") && e.contains("not covered")));
 
         // Stale: remove a blessed golden entirely.
-        std::fs::remove_file(root.join("crates/bench/trajectory/BENCH_x.json")).unwrap();
+        std::fs::remove_file(root.join("crates/sim/tests/golden/x.golden")).unwrap();
         let errors = check_goldens(&root).unwrap();
         assert!(
             errors
                 .iter()
-                .any(|e| e.contains("BENCH_x.json") && e.contains("stale")),
+                .any(|e| e.contains("x.golden") && e.contains("stale")),
             "{errors:?}"
         );
 

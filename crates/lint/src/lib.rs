@@ -17,17 +17,17 @@
 //!
 //! | id  | rule | rationale | exempt |
 //! |-----|------|-----------|--------|
-//! | D01 | no `HashMap`/`HashSet` **iteration** | hash iteration order is nondeterministic; one `for (k, _) in &map` feeding a draw loop desynchronizes every downstream RNG stream. Membership checks stay legal. | tests, examples, `crates/bench` |
-//! | D02 | no ambient entropy / wall-clock (`thread_rng`, `rand::random`, `OsRng`, `from_entropy`, `SystemTime::now`, `Instant::now`) | every random bit must flow from the master seed (`rng_from_seed` / `derive_seed2`) or replay breaks; time reads make output machine-dependent | `crates/bench`, binary targets (the CLI) |
-//! | D03 | no `==`/`!=` on float-typed operands | float equality is almost always a rounding-sensitive bug; *intentional* exact comparison (sentinels, golden bit-compares) must go through `ldp_common::float::{exact_eq, exactly_zero}`, which documents the intent | tests, examples, `crates/bench`, the `float` module itself |
-//! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic aborts a whole run — a stream mid-epoch, a repro mid-figure; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, `crates/bench`, binary targets |
-//! | D05 | seed literals (`rng_from_seed(<int>)`) only in tests/benches/examples | production paths must derive per-purpose streams via `derive_seed2(master, …)`; a literal silently reuses one stream everywhere | tests, examples, `crates/bench` |
-//! | D09 | artifact writes go through `ldp_common::write_atomic` | a bare `fs::write`/`File::create`/`fs::copy` leaves a torn half-file on crash, which checkpoint-resume and the golden gates would read as corrupt or silently truncated. Applies to binaries and `crates/bench` too — that is where artifacts get written. | tests, examples, test regions, the `write_atomic` impl (`crates/common/src/json.rs`), the lint manifest writer (`crates/lint/src/goldens.rs`) |
+//! | D01 | no `HashMap`/`HashSet` **iteration** | hash iteration order is nondeterministic; one `for (k, _) in &map` feeding a draw loop desynchronizes every downstream RNG stream. Membership checks stay legal. | tests, examples, binary targets |
+//! | D02 | no ambient entropy / wall-clock (`thread_rng`, `rand::random`, `OsRng`, `from_entropy`, `SystemTime::now`, `Instant::now`) | every random bit must flow from the master seed (`rng_from_seed` / `derive_seed2`) or replay breaks; time reads make output machine-dependent | binary targets (the CLI) |
+//! | D03 | no `==`/`!=` on float-typed operands | float equality is almost always a rounding-sensitive bug; *intentional* exact comparison (sentinels, golden bit-compares) must go through `ldp_common::float::{exact_eq, exactly_zero}`, which documents the intent | tests, examples, the `float` module itself |
+//! | D04 | no `unwrap()` / bare `expect("")` in library code | a library panic aborts a whole run — a stream mid-epoch, a repro mid-figure; the workspace contract is typed errors (`LdpError`) or degradation (`ArmOutcome::Degenerate`). A justified `expect("<why this cannot fail>")` is allowed. | tests, examples, binary targets |
+//! | D05 | seed literals (`rng_from_seed(<int>)`) only in tests and examples | production paths must derive per-purpose streams via `derive_seed2(master, …)`; a literal silently reuses one stream everywhere | tests, examples |
+//! | D09 | artifact writes go through `ldp_common::write_atomic` | a bare `fs::write`/`File::create`/`fs::copy` leaves a torn half-file on crash, which checkpoint-resume and the golden gates would read as corrupt or silently truncated. Applies to binaries too — that is where artifacts get written. | tests, examples, test regions, the `write_atomic` impl (`crates/common/src/json.rs`), the lint manifest writer (`crates/lint/src/goldens.rs`) |
 //! | D10 | no `thread::spawn` / `.spawn(` outside the audited surface | all parallelism must flow through `map_trials*` (deterministic join order); stray spawns are unaudited interleaving. Fires even in tests and binaries — the audit is about topology. | `crates/sim/src/runner.rs` |
 //! | H01 | every crate root carries `#![forbid(unsafe_code)]` | the workspace is pure safe Rust; `forbid` makes that a compile error, this rule makes *removing the forbid* a lint error | — |
-//! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI and bench binaries own the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, `crates/bench`, tests, examples |
-//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see [`passes::PURE_ROOTS`]) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure | test regions; bins/benches/tests never enter the graph |
-//! | P02 | **RNG stream discipline** | (a) one RNG drawn from in two argument positions of one call, or feeding two calls, in a single statement depends on evaluation order — `f(rng.draw(), rng.draw())` works until a refactor reorders, splits, or lifts the draws and silently reshuffles the consumed stream; bind them to sequential `let`s or derive independent streams via `derive_seed2`; (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, `crates/bench`, binary targets |
+//! | H02 | no `println!`/`eprintln!` in library code | library output must be returned (`String`/`Table`/JSON) so the CLI binary owns the terminal; stray prints corrupt `--json` emissions | the CLI and other bins, tests, examples |
+//! | P01 | **transitive purity** of the pure-root call closures | every function reachable from `shard_epoch_delta`, `run_experiment`, the checkpoint codecs, … (see [`passes::PURE_ROOTS`]) must be free of ambient entropy, wall-clock, environment reads, and interior-mutable statics — *including everything they call*, resolved through the conservative call graph; unresolved calls are pessimistically impure | test regions; bins, tests and examples never enter the graph |
+//! | P02 | **RNG stream discipline** | (a) one RNG drawn from in two argument positions of one call, or feeding two calls, in a single statement depends on evaluation order — `f(rng.draw(), rng.draw())` works until a refactor reorders, splits, or lifts the draws and silently reshuffles the consumed stream; bind them to sequential `let`s or derive independent streams via `derive_seed2`; (b) `rng.clone()` forks a stream into replayed draws (the η-sweep replay in `runner.rs` is the blessed exception); (c) an RNG captured by a closure handed to `map_trials`/`map_trials_with`/`thread::spawn` draws in scheduler order | tests, examples, binary targets |
 //!
 //! Run `ldp-lint --explain <RULE>` for the full rationale plus the
 //! bad/good fixture pair of any rule.
@@ -56,8 +56,8 @@
 //!
 //! # Golden drift
 //!
-//! `--check-goldens` verifies every blessed artifact (`tests/golden/*.json`
-//! and `crates/bench/trajectory/*.json`) against the checked-in
+//! `--check-goldens` verifies every blessed artifact (every file under
+//! `tests/golden/` and `crates/sim/tests/golden/`) against the checked-in
 //! `golden.manifest` of FNV-1a 64 content hashes (see [`goldens`]), so a
 //! golden cannot change — or appear, or vanish — without an explicit
 //! `--bless-goldens` whose manifest diff lands in review.

@@ -96,11 +96,7 @@ pub fn run_passes(
 /// library code, not a test body.
 fn library_fn(ws: &Workspace, i: usize) -> bool {
     let f = &ws.fns[i];
-    if f.is_test {
-        return false;
-    }
-    let c = &ws.files[f.file].class;
-    !(c.test_file || c.example || c.bin || c.bench_crate)
+    !f.is_test && ws.files[f.file].class.library()
 }
 
 /// Does `pattern` name this function? Accepts a bare name, a full

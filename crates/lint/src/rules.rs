@@ -3,8 +3,8 @@
 //! See the crate-level docs for the full rationale table. Each rule here
 //! is scoped by [`FileClass`] (where in the workspace the file lives) and
 //! by token-level test-region marking ([`mark_test_regions`]), so that
-//! the exemptions the catalog promises — tests, benches, examples, the
-//! CLI — are applied uniformly.
+//! the exemptions the catalog promises — tests, examples, the CLI — are
+//! applied uniformly.
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -13,13 +13,13 @@ use crate::lexer::{lex, Tok, TokKind};
 pub enum RuleId {
     /// No iteration over `HashMap`/`HashSet` in non-test library code.
     D01,
-    /// No ambient entropy or wall-clock outside benches and the CLI.
+    /// No ambient entropy or wall-clock outside the CLI.
     D02,
     /// No `==`/`!=` against float-typed operands.
     D03,
     /// No `unwrap()` / bare `expect("")` in non-test library code.
     D04,
-    /// Seed literals only in tests/benches/examples.
+    /// Seed literals only in tests and examples.
     D05,
     /// Artifact writes go through `ldp_common::write_atomic`.
     D09,
@@ -27,7 +27,7 @@ pub enum RuleId {
     D10,
     /// Every crate root carries `#![forbid(unsafe_code)]`.
     H01,
-    /// No `println!`/`eprintln!` outside the CLI, benches, and tests.
+    /// No `println!`/`eprintln!` outside the CLI and tests.
     H02,
     /// Functions reachable from the pure roots are transitively free of
     /// ambient state (cross-file pass, see [`crate::passes`]).
@@ -74,14 +74,14 @@ impl RuleId {
     pub fn summary(self) -> &'static str {
         match self {
             RuleId::D01 => "no HashMap/HashSet iteration in non-test library code",
-            RuleId::D02 => "no ambient entropy or wall-clock outside benches and the CLI",
+            RuleId::D02 => "no ambient entropy or wall-clock outside the CLI",
             RuleId::D03 => "no ==/!= on float-typed operands",
             RuleId::D04 => "no unwrap()/bare expect(\"\") in non-test library code",
-            RuleId::D05 => "rng_from_seed(<literal>) only in tests/benches/examples",
+            RuleId::D05 => "rng_from_seed(<literal>) only in tests and examples",
             RuleId::D09 => "artifact writes go through ldp_common::write_atomic",
             RuleId::D10 => "no thread::spawn outside map_trials* internals",
             RuleId::H01 => "crate roots must carry #![forbid(unsafe_code)]",
-            RuleId::H02 => "no println!/eprintln! outside the CLI, benches, and tests",
+            RuleId::H02 => "no println!/eprintln! outside the CLI and tests",
             RuleId::P01 => "pure-root call closures stay transitively free of ambient state",
             RuleId::P02 => "RNG streams: no same-statement double draws, clones, or captures",
         }
@@ -102,7 +102,7 @@ impl RuleId {
                 "Every random bit must flow from the master seed via rng_from_seed/\
                  derive_seed2, and nothing may observe real time — otherwise results stop \
                  being a pure function of (spec, seed) and the golden gates are meaningless. \
-                 Benches and the CLI binary are the only places allowed to touch the \
+                 Binary targets (the CLI) are the only places allowed to touch the \
                  outside world."
             }
             RuleId::D03 => {
@@ -146,8 +146,8 @@ impl RuleId {
                  lint error."
             }
             RuleId::H02 => {
-                "Library output must be returned (String/Table/JSON) so the CLI and bench \
-                 binaries own the terminal; a stray println! corrupts --json emissions and \
+                "Library output must be returned (String/Table/JSON) so the CLI binary \
+                 owns the terminal; a stray println! corrupts --json emissions and \
                  interleaves nondeterministically under parallel trials."
             }
             RuleId::P01 => {
@@ -255,8 +255,6 @@ impl Finding {
 /// Where a file sits in the workspace — drives per-rule exemptions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// Under `crates/bench/` (criterion suites, smoke tests, gate).
-    pub bench_crate: bool,
     /// A binary target: under `src/bin/` or a `src/main.rs`.
     pub bin: bool,
     /// An integration-test file (top-level `tests/` or `crates/*/tests/`).
@@ -275,7 +273,6 @@ impl FileClass {
     pub fn classify(rel_path: &str) -> FileClass {
         let p = rel_path;
         FileClass {
-            bench_crate: p.starts_with("crates/bench/"),
             bin: p.contains("/src/bin/") || p.ends_with("src/main.rs"),
             test_file: p.starts_with("tests/") || p.contains("/tests/"),
             example: p.starts_with("examples/") || p.contains("/examples/"),
@@ -285,9 +282,9 @@ impl FileClass {
         }
     }
 
-    /// "Library code": not a test file, example, bench-crate file, or bin.
+    /// "Library code": not a test file, example, or bin.
     pub(crate) fn library(&self) -> bool {
-        !(self.test_file || self.example || self.bench_crate || self.bin)
+        !(self.test_file || self.example || self.bin)
     }
 }
 
@@ -556,10 +553,10 @@ fn rule_d01(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
 
 /// D02 — ambient entropy / wall-clock. The draw-for-draw differential
 /// gates only hold when every random bit flows from the master seed and
-/// nothing observes real time; `crates/bench` and binary targets (the
-/// CLI) are the only places allowed to touch the outside world.
+/// nothing observes real time; binary targets (the CLI) are the only
+/// places allowed to touch the outside world.
 fn rule_d02(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
-    if class.bench_crate || class.bin {
+    if class.bin {
         return;
     }
     for (k, t) in toks.iter().enumerate() {
@@ -592,7 +589,7 @@ fn rule_d02(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
                 RuleId::D02,
                 format!(
                     "`{}::now()` reads the wall-clock — deterministic code must not observe \
-                     real time (benches and the CLI are exempt)",
+                     real time (the CLI is exempt)",
                     t.text
                 ),
             );
@@ -605,7 +602,7 @@ fn rule_d02(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
 /// literal or an `as f64`/`as f32` cast. Intentional exact comparison
 /// goes through `ldp_common::float` (the one blessed definition site).
 fn rule_d03(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
-    if class.test_file || class.example || class.bench_crate || class.float_blessed {
+    if class.test_file || class.example || class.float_blessed {
         return;
     }
     for (k, t) in toks.iter().enumerate() {
@@ -676,7 +673,7 @@ fn rule_d04(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId,
 /// shard/epoch/trial streams never collide; a hard-coded
 /// `rng_from_seed(42)` silently reuses one stream everywhere.
 fn rule_d05(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
-    if class.test_file || class.example || class.bench_crate {
+    if class.test_file || class.example {
         return;
     }
     for (k, t) in toks.iter().enumerate() {
@@ -710,8 +707,8 @@ const D09_BLESSED: [&str; 2] = ["crates/common/src/json.rs", "crates/lint/src/go
 /// bare `fs::write`/`File::create` leaves a torn half-file on crash,
 /// which checkpoint-resume and the golden gates would read as corrupt
 /// (or worse, truncated-but-parseable). Unlike most rules this one
-/// applies to binaries and `crates/bench` too — the CLI and the bench
-/// gate are exactly where artifacts get written.
+/// applies to binaries too — the CLI is exactly where artifacts get
+/// written.
 fn rule_d09(
     class: &FileClass,
     toks: &[Tok],
@@ -825,9 +822,9 @@ fn rule_h01(
 }
 
 /// H02 — stray stdout/stderr. Library code renders to `String`/`Table`
-/// and lets the CLI / bench binaries decide what reaches a terminal.
+/// and lets the CLI binary decide what reaches a terminal.
 fn rule_h02(class: &FileClass, toks: &[Tok], emit: &mut impl FnMut(&Tok, RuleId, String)) {
-    if class.bench_crate || class.bin || class.test_file || class.example {
+    if !class.library() {
         return;
     }
     for (k, t) in toks.iter().enumerate() {
@@ -950,7 +947,7 @@ mod tests {
         let src = "pub fn f() { let _ = rand::thread_rng(); }\n\
                    pub fn g() { let _ = std::time::Instant::now(); }\n";
         assert_eq!(rules_on(LIB, src), [(1, "D02"), (2, "D02")]);
-        assert!(rules_on("crates/bench/src/timing.rs", src).is_empty());
+        assert!(rules_on("crates/sim/src/bin/ldp.rs", src).is_empty());
     }
 
     #[test]
@@ -1015,10 +1012,9 @@ mod tests {
                        let _ = std::fs::File::create(p);\n\
                    }\n";
         assert_eq!(rules_on(LIB, src), [(2, "D09"), (3, "D09")]);
-        // Bins and the bench crate DO get checked — artifacts are
-        // written exactly there.
+        // Bins DO get checked — artifacts are written exactly there.
         assert_eq!(
-            rules_on("crates/bench/src/bin/bench_gate.rs", src),
+            rules_on("crates/sim/src/bin/ldp.rs", src),
             [(2, "D09"), (3, "D09")]
         );
         // Tests, test regions, and the two blessed impl sites are exempt.

@@ -30,7 +30,7 @@ use crate::tree::delim_matches;
 pub struct SourceFile {
     /// Workspace-relative path, forward slashes.
     pub rel_path: String,
-    /// Classification (bench/bin/test/example/…), same as the local rules.
+    /// Classification (bin/test/example/…), same as the local rules.
     pub class: FileClass,
     /// Lexed tokens with `in_test` already marked.
     pub toks: Vec<Tok>,

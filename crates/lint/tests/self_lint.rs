@@ -39,11 +39,48 @@ fn workspace_lints_clean() {
 fn blessed_goldens_match_the_manifest() {
     // The live tree's golden.manifest must agree with every blessed
     // artifact — CI's `ldp-lint --check-goldens` is the same check. A
-    // failure here means a golden or trajectory file changed without an
-    // explicit `ldp-lint --bless-goldens`.
+    // failure here means a golden file changed without an explicit
+    // `ldp-lint --bless-goldens`.
     let root = workspace_root();
     let errors = ldp_lint::check_goldens(&root).expect("golden scan succeeds");
     assert!(errors.is_empty(), "golden drift:\n{}", errors.join("\n"));
+}
+
+#[test]
+fn every_golden_directory_is_covered_by_the_manifest() {
+    // A `tests/golden` directory missing from GOLDEN_DIRS would hold
+    // blessed files that `--check-goldens` never hashes.
+    fn walk(dir: &Path, rel: &str, found: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).expect("directory is readable") {
+            let entry = entry.expect("directory entry is readable");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
+            if !is_dir || name == "target" || name.starts_with('.') {
+                continue;
+            }
+            let rel = if rel.is_empty() {
+                name
+            } else {
+                format!("{rel}/{name}")
+            };
+            if rel == "tests/golden" || rel.ends_with("/tests/golden") {
+                found.push(rel.clone());
+            }
+            walk(&entry.path(), &rel, found);
+        }
+    }
+    let mut found = Vec::new();
+    walk(&workspace_root(), "", &mut found);
+    assert!(
+        found.iter().any(|d| d == "tests/golden"),
+        "walker missed tests/golden: {found:?}"
+    );
+    for dir in &found {
+        assert!(
+            ldp_lint::GOLDEN_DIRS.contains(&dir.as_str()),
+            "{dir} holds goldens that golden.manifest does not cover — add it to GOLDEN_DIRS"
+        );
+    }
 }
 
 #[test]
@@ -68,7 +105,6 @@ fn walker_covers_every_crate_and_skips_fixtures_and_vendor() {
         "crates/core/src/lib.rs",
         "crates/kv/src/lib.rs",
         "crates/sim/src/lib.rs",
-        "crates/bench/src/bin/bench_gate.rs",
         "crates/lint/src/lib.rs",
     ] {
         assert!(

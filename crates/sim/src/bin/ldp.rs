@@ -21,7 +21,7 @@ use ldp_common::json::write_atomic;
 use ldp_common::{Json, LdpError, Result};
 use ldp_datasets::{DatasetKind, ScalePreset};
 use ldp_protocols::ProtocolKind;
-use ldp_sim::scenario::{catalog, run_scenario, RunScale, ScaleSpec};
+use ldp_sim::scenario::{catalog, check_scenario, run_scenario, RunScale, ScaleSpec};
 use ldp_sim::stream::{check_count_only, StreamEngine, StreamSpec, WindowMode};
 use ldp_sim::table::{fmt_mean, fmt_stat};
 use ldp_sim::{
@@ -284,28 +284,50 @@ fn validate_output_file(flag: &str, path: &std::path::Path) -> Result<()> {
     Ok(())
 }
 
+/// When several figures run, `--json` names a directory that receives
+/// one report each: an existing file there is rejected up front, since
+/// creating the directory would fail only after the first figure ran.
+fn validate_report_dir(flag: &str, path: &std::path::Path) -> Result<()> {
+    if path.exists() && !path.is_dir() {
+        return Err(LdpError::invalid(format!(
+            "{flag} {}: is not a directory (several figures write one report each into a \
+             directory; name a directory, or select one figure with --figure)",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
 fn repro_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     let args = parse_repro_args(iter)?;
+    let several = args.figure == "all";
     if let Some(path) = &args.json {
         validate_output_parent("--json", path)?;
+        if several {
+            validate_report_dir("--json", path)?;
+        }
     }
-    let ids: Vec<&str> = if args.figure == "all" {
+    let ids: Vec<&str> = if several {
         catalog::FIGURE_IDS.to_vec()
     } else {
-        // Resolve eagerly so an unknown figure fails before any work.
-        catalog::scenario(&args.figure)?;
-        vec![catalog::FIGURE_IDS
-            .iter()
-            .find(|id| **id == args.figure)
-            .expect("scenario() accepted the id")]
+        vec![args.figure.as_str()]
     };
+    // Every selected figure is resolved and checked at the run scale
+    // before the first one runs, so an unknown figure or a scale too
+    // small for a later figure fails before any row is printed.
     let scale = args.run_scale();
-    for id in &ids {
-        let scenario = catalog::scenario(id)?;
-        let report = run_scenario(&scenario, &scale)?;
+    let scenarios = ids
+        .iter()
+        .map(|id| catalog::scenario(id))
+        .collect::<Result<Vec<_>>>()?;
+    for scenario in &scenarios {
+        check_scenario(scenario, &scale)?;
+    }
+    for scenario in &scenarios {
+        let report = run_scenario(scenario, &scale)?;
         print!("{}", report.render_text(args.csv));
         if let Some(path) = &args.json {
-            let written = report.write_json(path, ids.len() > 1)?;
+            let written = report.write_json(path, several)?;
             eprintln!("wrote {}", written.display());
         }
     }
@@ -553,7 +575,9 @@ fn stream_main<I: Iterator<Item = String>>(iter: I) -> Result<()> {
     }
     let mut engine = match &args.resume {
         Some(path) => {
-            let text = std::fs::read_to_string(path)?;
+            let text = std::fs::read_to_string(path).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("--resume {}: {e}", path.display()))
+            })?;
             let engine = StreamEngine::from_checkpoint(&Json::parse(&text)?)?;
             let conflicts = resume_spec_conflicts(&args.spec_flags, &args.spec, engine.spec());
             if !conflicts.is_empty() {
@@ -1173,5 +1197,25 @@ mod tests {
         // A missing parent still fails as before.
         let missing = tmp.join("ldp-no-such-dir-ever").join("c.json");
         assert!(validate_output_file("--checkpoint", &missing).is_err());
+    }
+
+    #[test]
+    fn report_dir_validation_rejects_an_existing_file() {
+        // `ldp repro --json PATH` with several figures writes one report
+        // each into PATH: an existing file there fails up front, naming
+        // the flag and the path; a directory or a new path passes.
+        let tmp = std::env::temp_dir();
+        let file = tmp.join("ldp-report-dir-is-a-file");
+        std::fs::write(&file, "x").unwrap();
+        let err = validate_report_dir("--json", &file).unwrap_err();
+        let text = err.to_string();
+        assert!(matches!(err, LdpError::InvalidParameter(_)), "{text}");
+        assert!(
+            text.contains("--json") && text.contains("ldp-report-dir-is-a-file"),
+            "{text}"
+        );
+        std::fs::remove_file(&file).unwrap();
+        assert!(validate_report_dir("--json", &file).is_ok());
+        assert!(validate_report_dir("--json", &tmp).is_ok());
     }
 }

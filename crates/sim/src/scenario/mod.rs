@@ -26,7 +26,7 @@ pub mod spec;
 
 pub use golden::{Golden, GoldenEntry};
 pub use report::{CellReport, GridReport, ScenarioReport};
-pub use run::run_scenario;
+pub use run::{check_scenario, run_scenario};
 pub use spec::{
     Cell, CellCtx, CellKind, Entry, GridSpec, Metric, RowSpec, RunScale, ScaleSpec, Scenario,
 };

@@ -3,7 +3,8 @@
 //! Execution plan:
 //!
 //! 1. validate the scenario (unique cell ids, grid entries referencing
-//!    only existing cells, consistent row widths),
+//!    only existing cells, consistent row widths) and every experiment
+//!    cell's config at the requested scale ([`check_scenario`]),
 //! 2. materialize each experiment cell's config at the requested
 //!    [`RunScale`] (trials / seed / per-dataset fraction),
 //! 3. group experiment cells that differ **only in η** into one
@@ -33,14 +34,10 @@ const CELL_SEED_SALT: u64 = 0x5CE7_AB1E;
 /// report.
 ///
 /// # Errors
-/// [`LdpError::InvalidParameter`] for malformed scenarios (duplicate cell
-/// ids, dangling grid references, ragged grid rows, zero trials);
-/// otherwise propagates the first failing cell.
+/// Whatever [`check_scenario`] rejects, before any cell runs; otherwise
+/// propagates the first failing cell.
 pub fn run_scenario(scenario: &Scenario, scale: &RunScale) -> Result<ScenarioReport> {
-    validate(scenario)?;
-    if scale.trials == 0 {
-        return Err(LdpError::invalid("scenario trials must be ≥ 1"));
-    }
+    check_scenario(scenario, scale)?;
 
     let units = plan_units(scenario, scale);
     let outer_threads = outer_thread_count(scale.trials, units.len());
@@ -82,6 +79,40 @@ pub fn run_scenario(scenario: &Scenario, scale: &RunScale) -> Result<ScenarioRep
         .map(|grid| GridReport::render(grid, &report))
         .collect();
     Ok(ScenarioReport { grids, ..report })
+}
+
+/// The checks [`run_scenario`] makes before any cell runs: the
+/// scenario's structure, the trial count, and every experiment cell's
+/// config at `scale` ([`ExperimentConfig::validate`], so a scale too
+/// small for a cell's population fails here). `ldp repro` calls it for
+/// every selected figure before running the first one. Custom cells
+/// check their own parameters when they run.
+///
+/// # Errors
+/// [`LdpError::InvalidParameter`] for malformed scenarios (duplicate cell
+/// ids, dangling grid references, ragged grid rows), zero trials, or an
+/// experiment cell its config rejects at `scale`.
+pub fn check_scenario(scenario: &Scenario, scale: &RunScale) -> Result<()> {
+    validate(scenario)?;
+    if scale.trials == 0 {
+        return Err(LdpError::invalid("scenario trials must be ≥ 1"));
+    }
+    for cell in &scenario.cells {
+        if let CellKind::Experiment { config, .. } = &cell.kind {
+            scaled_config(config, scale).validate()?;
+        }
+    }
+    Ok(())
+}
+
+/// An experiment cell's config at the run scale: the scale's trials,
+/// seed and per-dataset fraction.
+fn scaled_config(config: &ExperimentConfig, scale: &RunScale) -> ExperimentConfig {
+    let mut config = config.clone();
+    config.trials = scale.trials;
+    config.seed = scale.seed;
+    config.scale = scale.scale.fraction(config.dataset);
+    config
 }
 
 /// Structural validation, before anything expensive runs.
@@ -157,11 +188,7 @@ fn plan_units<'a>(scenario: &'a Scenario, scale: &RunScale) -> Vec<Unit<'a>> {
     for (index, cell) in scenario.cells.iter().enumerate() {
         match &cell.kind {
             CellKind::Experiment { config, options } => {
-                let mut config = config.clone();
-                config.trials = scale.trials;
-                config.seed = scale.seed;
-                config.scale = scale.scale.fraction(config.dataset);
-                experiment.push((index, config, options));
+                experiment.push((index, scaled_config(config, scale), options));
             }
             CellKind::Custom(custom) => {
                 let seed = derive_seed(scale.seed, xxh64(cell.id.as_bytes(), CELL_SEED_SALT));

@@ -441,8 +441,56 @@ fn attacked_cells_too_small_for_a_malicious_user_fail_before_any_row() {
         ],
         needle,
     );
+    // Every selected figure is checked before the first one runs: at
+    // scale 10⁻³ figures 3 and 4 would run, but fig5's attacked cells
+    // need 500 IPUMS users and get 390.
+    assert_rejected_before_any_row(
+        &["repro", "--scale", "0.001", "--trials", "1"],
+        "at least 500 genuine users",
+    );
     // Scale 3·10⁻⁵ gives 12 users and one malicious user: it runs.
     stderr_of_successful_run(&["--scale", "0.00003", "--trials", "1"]);
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_repro_json_file_with_several_figures_fails_before_any_row() {
+    // Several figures write one report each into the --json directory:
+    // an existing file there used to fail only after the first figure.
+    let file = std::env::temp_dir().join("ldprecover-repro-json-is-a-file");
+    std::fs::write(&file, "keep me\n").unwrap();
+    let path = file.to_str().unwrap();
+    assert_rejected_before_any_row(
+        &["repro", "--scale", "0.002", "--trials", "1", "--json", path],
+        path,
+    );
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), "keep me\n");
+    std::fs::remove_file(&file).unwrap();
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
+fn ldp_stream_resume_names_a_checkpoint_it_cannot_read() {
+    let missing = std::env::temp_dir().join("ldprecover-no-such-checkpoint.json");
+    let _ = std::fs::remove_file(&missing);
+    let output = Command::new(env!("CARGO_BIN_EXE_ldp"))
+        .args(["stream", "--resume"])
+        .arg(&missing)
+        .output()
+        .expect("spawn ldp");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("Io")
+            && stderr.contains("--resume")
+            && stderr.contains(missing.to_str().unwrap()),
+        "{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
 }
 
 #[test]
