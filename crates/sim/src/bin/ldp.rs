@@ -250,10 +250,16 @@ impl ReproArgs {
     }
 }
 
-/// Fail fast — before any simulation work — when an output flag points
-/// into a directory that does not exist, instead of surfacing a bare io
-/// error (or losing a long run's output) at write time.
+/// Fail fast — before any simulation work — when an output flag is empty
+/// or points into a directory that does not exist, instead of surfacing a
+/// bare io error (or losing a long run's output) at write time.
 fn validate_output_parent(flag: &str, path: &std::path::Path) -> Result<()> {
+    if path.as_os_str().is_empty() {
+        // `Path::parent` is `None` here too, but there is nothing to write to.
+        return Err(LdpError::invalid(format!(
+            "{flag}: empty path (name a file or directory to write)"
+        )));
+    }
     let parent = match path.parent() {
         // A bare filename resolves against the current directory.
         Some(p) if !p.as_os_str().is_empty() => p,
@@ -1173,6 +1179,17 @@ mod tests {
         std::fs::write(&file_parent, "x").unwrap();
         assert!(validate_output_parent("--json", &file_parent.join("out.json")).is_err());
         std::fs::remove_file(&file_parent).unwrap();
+        // An empty path has no parent either, but unlike a bare filename
+        // it names nothing to write: it fails up front, naming the flag.
+        for check in [validate_output_parent, validate_output_file] {
+            let err = check("--checkpoint", Path::new("")).unwrap_err();
+            let text = err.to_string();
+            assert!(matches!(err, LdpError::InvalidParameter(_)), "{text}");
+            assert!(
+                text.contains("--checkpoint") && text.contains("empty path"),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -470,6 +470,23 @@ fn ldp_repro_json_file_with_several_figures_fails_before_any_row() {
 
 #[test]
 #[ignore = "spawns the CLI binary; run with --ignored"]
+fn empty_output_paths_fail_before_any_row() {
+    // An empty path names nothing to write: it must fail before the run,
+    // not at the write after it (after the first epoch for --checkpoint).
+    let stream = "stream --shards 2 --epochs 2 --users-per-epoch 2000";
+    for (command, flag) in [
+        ("repro --figure table1 --scale 0.002 --trials 1", "--json"),
+        (stream, "--json"),
+        (stream, "--checkpoint"),
+    ] {
+        let mut args: Vec<&str> = command.split_whitespace().collect();
+        args.extend([flag, ""]);
+        assert_rejected_before_any_row(&args, flag);
+    }
+}
+
+#[test]
+#[ignore = "spawns the CLI binary; run with --ignored"]
 fn ldp_stream_resume_names_a_checkpoint_it_cannot_read() {
     let missing = std::env::temp_dir().join("ldprecover-no-such-checkpoint.json");
     let _ = std::fs::remove_file(&missing);
